@@ -214,7 +214,6 @@ def _cmd_evolve(args) -> int:
             distance_oracle=distance_oracle,
             limits=_limits(args),
             trajectory_path=args.trajectory,
-            jobs=args.jobs,
         )
     except (OracleUnavailable, AuthError) as err:
         print(f"oracle failure: {err}", file=sys.stderr)
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ga-population", type=int, default=8)
     p.add_argument("--ga-generations", type=int, default=10)
     p.add_argument("--ga-mutation-rate", type=float, default=0.25)
-    p.add_argument("--jobs", type=int, default=1, help="evaluation workers")
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_evolve)

@@ -29,6 +29,11 @@ SNode = SAtom | SList
 
 _DELIMS = "()"
 
+# Deepest list nesting accepted. Real domains stay below ten levels; the
+# cap keeps every recursive consumer of the tree (parser, printer, linker,
+# grounder) far inside Python's recursion limit on untrusted text.
+MAX_DEPTH = 64
+
 
 def _tokens(text: str):
     line, col = 1, 1
@@ -69,6 +74,8 @@ def read_one(text: str) -> SNode:
         if result is not None:
             raise PddlError([Diagnostic(SYNTAX, "unexpected content after top-level form", line, col)])
         if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise PddlError([Diagnostic(SYNTAX, f"nesting deeper than {MAX_DEPTH} levels", line, col)])
             stack.append(([], line, col))
         elif tok == ")":
             if not stack:

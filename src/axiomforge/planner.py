@@ -173,12 +173,6 @@ class GroundedTask:
     goal: GroundFormula
     actions: tuple
 
-    def atom_index(self, atom: Atom) -> int | None:
-        try:
-            return self.atoms.index(atom)
-        except ValueError:
-            return None
-
     def state_atoms(self, state: int):
         return [a for i, a in enumerate(self.atoms) if state >> i & 1]
 
@@ -299,7 +293,7 @@ class _Grounder:
         for combo in itertools.product(*pools):
             yield dict(zip(names, combo))
 
-    def _effects(self, f: Formula, sub: dict, adds: set, dels: set, groups: list, in_when: bool) -> None:
+    def _effects(self, f: Formula, sub: dict, adds: set, dels: set, groups: list) -> None:
         if isinstance(f, Atom):
             adds.add(Atom(f.name, tuple(sub.get(a, a) for a in f.args)))
         elif isinstance(f, Not):
@@ -307,17 +301,17 @@ class _Grounder:
             dels.add(Atom(body.name, tuple(sub.get(a, a) for a in body.args)))
         elif isinstance(f, And):
             for p in f.parts:
-                self._effects(p, sub, adds, dels, groups, in_when)
+                self._effects(p, sub, adds, dels, groups)
         elif isinstance(f, Forall):
             for binding in self._bindings(f.variables):
-                self._effects(f.body, {**sub, **binding}, adds, dels, groups, in_when)
+                self._effects(f.body, {**sub, **binding}, adds, dels, groups)
         elif isinstance(f, When):
             cond = self._cond(f.condition, sub)
             if cond is _FALSE:
                 return
             sub_adds: set = set()
             sub_dels: set = set()
-            self._effects(f.effect, sub, sub_adds, sub_dels, groups, True)
+            self._effects(f.effect, sub, sub_adds, sub_dels, groups)
             if cond is _TRUE:
                 adds |= sub_adds
                 dels |= sub_dels
@@ -336,7 +330,7 @@ class _Grounder:
                 adds: set = set()
                 dels: set = set()
                 groups: list = []
-                self._effects(schema.effect, binding, adds, dels, groups, False)
+                self._effects(schema.effect, binding, adds, dels, groups)
                 if adds & dels or any(a & d for _, a, d in groups):
                     continue  # contradictory instantiation
                 args = tuple(binding[p.name] for p in schema.params)
@@ -449,10 +443,6 @@ def ground(task: LinkedTask, *, max_atoms: int = 100_000, max_actions: int = 200
 
 
 # -- execution ----------------------------------------------------------------
-
-
-def holds(state: int, formula: GroundFormula) -> bool:
-    return formula.holds(state)
 
 
 def apply(state: int, action: GroundAction) -> int:

@@ -9,7 +9,6 @@ from .http import (
     HttpDistanceOracle,
     HttpProposalOracle,
     OracleClientConfig,
-    http_propose,
 )
 from .oracles import (
     NoScriptMatch,
@@ -18,7 +17,6 @@ from .oracles import (
     ScriptedOracle,
     builtin_script,
     parse_texts,
-    scripted_propose,
 )
 from .prompts import SYSTEM_PROMPT, build_prompt, crossover_prompt, mutation_prompt
 
@@ -41,8 +39,6 @@ __all__ = [
     "crossover_prompt",
     "extract_candidates",
     "filter_linkable",
-    "http_propose",
     "mutation_prompt",
     "parse_texts",
-    "scripted_propose",
 ]

@@ -17,7 +17,7 @@ import requests
 from ..distance import Choice, DistanceOracle, OracleUnavailable
 from ..pddl import print_canonical
 from .context import ProposalContext
-from .extract import extract_candidates, filter_linkable
+from .extract import extract_candidates
 from .oracles import ProposalOracle
 from .prompts import (
     SYSTEM_PROMPT,
@@ -77,9 +77,11 @@ class HttpChatClient:
     """Minimal chat-completion client with retry and exponential backoff.
 
     `transport` is injectable for tests: a callable of (url, headers,
-    payload, timeout_s) returning (status_code, body_dict). Transport
-    errors and 5xx responses are retried up to cfg.max_retries; 401/403
-    raise AuthError immediately.
+    payload, timeout_s) returning (status_code, body). Transport errors
+    and 5xx responses are retried up to cfg.max_retries; 401/403 raise
+    AuthError immediately. `complete` returns one string per choice: a
+    body without a list of choices gives [], and a choice without string
+    content gives "".
     """
 
     def __init__(self, cfg: OracleClientConfig, transport=None):
@@ -121,25 +123,18 @@ class HttpChatClient:
                 continue
             if status != 200:
                 raise OracleUnavailable(f"unexpected status {status}")
-            choices = body.get("choices", [])
-            return [c.get("message", {}).get("content", "") for c in choices]
+            choices = body.get("choices") if isinstance(body, dict) else None
+            if not isinstance(choices, list):
+                return []
+            return [_content(choice) for choice in choices]
         raise OracleUnavailable(last_error)
 
 
-def http_propose(
-    cfg: OracleClientConfig, ctx: ProposalContext, k: int, transport=None
-) -> list:
-    """One proposal round over HTTP: prompt, sample, extract, validate.
-
-    The cfg.samples decodes are pooled in choice order and deduplicated by
-    canonical text before the first k linkable candidates are returned.
-    """
-    client = HttpChatClient(cfg, transport)
-    contents = client.complete(SYSTEM_PROMPT, build_prompt(ctx), n=cfg.samples)
-    domains = []
-    for content in contents:
-        domains.extend(extract_candidates(content, k).domains)
-    return filter_linkable(domains, ctx.problem, k)
+def _content(choice) -> str:
+    """The message text of one choice; a malformed choice reads as ""."""
+    message = choice.get("message") if isinstance(choice, dict) else None
+    content = message.get("content") if isinstance(message, dict) else None
+    return content if isinstance(content, str) else ""
 
 
 class HttpProposalOracle(ProposalOracle):

@@ -9,7 +9,6 @@ from typing import Callable
 from ..pddl import DomainAst, PddlError, parse_domain
 from ..corpus import variants
 from .context import ProposalContext
-from .extract import filter_linkable
 
 
 class NoScriptMatch(Exception):
@@ -101,8 +100,3 @@ def parse_texts(texts) -> list:
         except PddlError:
             continue
     return domains
-
-
-def scripted_propose(oracle: ScriptedOracle, ctx: ProposalContext, k: int) -> list:
-    """Scripted texts -> parsed, validated, linkable DomainAst candidates."""
-    return filter_linkable(parse_texts(oracle.propose(ctx, k)), ctx.problem, k)

@@ -36,13 +36,10 @@ def run_search(
     distance_oracle: DistanceOracle | None = None,
     limits: SearchLimits | None = None,
     trajectory_path=None,
-    jobs: int = 1,
 ) -> SearchResult:
     """Run the configured algorithm end to end, optionally recording a
     trajectory file. The returned result carries the run id when recording."""
-    evaluator = CandidateEvaluator(
-        domain, problem, regression, limits=limits, weights=cfg.weights, jobs=jobs
-    )
+    evaluator = CandidateEvaluator(domain, problem, regression, limits=limits, weights=cfg.weights)
     base_ctx = ProposalContext(
         domain=domain,
         problem=problem,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from ..distance import DistanceOracle, hybrid_rank
 from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator, Provenance
-from .common import StepRecorder, node_context, propose_domains, summarize, track_best
+from .candidate import CandidateEvaluator
+from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
 
 
@@ -25,41 +25,17 @@ def beam_search(
     survivors, so oracle cost stays linear in the beam.
 
     `observer(iteration, beam)` fires after each truncation."""
-    recorder = recorder or StepRecorder()
-    calls0, evals0 = oracle.calls, evaluator.evaluations
-    history: list = []
-
-    def done(best, success):
-        return SearchResult(
-            best=best,
-            success=success,
-            explored=evaluator.evaluations - evals0,
-            oracle_calls=oracle.calls - calls0,
-        )
-
-    root = evaluator.evaluate_root()
-    recorder.record(root, "root")
-    history.append(summarize(root))
-    best = root
-    if root.meets_target(cfg.target_length):
-        return done(root, True)
+    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
+    root = run.root()
+    if run.reached(root):
+        return run.result(root)
 
     beam = [root]
     for iteration in range(1, cfg.max_depth + 1):
         pool = list(beam)
         seen = {c.canonical_text for c in beam}
         for node in beam:
-            node_ctx = node_context(ctx, node, history)
-            proposals = propose_domains(oracle, node_ctx, cfg.proposals_per_expansion)
-            batch = [
-                (domain, Provenance(node.step_id, iteration, f"proposal {i} from step {node.step_id}"))
-                for i, domain in enumerate(proposals)
-            ]
-            for cand in evaluator.evaluate_many(batch):
-                if cand.step_id is None:
-                    recorder.record(cand, f"beam-iter-{iteration}")
-                    history.append(summarize(cand))
-                best = track_best(best, cand)
+            for cand in run.expand(node, iteration, f"beam-iter-{iteration}", "proposal {i} from step {step}"):
                 if cand.canonical_text not in seen:
                     seen.add(cand.canonical_text)
                     pool.append(cand)
@@ -77,10 +53,10 @@ def beam_search(
         pool.sort(key=lambda c: (c.score, c.semantic_rank_position, c.canonical_text))
 
         for cand in pool:
-            if cand.meets_target(cfg.target_length):
-                return done(cand, True)
+            if run.reached(cand):
+                return run.result(cand)
         beam = pool[: cfg.beam_width]
         if observer is not None:
             observer(iteration, tuple(beam))
 
-    return done(best, False)
+    return run.result()

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator, Provenance
-from .common import StepRecorder, node_context, propose_domains, summarize, track_best
+from .candidate import CandidateEvaluator
+from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
 
 
@@ -20,45 +20,19 @@ def bfs_search(
     which makes it the minimal-edit-depth success among generated candidates."""
     if cfg.max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    recorder = recorder or StepRecorder()
-    calls0, evals0 = oracle.calls, evaluator.evaluations
-    history: list = []
-
-    def done(best, success):
-        return SearchResult(
-            best=best,
-            success=success,
-            explored=evaluator.evaluations - evals0,
-            oracle_calls=oracle.calls - calls0,
-        )
-
-    root = evaluator.evaluate_root()
-    recorder.record(root, "root")
-    history.append(summarize(root))
-    best = root
-    if root.meets_target(cfg.target_length):
-        return done(root, True)
+    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
+    root = run.root()
+    if run.reached(root):
+        return run.result(root)
 
     level = [root]
     for depth in range(1, cfg.max_depth + 1):
-        next_level = []
+        first_new = len(run.steps)
         for node in level:
-            node_ctx = node_context(ctx, node, history)
-            proposals = propose_domains(oracle, node_ctx, cfg.proposals_per_expansion)
-            batch = [
-                (domain, Provenance(node.step_id, depth, f"proposal {i} from step {node.step_id}"))
-                for i, domain in enumerate(proposals)
-            ]
-            for cand in evaluator.evaluate_many(batch):
-                fresh = cand.step_id is None
-                if fresh:
-                    recorder.record(cand, f"bfs-depth-{depth}")
-                    history.append(summarize(cand))
-                    next_level.append(cand)
-                best = track_best(best, cand)
-                if cand.meets_target(cfg.target_length):
-                    return done(cand, True)
-        level = next_level
+            for cand in run.expand(node, depth, f"bfs-depth-{depth}", "proposal {i} from step {step}"):
+                if run.reached(cand):
+                    return run.result(cand)
+        level = run.steps[first_new:]  # the candidates this level recorded
         if not level:
             break
-    return done(best, False)
+    return run.result()

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..distance import levenshtein
@@ -127,7 +125,6 @@ class CandidateEvaluator:
         limits: SearchLimits | None = None,
         weights: ObjectiveWeights | None = None,
         *,
-        jobs: int = 1,
         max_atoms: int = 100_000,
         max_actions: int = 200_000,
     ):
@@ -137,12 +134,10 @@ class CandidateEvaluator:
         self.regression = list(regression)
         self.limits = limits or SearchLimits()
         self.weights = weights or ObjectiveWeights()
-        self.jobs = max(1, jobs)
         self.max_atoms = max_atoms
         self.max_actions = max_actions
         self.evaluations = 0
         self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
         task = ground(
@@ -154,8 +149,7 @@ class CandidateEvaluator:
 
     def evaluate(self, domain: DomainAst, provenance: Provenance) -> EditCandidate:
         text = print_canonical(domain)
-        with self._lock:
-            hit = self._memo.get(text)
+        hit = self._memo.get(text)
         if hit is not None:
             return hit
         cand = EditCandidate(
@@ -175,43 +169,17 @@ class CandidateEvaluator:
             cand.plan_result = ResourceExceeded(f"grounding failed: {exc.__class__.__name__}")
             cand.regression_ok = False
             cand.score = math.inf
-        with self._lock:
-            self.evaluations += 1
-            self._memo[text] = cand
+        self.evaluations += 1
+        self._memo[text] = cand
         return cand
 
     def evaluate_many(self, items: list) -> list:
         """Evaluate (domain, provenance) pairs, results in input order.
 
-        Batch entries with the same canonical text collapse to one
-        evaluation, and up to `jobs` evaluations run on worker threads; the
-        returned order never depends on completion order.
+        Entries with the same canonical text as an earlier one, in this
+        batch or before it, return that earlier candidate.
         """
-        results: list[EditCandidate | None] = [None] * len(items)
-        slots: dict[str, list] = {}
-        fresh: list = []
-        for idx, (domain, provenance) in enumerate(items):
-            text = print_canonical(domain)
-            with self._lock:
-                hit = self._memo.get(text)
-            if hit is not None:
-                results[idx] = hit
-            elif text in slots:
-                slots[text].append(idx)
-            else:
-                slots[text] = [idx]
-                fresh.append((text, domain, provenance))
-        if self.jobs > 1 and len(fresh) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                evaluated = list(
-                    pool.map(lambda item: self.evaluate(item[1], item[2]), fresh)
-                )
-        else:
-            evaluated = [self.evaluate(domain, prov) for _, domain, prov in fresh]
-        for (text, _, _), cand in zip(fresh, evaluated):
-            for idx in slots[text]:
-                results[idx] = cand
-        return results
+        return [self.evaluate(domain, provenance) for domain, provenance in items]
 
     def evaluate_root(self) -> EditCandidate:
         return self.evaluate(self.original, Provenance(None, 0, "original"))

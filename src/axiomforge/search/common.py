@@ -1,4 +1,10 @@
-"""Shared plumbing for the search algorithms: recording, contexts, proposals."""
+"""The driver every search algorithm shares: evaluate, record, track the best.
+
+An algorithm opens a `SearchRun`, evaluates the root through it, and then
+only decides which nodes to expand and which candidates to keep; every
+evaluated candidate passes through `admit`, which records it once and
+keeps the best score seen.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,8 @@ from dataclasses import replace
 
 from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable, parse_texts
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
-from .candidate import EditCandidate
+from .candidate import CandidateEvaluator, EditCandidate, Provenance
+from .config import SearchConfig, SearchResult
 
 HISTORY_WINDOW = 8
 
@@ -49,27 +56,6 @@ def summarize(cand: EditCandidate) -> str:
     return f"{cand.provenance.description}: {outcome}, score {cand.score:g}"
 
 
-def node_context(
-    base_ctx: ProposalContext, node: EditCandidate, history: list
-) -> ProposalContext:
-    length = node.plan_length
-    if length is None:
-        failure = "the goal is unreachable under the current rules"
-    elif length > base_ctx.target_length:
-        failure = (
-            f"best plan is {length} steps, which misses the {base_ctx.target_length}-step target"
-        )
-    else:
-        failure = "regression scenarios fail under the current rules"
-    return replace(
-        base_ctx,
-        domain=node.domain,
-        baseline_length=length,
-        failure_summary=failure,
-        history=tuple(history[-HISTORY_WINDOW:]),
-    )
-
-
 def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int) -> list:
     """Ask the oracle for k edits; anything unlinkable is dropped here."""
     try:
@@ -79,5 +65,94 @@ def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int) -> lis
     return filter_linkable(parse_texts(texts), ctx.problem, k)
 
 
-def track_best(best: EditCandidate, cand: EditCandidate) -> EditCandidate:
-    return cand if cand.score < best.score else best
+class SearchRun:
+    """State of one search: the recorded steps, the best candidate so far,
+    and the oracle and evaluator counters at the start of the run."""
+
+    def __init__(
+        self,
+        cfg: SearchConfig,
+        ctx: ProposalContext,
+        oracle: ProposalOracle,
+        evaluator: CandidateEvaluator,
+        recorder: StepRecorder | None = None,
+    ):
+        self.cfg = cfg
+        self.ctx = ctx
+        self.oracle = oracle
+        self.evaluator = evaluator
+        self.recorder = recorder or StepRecorder()
+        self.steps: list = []  # recorded candidates, in step order
+        self.best: EditCandidate | None = None
+        self._calls0, self._evals0 = oracle.calls, evaluator.evaluations
+
+    def root(self) -> EditCandidate:
+        root = self.evaluator.evaluate_root()
+        self.recorder.record(root, "root")
+        self.steps.append(root)
+        self.best = root
+        return root
+
+    def admit(self, cand: EditCandidate, phase: str) -> EditCandidate:
+        """Record a candidate the first time it is seen; track the best."""
+        if cand.step_id is None:
+            self.recorder.record(cand, phase)
+            self.steps.append(cand)
+        if cand.score < self.best.score:
+            self.best = cand
+        return cand
+
+    def reached(self, cand: EditCandidate) -> bool:
+        return cand.meets_target(self.cfg.target_length)
+
+    def context(self, node: EditCandidate) -> ProposalContext:
+        """The proposal context for editing `node`, with recent history."""
+        length = node.plan_length
+        target = self.ctx.target_length
+        if length is None:
+            failure = "the goal is unreachable under the current rules"
+        elif length > target:
+            failure = f"best plan is {length} steps, which misses the {target}-step target"
+        else:
+            failure = "regression scenarios fail under the current rules"
+        return replace(
+            self.ctx,
+            domain=node.domain,
+            baseline_length=length,
+            failure_summary=failure,
+            history=tuple(summarize(c) for c in self.steps[-HISTORY_WINDOW:]),
+        )
+
+    def propose(self, node: EditCandidate, k: int | None = None) -> list:
+        """Up to k (default: proposals per expansion) linkable edits of node."""
+        if k is None:
+            k = self.cfg.proposals_per_expansion
+        return propose_domains(self.oracle, self.context(node), k)
+
+    def evaluate(self, domain, provenance: Provenance, phase: str) -> EditCandidate:
+        return self.admit(self.evaluator.evaluate(domain, provenance), phase)
+
+    def evaluate_batch(self, batch: list, phase: str):
+        """Evaluate (domain, provenance) pairs together, then admit them one
+        at a time as the caller iterates, so it can stop mid-batch."""
+        for cand in self.evaluator.evaluate_many(batch):
+            yield self.admit(cand, phase)
+
+    def expand(self, node: EditCandidate, oracle_round: int, phase: str, describe: str):
+        """Propose edits of node and yield them evaluated and admitted, in
+        proposal order. `describe` is formatted with the proposal index `i`
+        and the node's step id `step`."""
+        batch = [
+            (domain, Provenance(node.step_id, oracle_round, describe.format(i=i, step=node.step_id)))
+            for i, domain in enumerate(self.propose(node))
+        ]
+        return self.evaluate_batch(batch, phase)
+
+    def result(self, found: EditCandidate | None = None) -> SearchResult:
+        """A success with `found`, or else a failure reporting the best."""
+        return SearchResult(
+            best=found if found is not None else self.best,
+            success=found is not None,
+            explored=self.evaluator.evaluations - self._evals0,
+            oracle_calls=self.oracle.calls - self._calls0,
+        )

@@ -7,7 +7,7 @@ import random
 from ..pddl import DomainAst, PddlError, link, parse_domain
 from ..proposer import ProposalContext, ProposalOracle
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
-from .common import StepRecorder, node_context, propose_domains, summarize, track_best
+from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
 
 
@@ -35,49 +35,30 @@ def genetic_search(
     `observer(generation, population)` fires after each survivor selection."""
     if cfg.ga_population < 2:
         raise ValueError("ga_population must be >= 2")
-    recorder = recorder or StepRecorder()
     rng = random.Random(cfg.seed)
-    calls0, evals0 = oracle.calls, evaluator.evaluations
-    history: list = []
+    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
+    root = run.root()
+    if run.reached(root):
+        return run.result(root)
 
-    def done(best, success):
-        return SearchResult(
-            best=best,
-            success=success,
-            explored=evaluator.evaluations - evals0,
-            oracle_calls=oracle.calls - calls0,
-        )
-
-    root = evaluator.evaluate_root()
-    recorder.record(root, "root")
-    history.append(summarize(root))
-    best = root
-    if root.meets_target(cfg.target_length):
-        return done(root, True)
-
-    root_ctx = node_context(ctx, root, history)
     population: list = []
-    for i, domain in enumerate(propose_domains(oracle, root_ctx, cfg.ga_population)):
-        cand = evaluator.evaluate(domain, Provenance(root.step_id, 0, f"seed proposal {i}"))
-        if cand.step_id is None:
-            recorder.record(cand, "ga-gen-0")
-            history.append(summarize(cand))
-        best = track_best(best, cand)
-        if cand.meets_target(cfg.target_length):
-            return done(cand, True)
+    for i, domain in enumerate(run.propose(root, cfg.ga_population)):
+        cand = run.evaluate(domain, Provenance(root.step_id, 0, f"seed proposal {i}"), "ga-gen-0")
+        if run.reached(cand):
+            return run.result(cand)
         population.append(cand)
     while len(population) < cfg.ga_population:
         population.append(root)
 
     for generation in range(1, cfg.ga_generations + 1):
         elite = min(population, key=lambda c: c.score)
-        # Breeding stays sequential (the RNG and oracle calls interleave);
-        # only the evaluations fan out.
+        # Breed the whole generation before admitting any child, so every
+        # crossover and mutation sees the same history.
         batch = []
         for i in range(cfg.ga_population):
             parent_a = _tournament(rng, population)
             parent_b = _tournament(rng, population)
-            parent_ctx = node_context(ctx, parent_a, history)
+            parent_ctx = run.context(parent_a)
             child_text = oracle.crossover(
                 parent_ctx, parent_a.canonical_text, parent_b.canonical_text
             )
@@ -91,13 +72,9 @@ def genetic_search(
                 )
             )
         offspring: list = []
-        for cand in evaluator.evaluate_many(batch):
-            if cand.step_id is None:
-                recorder.record(cand, f"ga-gen-{generation}")
-                history.append(summarize(cand))
-            best = track_best(best, cand)
-            if cand.meets_target(cfg.target_length):
-                return done(cand, True)
+        for cand in run.evaluate_batch(batch, f"ga-gen-{generation}"):
+            if run.reached(cand):
+                return run.result(cand)
             offspring.append(cand)
         pool = offspring + [elite]
         pool.sort(key=lambda c: c.score)  # stable: insertion order breaks ties
@@ -105,7 +82,7 @@ def genetic_search(
         if observer is not None:
             observer(generation, tuple(population))
 
-    return done(best, False)
+    return run.result()
 
 
 def _parse_child(text: str, fallback: DomainAst, ctx: ProposalContext) -> DomainAst:

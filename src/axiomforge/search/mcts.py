@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from ..proposer import ProposalContext, ProposalOracle
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
-from .common import StepRecorder, node_context, propose_domains, summarize, track_best
+from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
 
 ROLLOUT_CHAIN_LENGTH = 1
@@ -61,25 +61,11 @@ def mcts_search(
     tests can check visit-count bookkeeping on the tree."""
     if cfg.mcts_iterations < 1:
         raise ValueError("mcts_iterations must be >= 1")
-    recorder = recorder or StepRecorder()
     rng = random.Random(cfg.seed)
-    calls0, evals0 = oracle.calls, evaluator.evaluations
-    history: list = []
-
-    def done(best, success):
-        return SearchResult(
-            best=best,
-            success=success,
-            explored=evaluator.evaluations - evals0,
-            oracle_calls=oracle.calls - calls0,
-        )
-
-    root_cand = evaluator.evaluate_root()
-    recorder.record(root_cand, "root")
-    history.append(summarize(root_cand))
-    best = root_cand
-    if root_cand.meets_target(cfg.target_length):
-        return done(root_cand, True)
+    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
+    root_cand = run.root()
+    if run.reached(root_cand):
+        return run.result(root_cand)
     baseline = root_cand.plan_length
 
     def reward(cand: EditCandidate) -> float:
@@ -104,18 +90,8 @@ def mcts_search(
 
         if not node.expanded:
             node.expanded = True
-            parent_ctx = node_context(ctx, node.cand, history)
-            proposals = propose_domains(oracle, parent_ctx, cfg.proposals_per_expansion)
-            batch = [
-                (domain, Provenance(node.cand.step_id, iteration, f"expansion {i} of step {node.cand.step_id}"))
-                for i, domain in enumerate(proposals)
-            ]
-            for cand in evaluator.evaluate_many(batch):
-                if cand.step_id is None:
-                    recorder.record(cand, "mcts-expand")
-                    history.append(summarize(cand))
-                best = track_best(best, cand)
-                if found is None and cand.meets_target(cfg.target_length):
+            for cand in run.expand(node.cand, iteration, "mcts-expand", "expansion {i} of step {step}"):
+                if found is None and run.reached(cand):
                     found = cand
                 node.children.append(_Node(cand))
             if node.children:
@@ -125,20 +101,15 @@ def mcts_search(
         value = reward(node.cand)
         rollout_cand = node.cand
         for _ in range(ROLLOUT_CHAIN_LENGTH):
-            roll_ctx = node_context(ctx, rollout_cand, history)
-            proposals = propose_domains(oracle, roll_ctx, cfg.proposals_per_expansion)
+            proposals = run.propose(rollout_cand)
             if not proposals:
                 break
             domain = proposals[rng.randrange(len(proposals))]
-            rollout_cand = evaluator.evaluate(
-                domain,
-                Provenance(rollout_cand.step_id, iteration, f"rollout from step {rollout_cand.step_id}"),
+            provenance = Provenance(
+                rollout_cand.step_id, iteration, f"rollout from step {rollout_cand.step_id}"
             )
-            if rollout_cand.step_id is None:
-                recorder.record(rollout_cand, "mcts-rollout")
-                history.append(summarize(rollout_cand))
-            best = track_best(best, rollout_cand)
-            if found is None and rollout_cand.meets_target(cfg.target_length):
+            rollout_cand = run.evaluate(domain, provenance, "mcts-rollout")
+            if found is None and run.reached(rollout_cand):
                 found = rollout_cand
             value = max(value, reward(rollout_cand))
 
@@ -149,6 +120,6 @@ def mcts_search(
         if observer is not None:
             observer(iteration, root)
         if found is not None:
-            return done(found, True)
+            return run.result(found)
 
-    return done(best, False)
+    return run.result()

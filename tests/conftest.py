@@ -47,10 +47,12 @@ def stub_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    # shutdown() waits for the serve loop's next poll, so poll often
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     state.base_url = f"http://127.0.0.1:{server.server_port}"
     yield state
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from axiomforge.proposer import (
     ScriptEntry,
     ScriptedOracle,
     builtin_script,
-    http_propose,
+    HttpProposalOracle,
     OracleClientConfig,
 )
 from axiomforge.search import (
@@ -40,6 +40,7 @@ from axiomforge.search import (
     beam_search,
     ucb1,
 )
+from axiomforge.search.common import propose_domains
 from axiomforge.trajectory import read_runs
 
 from oracle_bfs import oracle_plan_length, oracle_reachable_states
@@ -302,7 +303,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     stub_server.push(200, stub_server.chat_body(
         f"```pddl\n{GOOD_A}```\nbroken:\n```pddl\n(define (domain\n```\n```pddl\n{good_b}```"
     ))
-    candidates = http_propose(cfg, ctx, 8)
+    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8)
     names = [a.name for d in candidates for a in d.actions if a.name in ("hover", "drift")]
     assert names == ["hover", "drift"]
 
@@ -311,7 +312,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
         stub_server.push(500, {})
     requests_before = len(stub_server.requests)
     with pytest.raises(OracleUnavailable):
-        http_propose(cfg, ctx, 2)
+        propose_domains(HttpProposalOracle(cfg), ctx, 2)
     assert len(stub_server.requests) - requests_before == 3
     assert sleeps == [0.5, 1.0]
 

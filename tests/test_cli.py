@@ -132,16 +132,6 @@ def test_evolve_scripted_makes_no_network_calls(capsys, monkeypatch):
     assert code == 0 and "success: true" in out
 
 
-def test_evolve_jobs_flag_keeps_output_identical(capsys):
-    base = (
-        "evolve", "corpus:blocksworld", "corpus:blocksworld:restack",
-        "--algo", "beam", "--target-len", "4", "--oracle", "scripted", "--seed", "2",
-    )
-    sequential = run_cli(capsys, *base, "--jobs", "1")
-    parallel = run_cli(capsys, *base, "--jobs", "4")
-    assert sequential == parallel and sequential[0] == 0
-
-
 def test_rank_by_levenshtein(capsys, tmp_path):
     entry = corpus.load("blocksworld")
     ref = tmp_path / "ref.pddl"

@@ -11,8 +11,8 @@ from axiomforge.proposer import (
     HttpProposalOracle,
     OracleClientConfig,
     ProposalContext,
-    http_propose,
 )
+from axiomforge.search.common import propose_domains
 from conftest import StubChatServer
 
 GOOD_A = """\
@@ -48,10 +48,14 @@ def _cfg(state, **kw):
     return OracleClientConfig(**defaults)
 
 
+def _propose(state, ctx, k, **kw):
+    return propose_domains(HttpProposalOracle(_cfg(state, **kw)), ctx, k)
+
+
 def test_propose_extracts_stub_domains(stub_server, api_key, blocksworld, flagship):
     stub_server.push(200, _chat_body(f"one:\n```pddl\n{GOOD_A}```", f"two:\n```pddl\n{GOOD_B}```"))
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
-    candidates = http_propose(_cfg(stub_server), ctx, 4)
+    candidates = _propose(stub_server, ctx, 4)
     assert [a.name for d in candidates for a in d.actions if a.name in ("hover", "drift")] == [
         "hover",
         "drift",
@@ -65,7 +69,7 @@ def test_propose_extracts_stub_domains(stub_server, api_key, blocksworld, flagsh
 def test_malformed_blocks_dropped(stub_server, api_key, blocksworld, flagship):
     stub_server.push(200, _chat_body(f"```pddl\n{BROKEN}\n```\n```pddl\n{GOOD_A}```"))
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
-    candidates = http_propose(_cfg(stub_server), ctx, 4)
+    candidates = _propose(stub_server, ctx, 4)
     assert len(candidates) == 1
 
 
@@ -76,7 +80,7 @@ def test_stub_run_is_reproducible(stub_server, api_key, blocksworld, flagship):
     results = []
     for _ in range(2):
         stub_server.push(200, _chat_body(f"```pddl\n{GOOD_A}```", f"```pddl\n{GOOD_B}```"))
-        results.append([print_canonical(d) for d in http_propose(_cfg(stub_server), ctx, 4)])
+        results.append([print_canonical(d) for d in _propose(stub_server, ctx, 4)])
     assert results[0] == results[1]
 
 
@@ -85,7 +89,7 @@ def test_server_errors_exhaust_retries(stub_server, api_key, no_sleep, blockswor
         stub_server.push(500, {"error": "boom"})
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
     with pytest.raises(OracleUnavailable):
-        http_propose(_cfg(stub_server, max_retries=2), ctx, 2)
+        _propose(stub_server, ctx, 2, max_retries=2)
     assert len(stub_server.requests) == 3  # initial try + 2 retries
     assert no_sleep == [0.5, 1.0]  # exponential backoff
 
@@ -94,7 +98,7 @@ def test_recovery_after_one_500(stub_server, api_key, no_sleep, blocksworld, fla
     stub_server.push(500, {})
     stub_server.push(200, _chat_body(f"```pddl\n{GOOD_A}```"))
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
-    assert len(http_propose(_cfg(stub_server), ctx, 2)) == 1
+    assert len(_propose(stub_server, ctx, 2)) == 1
     assert no_sleep == [0.5]
 
 
@@ -102,7 +106,7 @@ def test_auth_error_on_401(stub_server, api_key, blocksworld, flagship):
     stub_server.push(401, {})
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
     with pytest.raises(AuthError):
-        http_propose(_cfg(stub_server), ctx, 2)
+        _propose(stub_server, ctx, 2)
     assert len(stub_server.requests) == 1  # no retry on auth failures
 
 
@@ -110,7 +114,7 @@ def test_missing_api_key_fails_before_any_request(monkeypatch, stub_server, bloc
     monkeypatch.delenv("AXIOMFORGE_API_KEY", raising=False)
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
     with pytest.raises(AuthError):
-        http_propose(_cfg(stub_server), ctx, 2)
+        _propose(stub_server, ctx, 2)
     assert stub_server.requests == []
 
 
@@ -143,3 +147,22 @@ def test_proposal_oracle_crossover_falls_back(stub_server, api_key, blocksworld,
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
     assert oracle.crossover(ctx, "parent-a-text", "parent-b-text") == "parent-a-text"
     assert oracle.calls == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        ["not", "an", "object"],
+        {"choices": "not a list"},
+        {"choices": [None, {"message": "not an object"}]},
+    ],
+)
+def test_malformed_reply_reads_as_empty(stub_server, api_key, blocksworld, flagship, body):
+    ctx = ProposalContext(blocksworld, flagship, 6, 4)
+    stub_server.push(200, body)
+    assert _propose(stub_server, ctx, 2) == []
+    stub_server.push(200, body)
+    assert HttpProposalOracle(_cfg(stub_server)).crossover(ctx, "a-text", "b-text") == "a-text"
+    stub_server.push(200, body)
+    assert HttpDistanceOracle(_cfg(stub_server))._sample("ref", "x", "y") is Choice.A

@@ -10,6 +10,7 @@ from axiomforge.pddl import (
     parse_domain,
     parse_problem,
 )
+from axiomforge.pddl.reader import MAX_DEPTH
 
 ALL_DOMAINS = [(name, corpus.load(name).domain_text) for name in corpus.CORPUS_NAMES]
 
@@ -160,6 +161,30 @@ def test_syntax_error_position():
     diag = err.value.diagnostics[0]
     assert diag.code == "syntax-error"
     assert (diag.line, diag.col) == (1, 1)  # the unclosed '('
+
+
+def _nested_precondition(levels: int) -> str:
+    """A domain whose only precondition sits under `levels` nested nots;
+    the whole text is levels + 3 lists deep."""
+    pre = "(not " * levels + "(p)" + ")" * levels
+    return (
+        "(define (domain d) (:predicates (p))\n"
+        f"  (:action a :parameters () :precondition {pre} :effect (p)))"
+    )
+
+
+def test_nesting_at_the_cap_parses():
+    parse_domain(_nested_precondition(MAX_DEPTH - 3))
+
+
+def test_nesting_past_the_cap_is_a_positioned_syntax_error():
+    with pytest.raises(PddlError) as err:
+        parse_domain(_nested_precondition(5000))
+    (diag,) = err.value.diagnostics
+    assert diag.code == "syntax-error"
+    # define and action are levels 1 and 2, the k-th "(not " is level k + 2
+    # and opens at column 43 + 5 * (k - 1); the one at level MAX_DEPTH + 1 fails
+    assert (diag.line, diag.col) == (2, 43 + 5 * (MAX_DEPTH - 2))
 
 
 # -- problems -------------------------------------------------------------

@@ -10,8 +10,8 @@ from axiomforge.proposer import (
     build_prompt,
     builtin_script,
     extract_candidates,
-    scripted_propose,
 )
+from axiomforge.search.common import propose_domains
 
 GOOD_DOMAIN = """\
 (define (domain blocksworld)
@@ -111,11 +111,18 @@ def test_garbage_never_raises():
     assert extract_candidates("```\n(((\n```", 3).dropped == 1
 
 
+def test_deeply_nested_block_is_dropped():
+    deep = "(" * 5000 + ")" * 5000
+    result = extract_candidates(f"```pddl\n{deep}\n```\n```pddl\n{GOOD_DOMAIN}```", 3)
+    assert result.dropped == 1
+    assert [a.name for d in result.domains for a in d.actions] == ["tidy"]
+
+
 # -- scripted oracle ---------------------------------------------------------
 
 
 def test_builtin_script_returns_both_variants(bw_ctx, evaluator):
-    candidates = scripted_propose(builtin_script(), bw_ctx, 4)
+    candidates = propose_domains(builtin_script(), bw_ctx, 4)
     assert len(candidates) == 2
     multi, extract = candidates
     assert multi.action("pickup-pair") is not None
@@ -123,7 +130,7 @@ def test_builtin_script_returns_both_variants(bw_ctx, evaluator):
 
 
 def test_script_k_one_takes_first(bw_ctx):
-    candidates = scripted_propose(builtin_script(), bw_ctx, 1)
+    candidates = propose_domains(builtin_script(), bw_ctx, 1)
     assert len(candidates) == 1
     assert candidates[0].action("pickup-pair") is not None
 
@@ -139,7 +146,7 @@ def test_scripted_propose_drops_unlinkable(bw_ctx):
     oracle = ScriptedOracle(
         [ScriptEntry(lambda ctx: True, (GOOD_DOMAIN, BAD_DOMAIN, GOOD_DOMAIN))]
     )
-    candidates = scripted_propose(oracle, bw_ctx, 5)
+    candidates = propose_domains(oracle, bw_ctx, 5)
     # the two good copies dedup to one; the bad one drops
     assert len(candidates) == 1
 

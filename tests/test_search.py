@@ -504,23 +504,6 @@ def test_evaluate_many_dedups_and_orders(zero_evaluator):
     assert zero_evaluator.evaluations == 2
 
 
-def test_parallel_evaluation_matches_sequential(blocksworld, flagship, blocksworld_regression):
-    def run(jobs):
-        evaluator = CandidateEvaluator(
-            blocksworld, flagship, blocksworld_regression, weights=ZERO, jobs=jobs
-        )
-        result = beam_search(
-            _cfg("beam", beam_width=4, target_length=1, max_depth=2),
-            _ctx(evaluator, target=1),
-            builtin_script(),
-            LevenshteinMockOracle(),
-            evaluator=evaluator,
-        )
-        return (result.success, result.explored, result.best.canonical_text)
-
-    assert run(1) == run(4)
-
-
 def test_oracle_call_accounting(zero_evaluator):
     oracle = builtin_script()
     result = bfs_search(_cfg("bfs"), _ctx(zero_evaluator), oracle, evaluator=zero_evaluator)
