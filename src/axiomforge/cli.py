@@ -388,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("lev", "semantic", "hybrid"), default="lev")
     p.add_argument("--keep", type=int, default=16, help="hybrid pre-filter survivors")
     p.add_argument("--oracle", choices=("http", "mock"), default="http")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument(
+        "--samples", type=int, default=16,
+        help="oracle votes per comparison, asked for in one request",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_rank)
 

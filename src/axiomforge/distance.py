@@ -3,7 +3,9 @@
 `levenshtein` works on canonical domain text. `semantic_rank` orders
 candidates by proximity to a reference using only pairwise "which of these
 two is closer?" oracle answers, threaded through a merge sort so n
-candidates cost at most n*ceil(log2 n) comparisons. `hybrid_rank` trims the
+candidates cost at most n*ceil(log2 n) comparisons. Each uncached
+comparison collects all of its votes through one batched `_samples` call,
+which an HTTP oracle sends as a single request. `hybrid_rank` trims the
 field by Levenshtein first and lets the oracle order the survivors.
 """
 
@@ -82,9 +84,10 @@ class DistanceOracle(ABC):
 
     Queries are cached under an order-normalized key, so (r, a, b) and
     (r, b, a) share one entry with the answer flipped, and repeated ranking
-    runs trigger no new transport work. Each uncached query is sampled
-    `samples_per_query` times and majority-voted; an exact tie falls back to
-    the candidate with the smaller Levenshtein distance to the reference.
+    runs trigger no new transport work. Each uncached query collects
+    `samples_per_query` votes in one `_samples` call and takes the majority;
+    an exact tie falls back to the candidate with the smaller Levenshtein
+    distance to the reference.
     """
 
     def __init__(self, samples_per_query: int = 16):
@@ -98,6 +101,10 @@ class DistanceOracle(ABC):
     def _sample(self, reference: str, a: str, b: str) -> Choice:
         """One raw comparison; implementations count their own transport."""
 
+    def _samples(self, reference: str, a: str, b: str, n: int) -> list[Choice]:
+        """n raw comparisons in one batch; by default n calls of `_sample`."""
+        return [self._sample(reference, a, b) for _ in range(n)]
+
     def query(self, reference: str, a: str, b: str) -> Choice:
         flipped = a > b
         lo, hi = (b, a) if flipped else (a, b)
@@ -106,8 +113,8 @@ class DistanceOracle(ABC):
             answer = self._cache.get(key)
         if answer is None:
             votes_lo = sum(
-                self._sample(reference, lo, hi) is Choice.A
-                for _ in range(self.samples_per_query)
+                vote is Choice.A
+                for vote in self._samples(reference, lo, hi, self.samples_per_query)
             )
             votes_hi = self.samples_per_query - votes_lo
             if votes_lo != votes_hi:

@@ -3,7 +3,8 @@
 The wire format is the common one: POST {base_url}/chat/completions with
 bearer auth, fields `model`, `messages`, `temperature`, `n`; proposals are
 read from `choices[*].message.content`. Any compatible provider or local
-stub works via AXIOMFORGE_BASE_URL.
+stub works via AXIOMFORGE_BASE_URL. `requests` is imported on the first
+request, not when the package loads.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-
-import requests
 
 from ..distance import Choice, DistanceOracle, OracleUnavailable
 from ..pddl import print_canonical
@@ -32,6 +31,10 @@ DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
 API_KEY_ENV_VAR = "AXIOMFORGE_API_KEY"
 
 _BACKOFF_BASE_S = 0.5
+_JUDGE_SYSTEM_PROMPT = (
+    "You judge how close modified game rules stay to a reference."
+    " Answer with the single letter A or B."
+)
 
 
 class AuthError(Exception):
@@ -65,6 +68,8 @@ class OracleClientConfig:
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float):
+    import requests
+
     resp = requests.post(url, headers=headers, json=payload, timeout=timeout_s)
     try:
         body = resp.json()
@@ -77,11 +82,11 @@ class HttpChatClient:
     """Minimal chat-completion client with retry and exponential backoff.
 
     `transport` is injectable for tests: a callable of (url, headers,
-    payload, timeout_s) returning (status_code, body). Transport errors
-    and 5xx responses are retried up to cfg.max_retries; 401/403 raise
-    AuthError immediately. `complete` returns one string per choice: a
-    body without a list of choices gives [], and a choice without string
-    content gives "".
+    payload, timeout_s) returning (status_code, body). Transport errors,
+    429 and 5xx responses are retried up to cfg.max_retries with
+    exponential backoff; 401/403 raise AuthError immediately. `complete`
+    returns one string per choice: a body without a list of choices gives
+    [], and a choice without string content gives "".
     """
 
     def __init__(self, cfg: OracleClientConfig, transport=None):
@@ -90,6 +95,8 @@ class HttpChatClient:
         self.transport_calls = 0
 
     def complete(self, system: str, user: str, n: int = 1) -> list:
+        import requests
+
         api_key = os.environ.get(self.cfg.api_key_env_var)
         if not api_key:
             raise AuthError(
@@ -121,6 +128,9 @@ class HttpChatClient:
             if status >= 500:
                 last_error = f"server error {status}"
                 continue
+            if status == 429:
+                last_error = "rate limited (429)"
+                continue
             if status != 200:
                 raise OracleUnavailable(f"unexpected status {status}")
             choices = body.get("choices") if isinstance(body, dict) else None
@@ -149,12 +159,15 @@ class HttpProposalOracle(ProposalOracle):
         return self.client.transport_calls
 
     def propose(self, ctx: ProposalContext, k: int) -> list:
+        """Every decode's blocks pooled and deduplicated in order; the cut to
+        k happens after link filtering, so duplicates and unlinkable blocks
+        cannot crowd out valid ones."""
         self.calls += 1
         contents = self.client.complete(SYSTEM_PROMPT, build_prompt(ctx), n=self.client.cfg.samples)
         texts = []
         for content in contents:
             texts.extend(print_canonical(d) for d in extract_candidates(content, k).domains)
-        return texts[:k]
+        return list(dict.fromkeys(texts))
 
     def _one_block(self, prompt: str, fallback: str) -> str:
         contents = self.client.complete(SYSTEM_PROMPT, prompt, n=1)
@@ -174,7 +187,12 @@ class HttpProposalOracle(ProposalOracle):
 
 
 class HttpDistanceOracle(DistanceOracle):
-    """Semantic closeness judged by the chat model, majority-voted upstream."""
+    """Semantic closeness judged by the chat model, majority-voted upstream.
+
+    A comparison's votes come from one request with `n` set to the number
+    of votes. A server that returns fewer choices is asked again for the
+    missing ones; a reply with no choices counts every missing vote as "A".
+    """
 
     def __init__(self, cfg: OracleClientConfig, transport=None):
         super().__init__(samples_per_query=cfg.samples)
@@ -185,16 +203,26 @@ class HttpDistanceOracle(DistanceOracle):
         return self.client.transport_calls
 
     def _sample(self, reference: str, a: str, b: str) -> Choice:
-        contents = self.client.complete(
-            "You judge how close modified game rules stay to a reference."
-            " Answer with the single letter A or B.",
-            comparison_prompt(reference, a, b),
-            n=1,
-        )
-        text = contents[0].strip().upper() if contents else ""
-        for ch in text:
-            if ch == "A":
-                return Choice.A
-            if ch == "B":
-                return Choice.B
-        return Choice.A  # unparseable reply counts as "A"; voting smooths it
+        return self._samples(reference, a, b, 1)[0]
+
+    def _samples(self, reference: str, a: str, b: str, n: int) -> list[Choice]:
+        prompt = comparison_prompt(reference, a, b)
+        votes: list[Choice] = []
+        while len(votes) < n:
+            missing = n - len(votes)
+            contents = self.client.complete(_JUDGE_SYSTEM_PROMPT, prompt, n=missing)
+            if not contents:
+                votes.extend([Choice.A] * missing)
+            votes.extend(_vote(content) for content in contents[:missing])
+        return votes
+
+
+def _vote(content: str) -> Choice:
+    """The first A or B in a reply; an unparseable reply counts as "A",
+    and voting smooths it."""
+    for ch in content.upper():
+        if ch == "A":
+            return Choice.A
+        if ch == "B":
+            return Choice.B
+    return Choice.A

@@ -27,7 +27,9 @@ class ProposalOracle(ABC):
 
     @abstractmethod
     def propose(self, ctx: ProposalContext, k: int) -> list:
-        """Up to k candidate domain texts, best guesses first."""
+        """Candidate domain texts, best guesses first, for a caller that
+        keeps k. An oracle may return more; `propose_domains` keeps the
+        first k that link."""
 
     @abstractmethod
     def crossover(self, ctx: ProposalContext, parent_a: str, parent_b: str) -> str:

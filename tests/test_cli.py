@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 
+import axiomforge
 from axiomforge import corpus
 from axiomforge.cli import main
 
@@ -214,3 +219,13 @@ def test_missing_file_exits_three(capsys):
     code, _, err = run_cli(capsys, "parse", "/nonexistent/file.pddl")
     assert code == 3
     assert "io failure" in err
+
+
+def test_cli_import_leaves_requests_unloaded():
+    paths = [str(Path(axiomforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = "import sys, axiomforge.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

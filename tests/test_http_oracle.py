@@ -25,6 +25,7 @@ GOOD_A = """\
     :effect (and (clear ?x) (arm-empty) (not (holding ?x)))))
 """
 GOOD_B = GOOD_A.replace("hover", "drift")
+UNLINKABLE = GOOD_A.replace("(domain blocksworld)", "(domain renamed)")
 BROKEN = "(define (domain blocksworld) (:action"
 
 _chat_body = StubChatServer.chat_body
@@ -73,6 +74,14 @@ def test_malformed_blocks_dropped(stub_server, api_key, blocksworld, flagship):
     assert len(candidates) == 1
 
 
+def test_duplicates_do_not_crowd_out_distinct_domains(stub_server, api_key, blocksworld, flagship):
+    ctx = ProposalContext(blocksworld, flagship, 6, 4)
+    stub_server.push(200, _chat_body(*(f"```pddl\n{t}```" for t in (GOOD_A, GOOD_A, GOOD_B))))
+    assert len(_propose(stub_server, ctx, 2)) == 2
+    stub_server.push(200, _chat_body(*(f"```pddl\n{t}```" for t in (UNLINKABLE, GOOD_A, GOOD_B))))
+    assert len(_propose(stub_server, ctx, 2)) == 2
+
+
 def test_stub_run_is_reproducible(stub_server, api_key, blocksworld, flagship):
     from axiomforge.pddl import print_canonical
 
@@ -100,6 +109,22 @@ def test_recovery_after_one_500(stub_server, api_key, no_sleep, blocksworld, fla
     ctx = ProposalContext(blocksworld, flagship, 6, 4)
     assert len(_propose(stub_server, ctx, 2)) == 1
     assert no_sleep == [0.5]
+
+
+def test_rate_limit_is_retried(stub_server, api_key, no_sleep):
+    stub_server.push(429, {})
+    stub_server.push(200, _chat_body("B"))
+    assert HttpChatClient(_cfg(stub_server)).complete("sys", "user") == ["B"]
+    assert no_sleep == [0.5]
+
+
+def test_rate_limit_exhausts_retries(stub_server, api_key, no_sleep):
+    for _ in range(3):
+        stub_server.push(429, {})
+    with pytest.raises(OracleUnavailable):
+        HttpChatClient(_cfg(stub_server, max_retries=2)).complete("sys", "user")
+    assert len(stub_server.requests) == 3
+    assert no_sleep == [0.5, 1.0]
 
 
 def test_auth_error_on_401(stub_server, api_key, blocksworld, flagship):
@@ -139,6 +164,52 @@ def test_distance_oracle_parses_choice(stub_server, api_key):
     stub_server.push(200, _chat_body("  answer: A"))
     assert oracle._sample("ref", "x", "y") is Choice.A
     assert oracle.transport_calls == 2
+
+
+def test_distance_query_is_one_request(stub_server, api_key):
+    stub_server.push(200, _chat_body(*"B" * 16))
+    oracle = HttpDistanceOracle(_cfg(stub_server, samples=16))
+    assert oracle.query("ref", "x", "y") is Choice.B
+    assert [sent["n"] for sent in stub_server.requests] == [16]
+    assert oracle.query("ref", "x", "y") is Choice.B
+    assert oracle.query("ref", "y", "x") is Choice.A
+    assert len(stub_server.requests) == 1
+
+
+# Levenshtein prefers B below: "wxyq" is one edit from the reference, "abcd" four.
+@pytest.mark.parametrize(
+    "letters, expected",
+    [("A" * 9 + "B" * 7, Choice.A), ("B" * 9 + "A" * 7, Choice.B), ("AB" * 8, Choice.B)],
+    ids=["9-7-for-a", "9-7-for-b", "8-8-tie"],
+)
+def test_distance_batch_is_majority_voted(stub_server, api_key, letters, expected):
+    stub_server.push(200, _chat_body(*letters))
+    oracle = HttpDistanceOracle(_cfg(stub_server, samples=16))
+    assert oracle.query("wxyz", "abcd", "wxyq") is expected
+
+
+def test_distance_short_replies_are_topped_up(stub_server, api_key):
+    for _ in range(16):
+        stub_server.push(200, _chat_body("B"))
+    oracle = HttpDistanceOracle(_cfg(stub_server, samples=16))
+    assert oracle._samples("ref", "x", "y", 16) == [Choice.B] * 16
+    assert [sent["n"] for sent in stub_server.requests] == list(range(16, 0, -1))
+
+
+def test_distance_empty_reply_votes_a(stub_server, api_key):
+    stub_server.push(200, {"choices": []})
+    oracle = HttpDistanceOracle(_cfg(stub_server, samples=16))
+    assert oracle.query("wxyz", "abcd", "wxyq") is Choice.A
+    assert len(stub_server.requests) == 1
+
+
+def test_distance_batch_retries_server_error(stub_server, api_key, no_sleep):
+    stub_server.push(503, {})
+    stub_server.push(200, _chat_body(*"B" * 16))
+    oracle = HttpDistanceOracle(_cfg(stub_server, samples=16))
+    assert oracle.query("abcd", "abcx", "wxyz") is Choice.B
+    assert [sent["n"] for sent in stub_server.requests] == [16, 16]
+    assert no_sleep == [0.5]
 
 
 def test_proposal_oracle_crossover_falls_back(stub_server, api_key, blocksworld, flagship):
