@@ -1,12 +1,13 @@
 """Distances between rule sets: cheap textual and oracle-ranked semantic.
 
-`levenshtein` works on canonical domain text. `semantic_rank` orders
-candidates by proximity to a reference using only pairwise "which of these
-two is closer?" oracle answers, threaded through a merge sort so n
-candidates cost at most n*ceil(log2 n) comparisons. Each uncached
-comparison collects all of its votes through one batched `_samples` call,
-which an HTTP oracle sends as a single request. `hybrid_rank` trims the
-field by Levenshtein first and lets the oracle order the survivors.
+`levenshtein` works on canonical domain text in one bit-parallel pass.
+`semantic_rank` orders candidates by proximity to a reference using only
+pairwise "which of these two is closer?" oracle answers, threaded through
+a merge sort so n candidates cost at most n*ceil(log2 n) comparisons. Each
+uncached comparison collects all of its votes through one batched
+`_samples` call, which an HTTP oracle sends as a single request.
+`hybrid_rank` trims the field by Levenshtein first and lets the oracle
+order the survivors.
 """
 
 from __future__ import annotations
@@ -17,34 +18,33 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
 
-_VECTOR_THRESHOLD = 48
-
-
-def _levenshtein_rows(a: str, b: str) -> int:
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[-1]
-
-
-def _levenshtein_vectorized(a: str, b: str) -> int:
-    # Row recurrence with the insertion chain folded into a running minimum:
-    # cur[j] = j + min_{k<=j}(t[k] - k) where t holds the delete/substitute
-    # candidates and t[0] the row index.
-    codes_b = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    offsets = np.arange(len(b) + 1, dtype=np.int64)
-    prev = offsets.copy()
-    t = np.empty(len(b) + 1, dtype=np.int64)
-    for i, ca in enumerate(a, start=1):
-        t[0] = i
-        np.minimum(prev[:-1] + (codes_b != ord(ca)), prev[1:] + 1, out=t[1:])
-        prev = np.minimum.accumulate(t - offsets) + offsets
-    return int(prev[-1])
+def _levenshtein_bits(a: str, b: str) -> int:
+    # Myers (J. ACM 46(3), 1999) in Hyyro's edit-distance form (2003): bit i
+    # of vp/vn is set when the DP entry for b[:i+1] is one more/less than
+    # the one for b[:i]. Complements are `^ mask`, keeping ints
+    # non-negative; stray bits above the mask never reach vp or vn.
+    peq: dict[str, int] = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    top = 1 << (len(b) - 1)
+    vp, vn, dist = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ((xh | vp) ^ mask)
+        hn = vp & xh
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ((xv | hp) ^ mask)) & mask
+        vn = hp & xv
+    return dist
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -65,9 +65,7 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    if len(b) > _VECTOR_THRESHOLD:
-        return _levenshtein_vectorized(a, b)
-    return _levenshtein_rows(a, b)
+    return _levenshtein_bits(a, b)
 
 
 class Choice(enum.Enum):
@@ -142,18 +140,11 @@ class LevenshteinMockOracle(DistanceOracle):
     def __init__(self, samples_per_query: int = 1):
         super().__init__(samples_per_query)
         self.transport_calls = 0
-        self._dist: dict = {}
-
-    def distance(self, reference: str, text: str) -> int:
-        key = (reference, text)
-        if key not in self._dist:
-            self._dist[key] = levenshtein(reference, text)
-        return self._dist[key]
 
     def _sample(self, reference: str, a: str, b: str) -> Choice:
         self.transport_calls += 1
-        ka = (self.distance(reference, a), a)
-        kb = (self.distance(reference, b), b)
+        ka = (levenshtein(reference, a), a)
+        kb = (levenshtein(reference, b), b)
         return Choice.A if ka <= kb else Choice.B
 
 

@@ -16,17 +16,16 @@ class ExtractionResult:
     dropped: int
 
 
-def extract_candidates(raw_response: str, k: int) -> ExtractionResult:
+def extract_candidates(raw_response: str) -> ExtractionResult:
     """Parse every fenced block as a domain; never raises on garbage input.
 
-    Returns at most `k` valid domains in order of appearance plus the count
-    of blocks that failed to parse or validate.
+    Returns the valid domains in order of appearance plus the count of
+    blocks that failed to parse or validate. The cut to k is left to
+    `filter_linkable`, so unlinkable blocks cannot hide a valid one.
     """
     domains: list[DomainAst] = []
     dropped = 0
     for match in _FENCE.finditer(raw_response):
-        if len(domains) >= k:
-            break
         try:
             domains.append(parse_domain(match.group(1)))
         except PddlError:

@@ -166,13 +166,13 @@ class HttpProposalOracle(ProposalOracle):
         contents = self.client.complete(SYSTEM_PROMPT, build_prompt(ctx), n=self.client.cfg.samples)
         texts = []
         for content in contents:
-            texts.extend(print_canonical(d) for d in extract_candidates(content, k).domains)
+            texts.extend(print_canonical(d) for d in extract_candidates(content).domains)
         return list(dict.fromkeys(texts))
 
     def _one_block(self, prompt: str, fallback: str) -> str:
         contents = self.client.complete(SYSTEM_PROMPT, prompt, n=1)
         for content in contents:
-            result = extract_candidates(content, 1)
+            result = extract_candidates(content)
             if result.domains:
                 return print_canonical(result.domains[0])
         return fallback

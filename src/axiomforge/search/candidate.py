@@ -161,8 +161,13 @@ class CandidateEvaluator:
         )
         try:
             cand.plan_result = self._solve(domain, self.problem)
+            # The suite usually holds the flagship too; reuse its result.
             cand.regression_ok = all(
-                isinstance(self._solve(domain, prob), Plan) for prob in self.regression
+                isinstance(
+                    cand.plan_result if prob == self.problem else self._solve(domain, prob),
+                    Plan,
+                )
+                for prob in self.regression
             )
             cand.score = score(cand, self.weights)
         except (GroundingExplosion, PddlError) as exc:

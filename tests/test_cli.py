@@ -221,10 +221,11 @@ def test_missing_file_exits_three(capsys):
     assert "io failure" in err
 
 
-def test_cli_import_leaves_requests_unloaded():
+@pytest.mark.parametrize("module", ["requests", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
     paths = [str(Path(axiomforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    probe = "import sys, axiomforge.cli; print('requests' in sys.modules)"
+    probe = f"import sys, axiomforge.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -60,8 +60,14 @@ def test_identity_and_deletion():
     assert levenshtein("", "abc") == 3
 
 
-@given(st.text(max_size=40), st.text(max_size=40))
+@given(st.text(max_size=150), st.text(max_size=150))
 def test_matches_reference_dp(a, b):
+    assert levenshtein(a, b) == _reference_levenshtein(a, b)
+
+
+def test_corpus_texts_match_reference_dp():
+    a = corpus.load("blocksworld").domain_text[:300]
+    b = corpus.load("gripper").domain_text[:300]
     assert levenshtein(a, b) == _reference_levenshtein(a, b)
 
 

@@ -82,6 +82,16 @@ def test_duplicates_do_not_crowd_out_distinct_domains(stub_server, api_key, bloc
     assert len(_propose(stub_server, ctx, 2)) == 2
 
 
+def test_unlinkable_blocks_do_not_hide_a_later_one_in_a_reply(
+    stub_server, api_key, blocksworld, flagship
+):
+    ctx = ProposalContext(blocksworld, flagship, 6, 4)
+    other = UNLINKABLE.replace("(domain renamed)", "(domain elsewhere)")
+    reply = "".join(f"```pddl\n{t}```\n" for t in (UNLINKABLE, other, GOOD_A))
+    stub_server.push(200, _chat_body(reply))
+    assert len(_propose(stub_server, ctx, 2)) == 1
+
+
 def test_stub_run_is_reproducible(stub_server, api_key, blocksworld, flagship):
     from axiomforge.pddl import print_canonical
 

@@ -83,37 +83,37 @@ def test_extracts_valid_blocks_drops_malformed():
         "Finally:\n"
         f"```lisp\n{GOOD_DOMAIN.replace('tidy', 'sweep')}```\n"
     )
-    result = extract_candidates(response, 5)
+    result = extract_candidates(response)
     assert len(result.domains) == 2
     assert result.dropped == 1
     assert [a.name for d in result.domains for a in d.actions] == ["tidy", "sweep"]
 
 
 def test_no_fenced_blocks_is_empty():
-    result = extract_candidates("no code here, sorry", 3)
+    result = extract_candidates("no code here, sorry")
     assert result.domains == () and result.dropped == 0
 
 
 def test_undeclared_predicate_block_dropped():
     bad = GOOD_DOMAIN.replace(":effect (on-table ?x)", ":effect (levitating ?x)")
     # the effect now references a predicate that was never declared
-    result = extract_candidates(f"```pddl\n{bad}```", 2)
+    result = extract_candidates(f"```pddl\n{bad}```")
     assert result.domains == () and result.dropped == 1
 
 
-def test_extraction_respects_k():
+def test_extraction_returns_every_block():
     response = "".join(f"```pddl\n{GOOD_DOMAIN}```\n" for _ in range(4))
-    assert len(extract_candidates(response, 2).domains) == 2
+    assert len(extract_candidates(response).domains) == 4
 
 
 def test_garbage_never_raises():
-    assert extract_candidates("``` unterminated", 3).domains == ()
-    assert extract_candidates("```\n(((\n```", 3).dropped == 1
+    assert extract_candidates("``` unterminated").domains == ()
+    assert extract_candidates("```\n(((\n```").dropped == 1
 
 
 def test_deeply_nested_block_is_dropped():
     deep = "(" * 5000 + ")" * 5000
-    result = extract_candidates(f"```pddl\n{deep}\n```\n```pddl\n{GOOD_DOMAIN}```", 3)
+    result = extract_candidates(f"```pddl\n{deep}\n```\n```pddl\n{GOOD_DOMAIN}```")
     assert result.dropped == 1
     assert [a.name for d in result.domains for a in d.actions] == ["tidy"]
 

@@ -5,8 +5,8 @@ import pytest
 
 from axiomforge import corpus
 from axiomforge.corpus import variants
-from axiomforge.pddl import parse_domain, print_canonical
-from axiomforge.planner import Plan, Unsolvable
+from axiomforge.pddl import link, parse_domain, print_canonical
+from axiomforge.planner import Plan, Unsolvable, ground, solve
 from axiomforge.proposer import ProposalContext, ScriptEntry, ScriptedOracle, builtin_script
 from axiomforge.search import (
     CandidateEvaluator,
@@ -20,6 +20,7 @@ from axiomforge.search import (
     run_search,
     ucb1,
 )
+from axiomforge.search import candidate as candidate_module
 from axiomforge.search.candidate import EditCandidate, compactness
 from axiomforge.distance import LevenshteinMockOracle
 
@@ -144,6 +145,37 @@ def test_memoization_returns_same_candidate(zero_evaluator):
     second = zero_evaluator.evaluate(parse_domain(WORSE), Provenance(None, 2, "b"))
     assert first is second
     assert zero_evaluator.evaluations == 1
+
+
+def test_flagship_is_solved_once(monkeypatch, blocksworld, flagship, blocksworld_regression):
+    grounded = []
+
+    def counting_ground(*args, **kwargs):
+        grounded.append(1)
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(candidate_module, "ground", counting_ground)
+    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
+    evaluator.evaluate_root()
+    # two corpus problems, the flagship among them
+    assert len(blocksworld_regression) == 2
+    assert len(grounded) == 2
+
+
+@pytest.mark.parametrize("with_flagship", [True, False])
+def test_regression_ok_matches_solving_every_problem(
+    with_flagship, blocksworld, flagship, blocksworld_regression
+):
+    regression = [p for p in blocksworld_regression if with_flagship or p != flagship]
+    assert len(regression) == (2 if with_flagship else 1)
+    evaluator = CandidateEvaluator(blocksworld, flagship, regression)
+    for text in (ORIGINAL, variants.MULTI_LIFT, variants.MID_EXTRACT, NO_PUTDOWN):
+        domain = parse_domain(text)
+        expected = all(
+            isinstance(solve(ground(link(domain, prob))), Plan) for prob in regression
+        )
+        cand = evaluator.evaluate(domain, Provenance(None, 1, "check"))
+        assert cand.regression_ok is expected
 
 
 def test_grounding_explosion_becomes_infinite_score(blocksworld, flagship, blocksworld_regression):
