@@ -94,6 +94,12 @@ def _report_diagnostics(args, err: PddlError) -> int:
     return EXIT_LOGIC
 
 
+def _report_explosion(args, err: GroundingExplosion) -> int:
+    print(f"grounding-explosion: {err}", file=sys.stderr)
+    _print_json(args, {"status": "grounding-explosion"})
+    return EXIT_LOGIC
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -121,9 +127,7 @@ def _cmd_plan(args) -> int:
     except PddlError as err:
         return _report_diagnostics(args, err)
     except GroundingExplosion as err:
-        print(f"grounding-explosion: {err}", file=sys.stderr)
-        _print_json(args, {"status": "grounding-explosion"})
-        return EXIT_LOGIC
+        return _report_explosion(args, err)
     result = solve(task, _limits(args))
     if isinstance(result, Plan):
         for step in result.steps:
@@ -146,6 +150,8 @@ def _cmd_validate(args) -> int:
         task = _load_task(args)
     except PddlError as err:
         return _report_diagnostics(args, err)
+    except GroundingExplosion as err:
+        return _report_explosion(args, err)
     by_text = {str(a): a for a in task.actions}
     steps = []
     for lineno, raw in enumerate(Path(args.plan).read_text(encoding="utf-8").splitlines(), 1):
@@ -324,11 +330,21 @@ def _cmd_export(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=int, default=1_000_000,
+    p.add_argument("--max-states", type=_positive_int, default=1_000_000,
                    help="cap on expanded states per solve")
-    p.add_argument("--max-len", type=int, default=100, help="cap on plan length")
-    p.add_argument("--budget-ms", type=int, default=10_000, help="wall budget per solve")
+    p.add_argument("--max-len", type=_positive_int, default=100, help="cap on plan length")
+    p.add_argument("--budget-ms", type=_positive_int, default=10_000, help="wall budget per solve")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("plan", help="file with one ground action per line")
-    _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_validate)
 

@@ -3,7 +3,12 @@
 States are bitsets (Python ints) over an indexed universe of ground atoms.
 `solve` is a plain breadth-first search with duplicate detection, so the
 plan length it reports is exact; everything downstream that compares step
-counts relies on that guarantee.
+counts relies on that guarantee. Its successor generator indexes actions
+by one atom they require (Helmert, "The Fast Downward Planning System",
+JAIR 26, 2006), the lowest positive literal of their precondition, so a
+state only tests the actions filed under its true atoms plus those with no
+positive literal. Successors are still generated in action-index order, so
+the plan is the one a scan over all actions would return.
 
 Grounding resolves what it can statically:
   * `(= a b)` literals and predicates that no effect ever touches are
@@ -457,16 +462,43 @@ def apply(state: int, action: GroundAction) -> int:
 
 
 def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult:
-    """Breadth-first search; any returned plan is optimal in step count."""
+    """Breadth-first search; any returned plan is optimal in step count.
+
+    Each call first indexes the actions. An action whose precondition has a
+    positive literal is filed under its lowest positive precondition bit;
+    the rest (no positive literal, or a precondition that is not a literal
+    conjunction, such as an `or`) are tried in every state. A state then
+    tries only the always-tried actions and the buckets of its set bits.
+    Those candidates are sorted by action index, so successors are generated
+    in the same order as a scan over all actions, and the plan returned is
+    the one such a scan would return.
+    """
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
 
     if task.goal.holds(task.init):
         return Plan(())
 
-    parent: dict[int, tuple[int, int]] = {}
-    depth = {task.init: 0}
+    # Rows are (index, pos, neg, add, del, conditional, precondition); the
+    # precondition is kept only where the masks cannot express it.
+    always: list[tuple] = []
+    buckets: dict[int, list[tuple]] = {}
+    for index, action in enumerate(task.actions):
+        masks = action.pre_masks
+        pos, neg = masks or (0, 0)
+        row = (index, pos, neg, action.add_mask, action.del_mask, action.conditional,
+               None if masks else action.precondition)
+        if pos:
+            buckets.setdefault(pos & -pos, []).append(row)
+        else:
+            always.append(row)
+    keys = sum(buckets)  # distinct single bits, so the sum is their union
+    goal_masks = _literal_masks(task.goal)
+    goal_pos, goal_neg = goal_masks or (0, 0)
+
+    parent: dict[int, tuple[int, int] | None] = {task.init: None}
     frontier = [task.init]
+    layer = 0
     expanded = 0
     truncated = False
 
@@ -478,19 +510,33 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 return ResourceExceeded("max-expanded-states")
             if time.monotonic() > deadline:
                 return ResourceExceeded("wall-budget")
-            d = depth[state]
-            if d + 1 > limits.max_plan_length:
+            if layer + 1 > limits.max_plan_length:
                 truncated = True
                 continue
-            for idx, action in enumerate(task.actions):
-                if not action.applicable(state):
+            rows = list(always)
+            bits = state & keys
+            while bits:
+                low = bits & -bits
+                rows += buckets[low]
+                bits ^= low
+            rows.sort()
+            for index, pos, neg, add, dele, conditional, pre in rows:
+                if state & pos != pos or state & neg:
                     continue
-                succ = apply(state, action)
-                if succ in depth:
+                if pre is not None and not pre.holds(state):
                     continue
-                depth[succ] = d + 1
-                parent[succ] = (state, idx)
-                if task.goal.holds(succ):
+                succ = (state & ~dele) | add
+                for cond, c_add, c_del in conditional:
+                    if cond.holds(state):
+                        succ = (succ & ~c_del) | c_add
+                if succ in parent:
+                    continue
+                parent[succ] = (state, index)
+                if goal_masks is None:
+                    reached = task.goal.holds(succ)
+                else:
+                    reached = succ & goal_pos == goal_pos and not succ & goal_neg
+                if reached:
                     steps = []
                     cur = succ
                     while cur != task.init:
@@ -500,6 +546,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                     return Plan(tuple(reversed(steps)))
                 next_frontier.append(succ)
         frontier = next_frontier
+        layer += 1
 
     if truncated:
         return ResourceExceeded("max-plan-length")

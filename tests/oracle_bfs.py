@@ -37,8 +37,9 @@ def _true(formula, state):
     raise TypeError(f"unknown formula node {kind}")
 
 
-def oracle_plan_length(task, max_states=200_000):
-    """Optimal plan length by exhaustive BFS, or None when unsolvable."""
+def oracle_plan(task, max_states=200_000):
+    """Action indices of the first shortest plan found by exhaustive BFS
+    that tries actions in index order, or None when unsolvable."""
     init = _mask_to_set(task.init)
     actions = []
     for action in task.actions:
@@ -54,12 +55,12 @@ def oracle_plan_length(task, max_states=200_000):
             )
         )
     if _true(task.goal, init):
-        return 0
-    seen = {init}
-    queue = deque([(init, 0)])
+        return ()
+    parent = {init: None}
+    queue = deque([init])
     while queue:
-        state, depth = queue.popleft()
-        for precondition, adds, dels, conds in actions:
+        state = queue.popleft()
+        for index, (precondition, adds, dels, conds) in enumerate(actions):
             if not _true(precondition, state):
                 continue
             successor = (state - dels) | adds
@@ -67,15 +68,25 @@ def oracle_plan_length(task, max_states=200_000):
                 if _true(cond, state):
                     successor = (successor - dele) | add
             successor = frozenset(successor)
-            if successor in seen:
+            if successor in parent:
                 continue
-            seen.add(successor)
-            if len(seen) > max_states:
+            parent[successor] = (state, index)
+            if len(parent) > max_states:
                 raise RuntimeError("oracle state cap exceeded")
             if _true(task.goal, successor):
-                return depth + 1
-            queue.append((successor, depth + 1))
+                steps = []
+                while parent[successor] is not None:
+                    successor, index = parent[successor]
+                    steps.append(index)
+                return tuple(reversed(steps))
+            queue.append(successor)
     return None
+
+
+def oracle_plan_length(task, max_states=200_000):
+    """Optimal plan length by exhaustive BFS, or None when unsolvable."""
+    plan = oracle_plan(task, max_states)
+    return None if plan is None else len(plan)
 
 
 def oracle_reachable_states(task, cap=200_000):

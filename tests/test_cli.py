@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 import requests
 
 import axiomforge
-from axiomforge import corpus
+from axiomforge import cli, corpus, planner
 from axiomforge.cli import main
 
 
@@ -207,6 +208,60 @@ def test_unknown_flag_exits_two(capsys):
         main(["plan", "corpus:blocksworld", "corpus:blocksworld:restack", "--warp-speed"])
     assert err.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "evolve"])
+@pytest.mark.parametrize("flag", ["--max-states", "--max-len", "--budget-ms"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_limit_is_a_usage_error(capsys, command, flag, value):
+    argv = [command, "corpus:blocksworld", "corpus:blocksworld:restack", flag, value]
+    if command == "evolve":
+        argv += ["--target-len", "4", "--oracle", "scripted"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr().err
+    assert "usage" in captured and f"argument {flag}: must be at least 1" in captured
+
+
+def test_validate_takes_no_limit_flags(capsys, tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("(unstack c b)\n")
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "corpus:blocksworld", "corpus:blocksworld:restack", str(plan_file),
+              "--max-len", "3"])
+    assert err.value.code == 2
+
+
+@pytest.fixture
+def wide_task(tmp_path, monkeypatch):
+    """A 3-parameter action over 60 objects: 216,000 ground actions. The cap
+    is lowered so the test does not ground the 200,000 the default allows."""
+    monkeypatch.setattr(cli, "ground", functools.partial(planner.ground, max_actions=1000))
+    domain = tmp_path / "wide.pddl"
+    domain.write_text(
+        "(define (domain wide) (:requirements :strips) (:predicates (p ?x ?y ?z))"
+        " (:action touch :parameters (?x ?y ?z) :precondition (and) :effect (p ?x ?y ?z)))"
+    )
+    objects = " ".join(f"o{i}" for i in range(60))
+    problem = tmp_path / "wide-60.pddl"
+    problem.write_text(
+        f"(define (problem wide-60) (:domain wide) (:objects {objects}) (:init)"
+        " (:goal (p o0 o1 o2)))"
+    )
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("(touch o0 o1 o2)\n")
+    return str(domain), str(problem), str(plan_file)
+
+
+@pytest.mark.parametrize("command", ["plan", "validate"])
+def test_grounding_explosion_is_reported(capsys, wide_task, command):
+    domain, problem, plan_file = wide_task
+    argv = [command, domain, problem] + ([plan_file] if command == "validate" else [])
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert err.startswith("grounding-explosion: more than 1000 ground actions")
+    assert json.loads(out.strip().splitlines()[-1]) == {"status": "grounding-explosion"}
 
 
 def test_unknown_corpus_name_exits_two(capsys):

@@ -2,11 +2,20 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiomforge import corpus
 from axiomforge.pddl import Atom, link, parse_domain, parse_problem
 from axiomforge.planner import (
+    GAnd,
+    GAtom,
+    GNot,
+    GOr,
+    GroundAction,
+    GroundedTask,
     GroundingExplosion,
+    GTrue,
     Plan,
     PreconditionViolated,
     ResourceExceeded,
@@ -18,7 +27,7 @@ from axiomforge.planner import (
     validate_plan,
 )
 
-from oracle_bfs import oracle_plan_length
+from oracle_bfs import oracle_plan, oracle_plan_length
 
 
 def _task(domain_text, problem_text):
@@ -256,9 +265,102 @@ def test_wall_budget(monkeypatch, flagship_task):
     assert result == ResourceExceeded("wall-budget")
 
 
+def test_successors_follow_action_index_order():
+    # Both actions reach the goal in one step. a0 needs p1 and a1 needs p0,
+    # so an index keyed by the lowest precondition bit meets a1 first; the
+    # plan must still be the one a scan in action-index order finds.
+    actions = (
+        GroundAction("a0", (), GAtom(1), 0b100, 0b001, pre_masks=(0b010, 0)),
+        GroundAction("a1", (), GAtom(0), 0b100, 0b010, pre_masks=(0b001, 0)),
+    )
+    task = GroundedTask(
+        atoms=(Atom("p0"), Atom("p1"), Atom("p2")), init=0b011, goal=GAtom(2), actions=actions
+    )
+    assert solve(task) == Plan((actions[0],))
+
+
 # -- oracle agreement --------------------------------------------------------
 
 
 def test_oracle_agreement_on_flagship(flagship_task):
     result = solve(flagship_task)
     assert oracle_plan_length(flagship_task) == result.length
+
+
+# Random small tasks: at most 8 atoms and 12 actions, mixing literal,
+# negative-only, empty and `or` preconditions, conditional effects, and
+# literal and `or` goals.
+
+MAX_ATOMS = 8
+# Each atom's sign in a drawn mask pair is read off one base-len(signs)
+# digit: 1 positive, -1 negative, 0 absent. Conditions are sparse, so they
+# are often satisfied; goals and effects are dense.
+SPARSE = (1, -1, 0, 0)
+NEGATIVE = (-1, 0, 0, 0)
+DENSE = (1, 1, -1, 0)
+
+
+@st.composite
+def _masks(draw, atoms, signs):
+    """Two disjoint masks over `atoms` bits: (positive, negative)."""
+    code = draw(st.integers(0, len(signs) ** atoms - 1))
+    pos = neg = 0
+    for i in range(atoms):
+        code, digit = divmod(code, len(signs))
+        pos |= (signs[digit] == 1) << i
+        neg |= (signs[digit] == -1) << i
+    return pos, neg
+
+
+def _conjunction(pos, neg):
+    parts = [GAtom(i) for i in range(MAX_ATOMS) if pos >> i & 1]
+    parts += [GNot(GAtom(i)) for i in range(MAX_ATOMS) if neg >> i & 1]
+    return GAnd(tuple(parts))
+
+
+@st.composite
+def _formula(draw, atoms, kinds, signs=SPARSE):
+    """(formula, its literal masks or None) of one of `kinds`."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return GTrue(), (0, 0)
+    if kind == "or":
+        branches = draw(st.lists(_masks(atoms, signs), min_size=2, max_size=3))
+        return GOr(tuple(_conjunction(*m) for m in branches)), None
+    pos, neg = draw(_masks(atoms, NEGATIVE if kind == "negative" else signs))
+    return _conjunction(pos, neg), (pos, neg)
+
+
+@st.composite
+def _tasks(draw):
+    atoms = draw(st.integers(1, MAX_ATOMS))
+    actions = []
+    for index in range(draw(st.integers(0, 12))):
+        pre, pre_masks = draw(_formula(atoms, ("literal", "negative", "empty", "or")))
+        add, dele = draw(_masks(atoms, DENSE))
+        conditional = tuple(
+            (draw(_formula(atoms, ("literal", "or")))[0], *draw(_masks(atoms, DENSE)))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        actions.append(GroundAction(f"a{index}", (), pre, add, dele, conditional, pre_masks))
+    return GroundedTask(
+        atoms=tuple(Atom(f"p{i}") for i in range(atoms)),
+        init=draw(st.integers(0, (1 << atoms) - 1)),
+        goal=draw(_formula(atoms, ("literal", "or"), DENSE))[0],
+        actions=tuple(actions),
+    )
+
+
+@given(_tasks())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_oracle_on_random_tasks(task):
+    expected = oracle_plan(task)
+    # 2^8 states bound every plan, so the length cap never truncates.
+    result = solve(task, SearchLimits(max_plan_length=1 << MAX_ATOMS))
+    if expected is None:
+        assert isinstance(result, Unsolvable)
+        return
+    assert isinstance(result, Plan) and result.length == len(expected)
+    # The first shortest plan of a scan in action-index order, step for step.
+    assert result.steps == tuple(task.actions[i] for i in expected)
+    assert validate_plan(task, result) == (True, None)
