@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -330,21 +331,29 @@ def _cmd_export(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _in_range(kind, low, high=math.inf):
+    """An argparse type: a finite `kind` value from low to high."""
+    bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not -math.inf < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return convert
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=_positive_int, default=1_000_000,
+    p.add_argument("--max-states", type=_in_range(int, 1), default=1_000_000,
                    help="cap on expanded states per solve")
-    p.add_argument("--max-len", type=_positive_int, default=100, help="cap on plan length")
-    p.add_argument("--budget-ms", type=_positive_int, default=10_000, help="wall budget per solve")
+    p.add_argument("--max-len", type=_in_range(int, 1), default=100, help="cap on plan length")
+    p.add_argument("--budget-ms", type=_in_range(int, 1), default=10_000, help="wall budget per solve")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,21 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--algo", choices=("bfs", "mcts", "genetic", "beam"), default="beam")
-    p.add_argument("--target-len", type=int, required=True)
-    p.add_argument("--beam-width", type=int, default=8)
+    p.add_argument("--target-len", type=_in_range(int, 0), required=True)
+    p.add_argument("--beam-width", type=_in_range(int, 1), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", choices=("http", "scripted"), default="http")
     p.add_argument("--trajectory", help="write the run record to this jsonl file")
-    p.add_argument("--alpha", type=float, default=0.01, help="distance weight")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01, help="compactness weight")
-    p.add_argument("--samples", type=int, default=16, help="oracle decodes per request")
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--proposals", type=int, default=4, help="proposals per expansion")
-    p.add_argument("--mcts-iterations", type=int, default=32)
-    p.add_argument("--mcts-c", type=float, default=1.4142135623730951)
-    p.add_argument("--ga-population", type=int, default=8)
-    p.add_argument("--ga-generations", type=int, default=10)
-    p.add_argument("--ga-mutation-rate", type=float, default=0.25)
+    p.add_argument("--alpha", type=_in_range(float, 0), default=0.01, help="distance weight")
+    p.add_argument("--lambda", dest="lam", type=_in_range(float, 0), default=0.01,
+                   help="compactness weight")
+    p.add_argument("--samples", type=_in_range(int, 1), default=16, help="oracle decodes per request")
+    p.add_argument("--max-depth", type=_in_range(int, 1), default=3)
+    p.add_argument("--proposals", type=_in_range(int, 1), default=4, help="proposals per expansion")
+    p.add_argument("--mcts-iterations", type=_in_range(int, 1), default=32)
+    p.add_argument("--mcts-c", type=_in_range(float, 0), default=1.4142135623730951)
+    p.add_argument("--ga-population", type=_in_range(int, 2), default=8)
+    p.add_argument("--ga-generations", type=_in_range(int, 0), default=10)
+    p.add_argument("--ga-mutation-rate", type=_in_range(float, 0, 1), default=0.25)
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_evolve)
@@ -401,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference")
     p.add_argument("candidates", nargs="+")
     p.add_argument("--metric", choices=("lev", "semantic", "hybrid"), default="lev")
-    p.add_argument("--keep", type=int, default=16, help="hybrid pre-filter survivors")
+    p.add_argument("--keep", type=_in_range(int, 1), default=16, help="hybrid pre-filter survivors")
     p.add_argument("--oracle", choices=("http", "mock"), default="http")
     p.add_argument(
-        "--samples", type=int, default=16,
+        "--samples", type=_in_range(int, 1), default=16,
         help="oracle votes per comparison, asked for in one request",
     )
     p.add_argument("--json", action="store_true")

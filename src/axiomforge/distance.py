@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -93,7 +92,6 @@ class DistanceOracle(ABC):
             raise ValueError("samples_per_query must be >= 1")
         self.samples_per_query = samples_per_query
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     @abstractmethod
     def _sample(self, reference: str, a: str, b: str) -> Choice:
@@ -107,8 +105,7 @@ class DistanceOracle(ABC):
         flipped = a > b
         lo, hi = (b, a) if flipped else (a, b)
         key = (reference, lo, hi)
-        with self._lock:
-            answer = self._cache.get(key)
+        answer = self._cache.get(key)
         if answer is None:
             votes_lo = sum(
                 vote is Choice.A
@@ -123,8 +120,7 @@ class DistanceOracle(ABC):
                     if levenshtein(reference, lo) <= levenshtein(reference, hi)
                     else Choice.B
                 )
-            with self._lock:
-                answer = self._cache.setdefault(key, answer)
+            self._cache[key] = answer
         if flipped:
             return Choice.B if answer is Choice.A else Choice.A
         return answer

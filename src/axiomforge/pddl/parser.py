@@ -37,6 +37,7 @@ from .ast import (
     TypeRef,
     When,
 )
+from .printer import _type_str
 from .reader import SAtom, SList, SNode, read_one
 
 SUPPORTED_REQUIREMENTS = frozenset(
@@ -558,9 +559,3 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
     walk_goal(problem.goal)
     b.fail_if_dirty()
     return LinkedTask(domain, problem)
-
-
-def _type_str(ref: TypeRef) -> str:
-    if isinstance(ref, tuple):
-        return "(either " + " ".join(ref) + ")"
-    return ref

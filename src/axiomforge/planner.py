@@ -472,6 +472,9 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     Those candidates are sorted by action index, so successors are generated
     in the same order as a scan over all actions, and the plan returned is
     the one such a scan would return.
+
+    A frontier whose successors would pass `max_plan_length` ends the
+    search before any of its states counts as expanded.
     """
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
@@ -500,9 +503,10 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     frontier = [task.init]
     layer = 0
     expanded = 0
-    truncated = False
 
     while frontier:
+        if layer >= limits.max_plan_length:
+            return ResourceExceeded("max-plan-length")
         next_frontier: list[int] = []
         for state in frontier:
             expanded += 1
@@ -510,9 +514,6 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 return ResourceExceeded("max-expanded-states")
             if time.monotonic() > deadline:
                 return ResourceExceeded("wall-budget")
-            if layer + 1 > limits.max_plan_length:
-                truncated = True
-                continue
             rows = list(always)
             bits = state & keys
             while bits:
@@ -548,8 +549,6 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         frontier = next_frontier
         layer += 1
 
-    if truncated:
-        return ResourceExceeded("max-plan-length")
     return Unsolvable()
 
 

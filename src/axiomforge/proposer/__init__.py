@@ -1,7 +1,7 @@
 """Candidate rule-edit generation: prompts, HTTP client, scripted replay."""
 
 from .context import ProposalContext
-from .extract import ExtractionResult, extract_candidates, filter_linkable
+from .extract import ExtractionResult, Intake, extract_candidates, filter_linkable
 from .http import (
     API_KEY_ENV_VAR,
     AuthError,
@@ -16,7 +16,6 @@ from .oracles import (
     ScriptEntry,
     ScriptedOracle,
     builtin_script,
-    parse_texts,
 )
 from .prompts import SYSTEM_PROMPT, build_prompt, crossover_prompt, mutation_prompt
 
@@ -27,6 +26,7 @@ __all__ = [
     "HttpChatClient",
     "HttpDistanceOracle",
     "HttpProposalOracle",
+    "Intake",
     "NoScriptMatch",
     "OracleClientConfig",
     "ProposalContext",
@@ -40,5 +40,4 @@ __all__ = [
     "extract_candidates",
     "filter_linkable",
     "mutation_prompt",
-    "parse_texts",
 ]

@@ -33,24 +33,35 @@ def extract_candidates(raw_response: str) -> ExtractionResult:
     return ExtractionResult(tuple(domains), dropped)
 
 
-def filter_linkable(domains, problem: ProblemAst, k: int) -> list:
-    """Keep candidates that link against the problem, deduped by canonical text.
+class Intake:
+    """Reads oracle text for one search run: `intake(text)` is the linked
+    domain and its canonical text, or None when the text does not parse or
+    link. Each distinct text is read once and its answer kept."""
 
-    Every candidate leaving the proposer goes through here, so downstream
-    search never sees a domain it cannot ground.
-    """
-    kept: list[DomainAst] = []
-    seen: set[str] = set()
-    for dom in domains:
+    def __init__(self, problem: ProblemAst):
+        self.problem = problem
+        self._seen: dict = {}
+
+    def __call__(self, text: str) -> tuple | None:
+        if text not in self._seen:
+            try:
+                domain = parse_domain(text)
+                link(domain, self.problem)
+                self._seen[text] = (domain, print_canonical(domain))
+            except PddlError:
+                self._seen[text] = None
+        return self._seen[text]
+
+
+def filter_linkable(texts, intake: Intake, k: int) -> list:
+    """The first k distinct (domain, canonical text) pairs the intake
+    accepts among oracle texts, in order; no text after the k-th is read.
+    Downstream search never sees a domain it cannot ground."""
+    kept: dict = {}  # canonical text -> first pair with it
+    for text in texts:
         if len(kept) >= k:
             break
-        try:
-            link(dom, problem)
-        except PddlError:
-            continue
-        text = print_canonical(dom)
-        if text in seen:
-            continue
-        seen.add(text)
-        kept.append(dom)
-    return kept
+        entry = intake(text)
+        if entry is not None:
+            kept.setdefault(entry[1], entry)
+    return list(kept.values())

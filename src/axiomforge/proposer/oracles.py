@@ -6,7 +6,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
 
-from ..pddl import DomainAst, PddlError, parse_domain
 from ..corpus import variants
 from .context import ProposalContext
 
@@ -28,8 +27,9 @@ class ProposalOracle(ABC):
     @abstractmethod
     def propose(self, ctx: ProposalContext, k: int) -> list:
         """Candidate domain texts, best guesses first, for a caller that
-        keeps k. An oracle may return more; `propose_domains` keeps the
-        first k that link."""
+        keeps k. An oracle may return more, and texts that do not parse or
+        link: the run's intake reads each distinct text once and
+        `filter_linkable` keeps the first k distinct ones that link."""
 
     @abstractmethod
     def crossover(self, ctx: ProposalContext, parent_a: str, parent_b: str) -> str:
@@ -91,14 +91,3 @@ def builtin_script() -> ScriptedOracle:
             )
         ]
     )
-
-
-def parse_texts(texts) -> list:
-    """Parse candidate texts, silently dropping the ones that do not parse."""
-    domains: list[DomainAst] = []
-    for text in texts:
-        try:
-            domains.append(parse_domain(text))
-        except PddlError:
-            continue
-    return domains

@@ -112,9 +112,10 @@ def score(candidate: EditCandidate, weights: ObjectiveWeights) -> float:
 class CandidateEvaluator:
     """Grounds, solves, and scores candidate domains against one task.
 
-    Evaluations are memoized by canonical text: proposing the same edit
-    twice returns the first EditCandidate untouched, so step records stay
-    unique per distinct rule set. `evaluations` counts cache misses.
+    Evaluations are memoized by the canonical text the caller passes in
+    (the run's intake printed it once): proposing the same edit twice
+    returns the first EditCandidate untouched, so step records stay unique
+    per distinct rule set. `evaluations` counts cache misses.
     """
 
     def __init__(
@@ -147,8 +148,8 @@ class CandidateEvaluator:
         )
         return solve(task, self.limits)
 
-    def evaluate(self, domain: DomainAst, provenance: Provenance) -> EditCandidate:
-        text = print_canonical(domain)
+    def evaluate(self, domain: DomainAst, text: str, provenance: Provenance) -> EditCandidate:
+        """Score `domain`, whose canonical text is `text`."""
         hit = self._memo.get(text)
         if hit is not None:
             return hit
@@ -179,12 +180,12 @@ class CandidateEvaluator:
         return cand
 
     def evaluate_many(self, items: list) -> list:
-        """Evaluate (domain, provenance) pairs, results in input order.
+        """Evaluate (domain, text, provenance) triples, results in input order.
 
         Entries with the same canonical text as an earlier one, in this
         batch or before it, return that earlier candidate.
         """
-        return [self.evaluate(domain, provenance) for domain, provenance in items]
+        return [self.evaluate(domain, text, provenance) for domain, text, provenance in items]
 
     def evaluate_root(self) -> EditCandidate:
-        return self.evaluate(self.original, Provenance(None, 0, "original"))
+        return self.evaluate(self.original, self.original_text, Provenance(None, 0, "original"))

@@ -3,14 +3,15 @@
 An algorithm opens a `SearchRun`, evaluates the root through it, and then
 only decides which nodes to expand and which candidates to keep; every
 evaluated candidate passes through `admit`, which records it once and
-keeps the best score seen.
+keeps the best score seen. Oracle text becomes a candidate only through
+the run's `Intake`, for proposals and genetic children alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable, parse_texts
+from ..proposer import Intake, NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .config import SearchConfig, SearchResult
@@ -56,18 +57,19 @@ def summarize(cand: EditCandidate) -> str:
     return f"{cand.provenance.description}: {outcome}, score {cand.score:g}"
 
 
-def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int) -> list:
-    """Ask the oracle for k edits; anything unlinkable is dropped here."""
+def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, intake: Intake) -> list:
+    """Ask the oracle for k edits, read through `intake`; unlinkable ones drop."""
     try:
         texts = oracle.propose(ctx, k)
     except NoScriptMatch:
         return []
-    return filter_linkable(parse_texts(texts), ctx.problem, k)
+    return filter_linkable(texts, intake, k)
 
 
 class SearchRun:
-    """State of one search: the recorded steps, the best candidate so far,
-    and the oracle and evaluator counters at the start of the run."""
+    """State of one search: the intake that reads oracle text, the recorded
+    steps, the best candidate so far, and the oracle and evaluator counters
+    at the start of the run."""
 
     def __init__(
         self,
@@ -82,6 +84,7 @@ class SearchRun:
         self.oracle = oracle
         self.evaluator = evaluator
         self.recorder = recorder or StepRecorder()
+        self.intake = Intake(ctx.problem)
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
         self._calls0, self._evals0 = oracle.calls, evaluator.evaluations
@@ -124,17 +127,18 @@ class SearchRun:
         )
 
     def propose(self, node: EditCandidate, k: int | None = None) -> list:
-        """Up to k (default: proposals per expansion) linkable edits of node."""
+        """Up to k (default: proposals per expansion) linkable edits of node,
+        as (domain, canonical text) pairs."""
         if k is None:
             k = self.cfg.proposals_per_expansion
-        return propose_domains(self.oracle, self.context(node), k)
+        return propose_domains(self.oracle, self.context(node), k, self.intake)
 
-    def evaluate(self, domain, provenance: Provenance, phase: str) -> EditCandidate:
-        return self.admit(self.evaluator.evaluate(domain, provenance), phase)
+    def evaluate(self, domain, text: str, provenance: Provenance, phase: str) -> EditCandidate:
+        return self.admit(self.evaluator.evaluate(domain, text, provenance), phase)
 
     def evaluate_batch(self, batch: list, phase: str):
-        """Evaluate (domain, provenance) pairs together, then admit them one
-        at a time as the caller iterates, so it can stop mid-batch."""
+        """Evaluate (domain, text, provenance) triples together, then admit
+        them one at a time as the caller iterates, so it can stop mid-batch."""
         for cand in self.evaluator.evaluate_many(batch):
             yield self.admit(cand, phase)
 
@@ -142,9 +146,10 @@ class SearchRun:
         """Propose edits of node and yield them evaluated and admitted, in
         proposal order. `describe` is formatted with the proposal index `i`
         and the node's step id `step`."""
+        step = node.step_id
         batch = [
-            (domain, Provenance(node.step_id, oracle_round, describe.format(i=i, step=node.step_id)))
-            for i, domain in enumerate(self.propose(node))
+            (domain, text, Provenance(step, oracle_round, describe.format(i=i, step=step)))
+            for i, (domain, text) in enumerate(self.propose(node))
         ]
         return self.evaluate_batch(batch, phase)
 

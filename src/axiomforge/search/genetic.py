@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from ..pddl import DomainAst, PddlError, link, parse_domain
 from ..proposer import ProposalContext, ProposalOracle
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .common import SearchRun, StepRecorder
@@ -42,8 +41,9 @@ def genetic_search(
         return run.result(root)
 
     population: list = []
-    for i, domain in enumerate(run.propose(root, cfg.ga_population)):
-        cand = run.evaluate(domain, Provenance(root.step_id, 0, f"seed proposal {i}"), "ga-gen-0")
+    for i, (domain, text) in enumerate(run.propose(root, cfg.ga_population)):
+        provenance = Provenance(root.step_id, 0, f"seed proposal {i}")
+        cand = run.evaluate(domain, text, provenance, "ga-gen-0")
         if run.reached(cand):
             return run.result(cand)
         population.append(cand)
@@ -64,10 +64,11 @@ def genetic_search(
             )
             if rng.random() < cfg.ga_mutation_rate:
                 child_text = oracle.mutate(parent_ctx, child_text)
-            child_domain = _parse_child(child_text, parent_a.domain, ctx)
+            domain, text = run.intake(child_text) or (parent_a.domain, parent_a.canonical_text)
             batch.append(
                 (
-                    child_domain,
+                    domain,
+                    text,
                     Provenance(parent_a.step_id, generation, f"offspring {i} of generation {generation}"),
                 )
             )
@@ -83,12 +84,3 @@ def genetic_search(
             observer(generation, tuple(population))
 
     return run.result()
-
-
-def _parse_child(text: str, fallback: DomainAst, ctx: ProposalContext) -> DomainAst:
-    try:
-        domain = parse_domain(text)
-        link(domain, ctx.problem)
-        return domain
-    except PddlError:
-        return fallback

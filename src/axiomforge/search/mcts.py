@@ -104,11 +104,11 @@ def mcts_search(
             proposals = run.propose(rollout_cand)
             if not proposals:
                 break
-            domain = proposals[rng.randrange(len(proposals))]
+            domain, text = proposals[rng.randrange(len(proposals))]
             provenance = Provenance(
                 rollout_cand.step_id, iteration, f"rollout from step {rollout_cand.step_id}"
             )
-            rollout_cand = run.evaluate(domain, provenance, "mcts-rollout")
+            rollout_cand = run.evaluate(domain, text, provenance, "mcts-rollout")
             if found is None and run.reached(rollout_cand):
                 found = rollout_cand
             value = max(value, reward(rollout_cand))

@@ -28,6 +28,7 @@ from axiomforge.proposer import (
     ScriptedOracle,
     builtin_script,
     HttpProposalOracle,
+    Intake,
     OracleClientConfig,
 )
 from axiomforge.search import (
@@ -303,8 +304,8 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     stub_server.push(200, stub_server.chat_body(
         f"```pddl\n{GOOD_A}```\nbroken:\n```pddl\n(define (domain\n```\n```pddl\n{good_b}```"
     ))
-    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8)
-    names = [a.name for d in candidates for a in d.actions if a.name in ("hover", "drift")]
+    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8, Intake(problem))
+    names = [a.name for d, _ in candidates for a in d.actions if a.name in ("hover", "drift")]
     assert names == ["hover", "drift"]
 
     # Retry/backoff on injected 500s.
@@ -312,7 +313,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
         stub_server.push(500, {})
     requests_before = len(stub_server.requests)
     with pytest.raises(OracleUnavailable):
-        propose_domains(HttpProposalOracle(cfg), ctx, 2)
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem))
     assert len(stub_server.requests) - requests_before == 3
     assert sleeps == [0.5, 1.0]
 

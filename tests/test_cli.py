@@ -210,18 +210,66 @@ def test_unknown_flag_exits_two(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["plan", "evolve"])
-@pytest.mark.parametrize("flag", ["--max-states", "--max-len", "--budget-ms"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+# The lowest value each flag accepts, where it is not 1.
+FLAG_BOUNDS = {
+    "--target-len": "at least 0",
+    "--ga-generations": "at least 0",
+    "--ga-population": "at least 2",
+    "--alpha": "at least 0",
+    "--lambda": "at least 0",
+    "--mcts-c": "at least 0",
+    "--ga-mutation-rate": "in [0, 1]",
+}
+OUT_OF_RANGE = [
+    *((value, flag, command) for command in ("plan", "evolve")
+      for flag in ("--max-states", "--max-len", "--budget-ms") for value in ("0", "-1")),
+    ("-1", "--target-len", "evolve"),
+    ("-1", "--ga-generations", "evolve"),
+    *(("0", flag, "evolve") for flag in
+      ("--beam-width", "--max-depth", "--proposals", "--mcts-iterations", "--samples")),
+    ("1", "--ga-population", "evolve"),
+    ("-0.5", "--alpha", "evolve"),
+    ("nan", "--alpha", "evolve"),
+    ("inf", "--alpha", "evolve"),
+    ("-1", "--lambda", "evolve"),
+    ("nan", "--lambda", "evolve"),
+    ("-1", "--mcts-c", "evolve"),
+    ("inf", "--mcts-c", "evolve"),
+    ("-0.1", "--ga-mutation-rate", "evolve"),
+    ("1.5", "--ga-mutation-rate", "evolve"),
+    ("nan", "--ga-mutation-rate", "evolve"),
+    ("0", "--keep", "rank"),
+    ("0", "--samples", "rank"),
+]
+
+
+@pytest.mark.parametrize("value, flag, command", OUT_OF_RANGE)
 def test_non_positive_limit_is_a_usage_error(capsys, command, flag, value):
-    argv = [command, "corpus:blocksworld", "corpus:blocksworld:restack", flag, value]
+    if command == "rank":
+        argv = ["rank", "reference.pddl", "candidate.pddl", "--metric", "hybrid", flag, value]
+    else:
+        argv = [command, "corpus:blocksworld", "corpus:blocksworld:restack", flag, value]
     if command == "evolve":
         argv += ["--target-len", "4", "--oracle", "scripted"]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr().err
-    assert "usage" in captured and f"argument {flag}: must be at least 1" in captured
+    bound = "finite" if value in ("nan", "inf") else FLAG_BOUNDS.get(flag, "at least 1")
+    assert "usage" in captured and f"argument {flag}: must be {bound}" in captured
+
+
+def test_range_bounds_are_accepted():
+    args = cli.build_parser().parse_args([
+        "evolve", "d", "p", "--target-len", "0", "--ga-generations", "0", "--ga-population", "2",
+        "--alpha", "0", "--lambda", "0", "--mcts-c", "0", "--ga-mutation-rate", "1",
+        "--beam-width", "1", "--max-depth", "1", "--proposals", "1", "--mcts-iterations", "1",
+        "--samples", "1",
+    ])
+    assert (args.target_len, args.ga_generations, args.ga_population) == (0, 0, 2)
+    assert (args.alpha, args.lam, args.mcts_c, args.ga_mutation_rate) == (0.0, 0.0, 0.0, 1.0)
+    assert (args.beam_width, args.max_depth, args.proposals, args.mcts_iterations) == (1, 1, 1, 1)
+    assert args.samples == 1
 
 
 def test_validate_takes_no_limit_flags(capsys, tmp_path):

@@ -9,6 +9,7 @@ from axiomforge.proposer import (
     HttpChatClient,
     HttpDistanceOracle,
     HttpProposalOracle,
+    Intake,
     OracleClientConfig,
     ProposalContext,
 )
@@ -50,7 +51,8 @@ def _cfg(state, **kw):
 
 
 def _propose(state, ctx, k, **kw):
-    return propose_domains(HttpProposalOracle(_cfg(state, **kw)), ctx, k)
+    oracle = HttpProposalOracle(_cfg(state, **kw))
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, Intake(ctx.problem))]
 
 
 def test_propose_extracts_stub_domains(stub_server, api_key, blocksworld, flagship):

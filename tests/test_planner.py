@@ -239,6 +239,20 @@ def test_plan_length_limit_reports_resource(flagship_task):
     assert result == ResourceExceeded("max-plan-length")
 
 
+def test_plan_length_cap_stops_at_the_layer_boundary(flagship_task):
+    # With a 2-step cap only the initial state and its successors are
+    # expanded. The layer 2 steps out is never counted, so its size cannot
+    # turn the reason into "max-expanded-states".
+    init = flagship_task.init
+    successors = {apply(init, a) for a in flagship_task.actions if a.applicable(init)} - {init}
+    below_cap = 1 + len(successors)
+    assert below_cap == 3
+    for max_states in range(1, below_cap + 10):
+        result = solve(flagship_task, SearchLimits(max_expanded_states=max_states, max_plan_length=2))
+        expected = "max-expanded-states" if max_states < below_cap else "max-plan-length"
+        assert result == ResourceExceeded(expected)
+
+
 def test_raising_limits_recovers_plan(flagship_task):
     tight = solve(flagship_task, SearchLimits(max_plan_length=3))
     assert isinstance(tight, ResourceExceeded)

@@ -3,6 +3,7 @@ import pytest
 from axiomforge import corpus
 from axiomforge.pddl import parse_domain, print_canonical
 from axiomforge.proposer import (
+    Intake,
     NoScriptMatch,
     ProposalContext,
     ScriptEntry,
@@ -121,8 +122,12 @@ def test_deeply_nested_block_is_dropped():
 # -- scripted oracle ---------------------------------------------------------
 
 
+def _propose(oracle, ctx, k):
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, Intake(ctx.problem))]
+
+
 def test_builtin_script_returns_both_variants(bw_ctx, evaluator):
-    candidates = propose_domains(builtin_script(), bw_ctx, 4)
+    candidates = _propose(builtin_script(), bw_ctx, 4)
     assert len(candidates) == 2
     multi, extract = candidates
     assert multi.action("pickup-pair") is not None
@@ -130,7 +135,7 @@ def test_builtin_script_returns_both_variants(bw_ctx, evaluator):
 
 
 def test_script_k_one_takes_first(bw_ctx):
-    candidates = propose_domains(builtin_script(), bw_ctx, 1)
+    candidates = _propose(builtin_script(), bw_ctx, 1)
     assert len(candidates) == 1
     assert candidates[0].action("pickup-pair") is not None
 
@@ -146,7 +151,7 @@ def test_scripted_propose_drops_unlinkable(bw_ctx):
     oracle = ScriptedOracle(
         [ScriptEntry(lambda ctx: True, (GOOD_DOMAIN, BAD_DOMAIN, GOOD_DOMAIN))]
     )
-    candidates = propose_domains(oracle, bw_ctx, 5)
+    candidates = _propose(oracle, bw_ctx, 5)
     # the two good copies dedup to one; the bad one drops
     assert len(candidates) == 1
 

@@ -7,8 +7,16 @@ from axiomforge import corpus
 from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, print_canonical
 from axiomforge.planner import Plan, Unsolvable, ground, solve
-from axiomforge.proposer import ProposalContext, ScriptEntry, ScriptedOracle, builtin_script
+from axiomforge.proposer import (
+    ProposalContext,
+    ProposalOracle,
+    ScriptEntry,
+    ScriptedOracle,
+    builtin_script,
+)
+from axiomforge.proposer import extract as extract_module
 from axiomforge.search import (
+    ALGORITHMS,
     CandidateEvaluator,
     ObjectiveWeights,
     Provenance,
@@ -22,6 +30,7 @@ from axiomforge.search import (
 )
 from axiomforge.search import candidate as candidate_module
 from axiomforge.search.candidate import EditCandidate, compactness
+from axiomforge.search.common import SearchRun
 from axiomforge.distance import LevenshteinMockOracle
 
 ORIGINAL = corpus.load("blocksworld").domain_text
@@ -65,6 +74,12 @@ NO_PUTDOWN = ORIGINAL.replace(
 )
 
 
+# Texts the intake rejects: one links against no blocksworld problem, one
+# does not parse.
+UNLINKABLE = ORIGINAL.replace("(domain blocksworld)", "(domain renamed)")
+BROKEN = "(define (domain blocksworld) (:action"
+
+
 def _oracle(*texts):
     return ScriptedOracle([ScriptEntry(lambda ctx: True, tuple(texts))])
 
@@ -92,6 +107,12 @@ def zero_evaluator(blocksworld, flagship, blocksworld_regression):
 # -- score and evaluate -------------------------------------------------------
 
 
+def _read(text):
+    """A domain and its canonical text, as the run's intake hands them on."""
+    domain = parse_domain(text)
+    return domain, print_canonical(domain)
+
+
 def test_baseline_score_is_plan_length(zero_evaluator):
     root = zero_evaluator.evaluate_root()
     assert isinstance(root.plan_result, Plan)
@@ -101,7 +122,7 @@ def test_baseline_score_is_plan_length(zero_evaluator):
 
 def test_multi_lift_scores_two(zero_evaluator):
     cand = zero_evaluator.evaluate(
-        parse_domain(variants.MULTI_LIFT), Provenance(None, 1, "multi lift")
+        *_read(variants.MULTI_LIFT), Provenance(None, 1, "multi lift")
     )
     assert cand.score == 2.0
     assert cand.plan_length == 2
@@ -110,7 +131,7 @@ def test_multi_lift_scores_two(zero_evaluator):
 
 def test_mid_extract_plan_four_regression_ok(zero_evaluator):
     cand = zero_evaluator.evaluate(
-        parse_domain(variants.MID_EXTRACT), Provenance(None, 1, "mid extract")
+        *_read(variants.MID_EXTRACT), Provenance(None, 1, "mid extract")
     )
     assert cand.plan_length == 4
     assert cand.regression_ok
@@ -118,7 +139,7 @@ def test_mid_extract_plan_four_regression_ok(zero_evaluator):
 
 def test_regression_failure_scores_penalty(zero_evaluator):
     cand = zero_evaluator.evaluate(
-        parse_domain(NO_PUTDOWN), Provenance(None, 1, "no putdown")
+        *_read(NO_PUTDOWN), Provenance(None, 1, "no putdown")
     )
     assert not cand.regression_ok
     assert cand.score == ZERO.unsolvable_penalty
@@ -126,7 +147,7 @@ def test_regression_failure_scores_penalty(zero_evaluator):
 
 def test_unsolvable_scores_penalty(zero_evaluator):
     cand = zero_evaluator.evaluate(
-        parse_domain(UNSOLVABLE), Provenance(None, 1, "no stack")
+        *_read(UNSOLVABLE), Provenance(None, 1, "no stack")
     )
     assert isinstance(cand.plan_result, Unsolvable)
     assert cand.score == ZERO.unsolvable_penalty
@@ -141,8 +162,8 @@ def test_weights_shape_score(blocksworld, flagship, blocksworld_regression):
 
 
 def test_memoization_returns_same_candidate(zero_evaluator):
-    first = zero_evaluator.evaluate(parse_domain(WORSE), Provenance(None, 1, "a"))
-    second = zero_evaluator.evaluate(parse_domain(WORSE), Provenance(None, 2, "b"))
+    first = zero_evaluator.evaluate(*_read(WORSE), Provenance(None, 1, "a"))
+    second = zero_evaluator.evaluate(*_read(WORSE), Provenance(None, 2, "b"))
     assert first is second
     assert zero_evaluator.evaluations == 1
 
@@ -174,7 +195,7 @@ def test_regression_ok_matches_solving_every_problem(
         expected = all(
             isinstance(solve(ground(link(domain, prob))), Plan) for prob in regression
         )
-        cand = evaluator.evaluate(domain, Provenance(None, 1, "check"))
+        cand = evaluator.evaluate(domain, print_canonical(domain), Provenance(None, 1, "check"))
         assert cand.regression_ok is expected
 
 
@@ -182,14 +203,14 @@ def test_grounding_explosion_becomes_infinite_score(blocksworld, flagship, block
     evaluator = CandidateEvaluator(
         blocksworld, flagship, blocksworld_regression, max_actions=5
     )
-    cand = evaluator.evaluate(blocksworld, Provenance(None, 0, "boom"))
+    cand = evaluator.evaluate(blocksworld, print_canonical(blocksworld), Provenance(None, 0, "boom"))
     assert math.isinf(cand.score)
     assert not isinstance(cand.plan_result, Plan)
 
 
 def test_zero_weights_order_equals_plan_length_order(zero_evaluator):
     candidates = [
-        zero_evaluator.evaluate(parse_domain(text), Provenance(None, 1, name))
+        zero_evaluator.evaluate(*_read(text), Provenance(None, 1, name))
         for name, text in (
             ("worse", WORSE),
             ("multi", variants.MULTI_LIFT),
@@ -523,12 +544,12 @@ def test_success_implies_valid_fast_plan(algorithm, blocksworld, flagship, block
 
 
 def test_evaluate_many_dedups_and_orders(zero_evaluator):
-    worse = parse_domain(WORSE)
-    multi = parse_domain(variants.MULTI_LIFT)
+    worse = _read(WORSE)
+    multi = _read(variants.MULTI_LIFT)
     batch = [
-        (worse, Provenance(None, 1, "w1")),
-        (multi, Provenance(None, 1, "m")),
-        (worse, Provenance(None, 1, "w2")),  # duplicate text within the batch
+        (*worse, Provenance(None, 1, "w1")),
+        (*multi, Provenance(None, 1, "m")),
+        (*worse, Provenance(None, 1, "w2")),  # duplicate text within the batch
     ]
     results = zero_evaluator.evaluate_many(batch)
     assert results[0] is results[2]
@@ -548,3 +569,118 @@ def test_run_search_dispatch(blocksworld, flagship, blocksworld_regression):
         cfg, blocksworld, flagship, blocksworld_regression, builtin_script()
     )
     assert result.success and result.trajectory_id is None
+
+
+# -- intake -------------------------------------------------------------------
+
+
+class _RepeatingOracle(ProposalOracle):
+    """Answers every request from a fixed pool of raw texts; each answer
+    repeats an earlier one with probability 0.3, as live oracles and the
+    benchmark's seeded edit oracle do."""
+
+    POOL = (WORSE, UNSOLVABLE, NO_PUTDOWN, variants.MID_EXTRACT, UNLINKABLE, BROKEN, WORSE + "\n; again\n")
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._rng = random.Random(seed)
+        self.issued: list = []
+
+    def _next(self) -> str:
+        if self.issued and self._rng.random() < 0.3:
+            text = self._rng.choice(self.issued)
+        else:
+            text = self.POOL[len(set(self.issued)) % len(self.POOL)]
+        self.issued.append(text)
+        return text
+
+    def propose(self, ctx, k: int) -> list:
+        self.calls += 1
+        return [self._next() for _ in range(k)]
+
+    def crossover(self, ctx, parent_a: str, parent_b: str) -> str:
+        self.calls += 1
+        return self._next()
+
+    def mutate(self, ctx, candidate: str) -> str:
+        self.calls += 1
+        return self._next()
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """Every raw text the intake parses, in order."""
+    texts = []
+
+    def recording_parse(text):
+        texts.append(text)
+        return parse_domain(text)
+
+    monkeypatch.setattr(extract_module, "parse_domain", recording_parse)
+    return texts
+
+
+def _unreachable_cfg(algorithm):
+    return _cfg(algorithm, target_length=0, max_depth=2, mcts_iterations=8,
+                ga_population=4, ga_generations=3, ga_mutation_rate=0.5)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_parses_each_distinct_text_once(
+    algorithm, parsed, blocksworld, flagship, blocksworld_regression
+):
+    oracle = _RepeatingOracle(seed=3)
+    result = run_search(
+        _unreachable_cfg(algorithm), blocksworld, flagship, blocksworld_regression, oracle
+    )
+    assert not result.success
+    assert len(oracle.issued) > len(set(oracle.issued))  # the oracle repeated itself
+    assert len(parsed) == len(set(parsed))
+    assert set(parsed) <= set(oracle.issued)
+    assert len(parsed) >= 3
+
+
+def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_regression):
+    cfg = _unreachable_cfg("beam")
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
+    first = list(parsed)
+    parsed.clear()
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
+    assert first and parsed == first
+
+
+def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
+    oracle = _oracle(UNLINKABLE, WORSE, BROKEN, variants.MID_EXTRACT)
+    run = SearchRun(_cfg("beam"), _ctx(zero_evaluator), oracle, zero_evaluator)
+    root = run.root()
+    batches = [run.propose(root) for _ in range(3)]
+    assert parsed.count(UNLINKABLE) == 1 and parsed.count(BROKEN) == 1
+    assert run.intake(UNLINKABLE) is None and run.intake(BROKEN) is None
+    expected = [_read(WORSE)[1], _read(variants.MID_EXTRACT)[1]]
+    assert all([text for _, text in batch] == expected for batch in batches)
+
+
+@pytest.mark.parametrize("child", [BROKEN, UNLINKABLE], ids=["unparsable", "unlinkable"])
+def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blocksworld_regression):
+    parents, batches = [], []
+
+    def crossover(ctx, parent_a, parent_b):
+        parents.append((parent_a, parent_b))
+        return child
+
+    class BatchLog(CandidateEvaluator):
+        def evaluate_many(self, items):
+            batches.append([text for _, text, _ in items])
+            return super().evaluate_many(items)
+
+    evaluator = BatchLog(blocksworld, flagship, blocksworld_regression, weights=ZERO)
+    oracle = ScriptedOracle([ScriptEntry(lambda ctx: True, (WORSE,))], crossover_fn=crossover)
+    result = genetic_search(
+        _cfg("genetic", target_length=0, ga_population=4, ga_generations=3),
+        _ctx(evaluator, 0),
+        oracle,
+        evaluator=evaluator,
+    )
+    assert result.explored == 2  # the root and WORSE; no child is new
+    assert any(a != b for a, b in parents)
+    assert [text for batch in batches for text in batch] == [a for a, _ in parents]
