@@ -5,12 +5,15 @@ States are bitsets (Python ints) over an indexed universe of ground atoms.
 plan length it reports is exact; everything downstream that compares step
 counts relies on that guarantee. Its successor generator indexes actions
 by one atom they require (Helmert, "The Fast Downward Planning System",
-JAIR 26, 2006), the lowest positive literal of their precondition, so a
-state only tests the actions filed under its true atoms plus those with no
-positive literal. Successors are still generated in action-index order, so
-the plan is the one a scan over all actions would return.
+JAIR 26, 2006): the positive literal of their precondition that the fewest
+actions require, so a state only tests the actions filed under its true
+atoms plus those with no positive literal. Successors are still generated
+in action-index order, so the plan is the one a scan over all actions
+would return.
 
-Grounding resolves what it can statically:
+Grounding joins each action schema against the initial state on its
+static preconditions (Helmert, "Concise finite-domain representations for
+PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
   * `(= a b)` literals and predicates that no effect ever touches are
     folded into constants using the initial state;
   * instantiations whose precondition is statically false are dropped;
@@ -40,7 +43,10 @@ from .pddl.ast import (
 
 
 class GroundingExplosion(Exception):
-    """Raised when grounding would exceed the configured atom/action caps."""
+    """Raised when grounding would exceed the configured atom/action caps.
+
+    The action cap counts every binding grounding visits, kept or not.
+    """
 
 
 class PreconditionViolated(Exception):
@@ -199,251 +205,438 @@ def _effect_predicates(f: Formula, acc: set) -> None:
         _effect_predicates(f.effect, acc)
 
 
-@dataclass(frozen=True)
-class _PAtom:
-    atom: Atom
+def _names(f: Formula, acc: list) -> None:
+    """Append every predicate name and term of `f` to `acc`."""
+    if isinstance(f, Atom):
+        acc.append(f.name)
+        acc.extend(f.args)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            _names(p, acc)
+    elif isinstance(f, (Not, Forall)):
+        _names(f.body, acc)
+    elif isinstance(f, Eq):
+        acc += (f.left, f.right)
+    elif isinstance(f, When):
+        _names(f.condition, acc)
+        _names(f.effect, acc)
 
 
-@dataclass(frozen=True)
-class _PNot:
-    body: object
+def _text(key: tuple) -> str:
+    """`str` of the ground atom whose key is `key`."""
+    return "(" + " ".join(key) + ")"
 
 
-@dataclass(frozen=True)
-class _PAnd:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class _POr:
-    parts: tuple
-
+# Tags of compiled specs. A condition spec folds against a binding to True,
+# False, an atom key `(predicate, *args)`, or a (_NOT | _AND | _OR, ...)
+# tuple over those; `_lower` indexes that once the atom universe is known.
+_VALUE, _ATOM, _STATIC, _EQ, _NOT, _AND, _OR, _FORALL, _WHEN = range(9)
 
 _TRUE = GTrue()
 _FALSE = GFalse()
 
 
 class _Grounder:
+    """Grounds one linked task by joining schemas against static atoms.
+
+    Each call compiles every formula once. A binding is a tuple `env`: the
+    names the schema's formulas mention (predicates and constants), then
+    the action's parameters in declaration order, then the variables of the
+    enclosing foralls. An atom compiles to an `itemgetter` over slots of env
+    that returns its key, or to the key itself when no variable occurs in it.
+
+    Parameters are bound depth-first in declaration order. Each top-level
+    conjunct of a precondition that is a static atom or an `=`, or the
+    negation of one, is tested at the first depth where its variables are
+    bound. That is a join against the initial state, since static
+    predicates never change. The bindings that pass come out in
+    `itertools.product` order, so the ground actions keep the order of a
+    scan over the full cartesian product.
+
+    Every binding visited, partial or full, in a parameter list or a forall,
+    counts against `max_actions`. Kept actions are among them, and a schema
+    whose bindings all fail late still ends after bounded work.
+    """
+
     def __init__(self, task: LinkedTask, max_atoms: int, max_actions: int):
+        from operator import itemgetter
+
+        self.itemgetter = itemgetter
         self.domain = task.domain
         self.problem = task.problem
         self.max_atoms = max_atoms
         self.max_actions = max_actions
+        self.visited = 0
 
         self.object_types: dict[str, str] = {}
         for c in self.domain.constants:
             self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
         for o in self.problem.objects:
             self.object_types[o.name] = o.type if isinstance(o.type, str) else ROOT_TYPE
+        self.pools: dict = {}
 
         touched: set = set()
         for action in self.domain.actions:
             _effect_predicates(action.effect, touched)
         self.static_preds = {p.name for p in self.domain.predicates} - touched
-        self.init_atoms = set(self.problem.init)
+        self.init = {(a.name, *a.args) for a in self.problem.init}
+        self.names: tuple = ()  # the literal slots of the formulas being compiled
+        self.slots: dict = {}
+        self.universe: dict[tuple, int] = {}  # atom key -> index
+        self.lowered: dict = {}  # atom key -> GAtom, or _FALSE outside the universe
 
-    def objects_matching(self, tref) -> list[str]:
-        return [o for o, t in self.object_types.items() if self.domain.matches_type(t, tref)]
+    def _pool(self, tref) -> tuple:
+        pool = self.pools.get(tref)
+        if pool is None:
+            pool = tuple(o for o, t in self.object_types.items() if self.domain.matches_type(t, tref))
+            self.pools[tref] = pool
+        return pool
 
-    # Stage one: substitute and fold static truth into a reduced condition IR.
-    def _cond(self, f: Formula, sub: dict):
+    def _visit(self, count: int) -> None:
+        self.visited += count
+        if self.visited > self.max_actions:
+            raise GroundingExplosion(f"more than {self.max_actions} ground actions or bindings")
+
+    # -- compiling, once per call
+
+    def _literals(self, formulas: tuple, bound) -> int:
+        """Give each name that `formulas` mention, other than the variables
+        in `bound`, a slot at the front of env; returns how many there are."""
+        names: list = []
+        for f in formulas:
+            _names(f, names)
+        self.names = tuple(dict.fromkeys(n for n in names if n not in bound))
+        self.slots = {name: i for i, name in enumerate(self.names)}
+        return len(self.names)
+
+    def _key(self, atom: Atom, scope: dict):
+        """The atom's key if it has no variable, else a getter of it from env."""
+        if scope.keys().isdisjoint(atom.args):
+            return (atom.name, *atom.args)
+        slots = self.slots
+        return self.itemgetter(slots[atom.name], *[scope[a] if a in scope else slots[a] for a in atom.args])
+
+    def _slot(self, term: str, scope: dict) -> int:
+        return scope[term] if term in scope else self.slots[term]
+
+    def _forall(self, f: Forall, scope: dict, depth: int) -> tuple:
+        """(pools, inner scope, inner depth, number of bindings) of a forall."""
+        inner = dict(scope)
+        for i, v in enumerate(f.variables):
+            inner[v.name] = depth + i
+        pools = tuple(self._pool(v.type) for v in f.variables)
+        count = 1
+        for pool in pools:
+            count *= len(pool)
+        return pools, inner, depth + len(pools), count
+
+    def _cond(self, f: Formula, scope: dict, depth: int) -> tuple:
+        """Compile a condition; `scope` maps variables to env slots, and env
+        holds `depth` values where `f` is evaluated."""
         if isinstance(f, Atom):
-            ground = Atom(f.name, tuple(sub.get(a, a) for a in f.args))
-            if f.name in self.static_preds:
-                return _TRUE if ground in self.init_atoms else _FALSE
-            return _PAtom(ground)
+            key = self._key(f, scope)
+            static = f.name in self.static_preds
+            if isinstance(key, tuple):
+                return (_VALUE, key in self.init if static else key)
+            return (_STATIC if static else _ATOM, key)
         if isinstance(f, Eq):
-            left = sub.get(f.left, f.left)
-            right = sub.get(f.right, f.right)
-            return _TRUE if left == right else _FALSE
+            if f.left in scope or f.right in scope:
+                return (_EQ, self._slot(f.left, scope), self._slot(f.right, scope))
+            return (_VALUE, f.left == f.right)
         if isinstance(f, Not):
-            inner = self._cond(f.body, sub)
-            if inner is _TRUE:
-                return _FALSE
-            if inner is _FALSE:
-                return _TRUE
-            return _PNot(inner)
-        if isinstance(f, And):
-            parts = []
-            for p in f.parts:
-                q = self._cond(p, sub)
-                if q is _FALSE:
-                    return _FALSE
-                if q is not _TRUE:
-                    parts.append(q)
-            return _PAnd(tuple(parts)) if parts else _TRUE
-        if isinstance(f, Or):
-            parts = []
-            for p in f.parts:
-                q = self._cond(p, sub)
-                if q is _TRUE:
-                    return _TRUE
-                if q is not _FALSE:
-                    parts.append(q)
-            return _POr(tuple(parts)) if parts else _FALSE
+            return (_NOT, self._cond(f.body, scope, depth))
+        if isinstance(f, (And, Or)):
+            return (_AND if isinstance(f, And) else _OR,
+                    tuple(self._cond(p, scope, depth) for p in f.parts))
         if isinstance(f, Forall):
-            parts = []
-            for binding in self._bindings(f.variables):
-                q = self._cond(f.body, {**sub, **binding})
-                if q is _FALSE:
-                    return _FALSE
-                if q is not _TRUE:
-                    parts.append(q)
-            return _PAnd(tuple(parts)) if parts else _TRUE
+            pools, inner, inner_depth, count = self._forall(f, scope, depth)
+            return (_FORALL, pools, self._cond(f.body, inner, inner_depth), count)
         raise TypeError(f"unexpected construct in condition: {f!r}")
 
-    def _bindings(self, variables: tuple):
-        pools = [self.objects_matching(v.type) for v in variables]
-        names = [v.name for v in variables]
-        for combo in itertools.product(*pools):
-            yield dict(zip(names, combo))
+    def _effect(self, f: Formula, scope: dict, depth: int) -> tuple:
+        """Compile an effect to (constant adds, add getters, constant dels,
+        del getters, its foralls and whens in order)."""
+        out: tuple = ([], [], [], [], [])
+        self._effect_into(f, scope, depth, out)
+        return tuple(map(tuple, out))
 
-    def _effects(self, f: Formula, sub: dict, adds: set, dels: set, groups: list) -> None:
-        if isinstance(f, Atom):
-            adds.add(Atom(f.name, tuple(sub.get(a, a) for a in f.args)))
-        elif isinstance(f, Not):
-            body = f.body
-            dels.add(Atom(body.name, tuple(sub.get(a, a) for a in body.args)))
-        elif isinstance(f, And):
+    def _effect_into(self, f: Formula, scope: dict, depth: int, out: tuple) -> None:
+        if isinstance(f, And):
             for p in f.parts:
-                self._effects(p, sub, adds, dels, groups)
+                self._effect_into(p, scope, depth, out)
+        elif isinstance(f, (Atom, Not)):
+            delete = isinstance(f, Not)
+            key = self._key(f.body if delete else f, scope)
+            out[(2 if delete else 0) + (0 if isinstance(key, tuple) else 1)].append(key)
         elif isinstance(f, Forall):
-            for binding in self._bindings(f.variables):
-                self._effects(f.body, {**sub, **binding}, adds, dels, groups)
+            pools, inner, inner_depth, count = self._forall(f, scope, depth)
+            out[4].append((_FORALL, pools, self._effect(f.body, inner, inner_depth), count))
         elif isinstance(f, When):
-            cond = self._cond(f.condition, sub)
-            if cond is _FALSE:
-                return
+            out[4].append((_WHEN, self._cond(f.condition, scope, depth),
+                           self._effect(f.effect, scope, depth)))
+        else:
+            raise TypeError(f"unexpected construct in effect: {f!r}")
+
+    # -- evaluating, once per binding
+
+    def _fold(self, spec: tuple, env: tuple):
+        """Fold a compiled condition against a binding, dropping static truth."""
+        kind = spec[0]
+        if kind == _ATOM:
+            return spec[1](env)
+        if kind == _VALUE:
+            return spec[1]
+        if kind == _STATIC:
+            return spec[1](env) in self.init
+        if kind == _EQ:
+            return env[spec[1]] == env[spec[2]]
+        if kind == _NOT:
+            inner = self._fold(spec[1], env)
+            if inner is True:
+                return False
+            if inner is False:
+                return True
+            return (_NOT, inner)
+        if kind == _OR:
+            parts = []
+            for p in spec[1]:
+                q = self._fold(p, env)
+                if q is True:
+                    return True
+                if q is not False:
+                    parts.append(q)
+            return (_OR, tuple(parts)) if parts else False
+        parts = []
+        if kind == _AND:
+            for p in spec[1]:
+                q = self._fold(p, env)
+                if q is False:
+                    return False
+                if q is not True:
+                    parts.append(q)
+            return (_AND, tuple(parts)) if parts else True
+        _, pools, body, count = spec  # a forall folds to a conjunction
+        self._visit(count)
+        for combo in itertools.product(*pools):
+            q = self._fold(body, env + combo)
+            if q is False:
+                return False
+            if q is not True:
+                parts.append(q)
+        return (_AND, tuple(parts)) if parts else True
+
+    def _effects(self, spec: tuple, env: tuple, adds: set, dels: set, groups: list) -> None:
+        const_adds, add_keys, const_dels, del_keys, nested = spec
+        adds.update(const_adds)
+        for get in add_keys:
+            adds.add(get(env))
+        dels.update(const_dels)
+        for get in del_keys:
+            dels.add(get(env))
+        for item in nested:
+            if item[0] == _FORALL:
+                _, pools, body, count = item
+                self._visit(count)
+                for combo in itertools.product(*pools):
+                    self._effects(body, env + combo, adds, dels, groups)
+                continue
+            cond = self._fold(item[1], env)
+            if cond is False:
+                continue
             sub_adds: set = set()
             sub_dels: set = set()
-            self._effects(f.effect, sub, sub_adds, sub_dels, groups)
-            if cond is _TRUE:
+            self._effects(item[2], env, sub_adds, sub_dels, groups)
+            if cond is True:
                 adds |= sub_adds
                 dels |= sub_dels
             else:
                 groups.append((cond, sub_adds, sub_dels))
+
+    def _joined(self, checks: list, env: tuple) -> bool:
+        """True if every static test of one depth holds on `env`."""
+        for get, eq, want in checks:
+            value = get(env)
+            if (value[0] == value[1] if eq else value in self.init) is not want:
+                return False
+        return True
+
+    def _schema(self, schema, raw: list) -> None:
+        """Append (name, args, precondition, adds, dels, groups) to `raw` for
+        each binding of `schema` that is kept, in product order."""
+        params = [p.name for p in schema.params]
+        base = self._literals((schema.precondition, schema.effect), params)
+        n = len(params)
+        scope = {name: base + i for i, name in enumerate(params)}
+        depth = base + n
+
+        pre = schema.precondition
+        checks: list = [[] for _ in range(n)]
+        rest = []
+        for part in pre.parts if isinstance(pre, And) else (pre,):
+            literal = part.body if isinstance(part, Not) else part
+            if not (isinstance(literal, Eq)
+                    or isinstance(literal, Atom) and literal.name in self.static_preds):
+                rest.append(part)
+                continue
+            spec = self._cond(literal, scope, depth)
+            want = literal is part
+            if spec[0] == _VALUE:
+                if spec[1] is not want:
+                    return  # statically false for every binding
+                continue
+            terms = (literal.left, literal.right) if isinstance(literal, Eq) else literal.args
+            level = max(scope[t] for t in terms if t in scope) - base
+            get = self.itemgetter(spec[1], spec[2]) if spec[0] == _EQ else spec[1]
+            checks[level].append((get, spec[0] == _EQ, want))
+        if isinstance(pre, And):
+            pre_spec = (_AND, tuple(self._cond(p, scope, depth) for p in rest))
         else:
-            raise TypeError(f"unexpected construct in effect: {f!r}")
+            pre_spec = self._cond(pre, scope, depth) if rest else (_VALUE, True)
+        effect = self._effect(schema.effect, scope, depth)
+
+        def keep(env: tuple) -> None:
+            cond = self._fold(pre_spec, env)
+            if cond is False:
+                return
+            adds: set = set()
+            dels: set = set()
+            groups: list = []
+            self._effects(effect, env, adds, dels, groups)
+            if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, a, d in groups):
+                return  # contradictory instantiation
+            raw.append((schema.name, env[base:], cond, adds, dels, groups))
+
+        if not n:
+            self._visit(1)
+            keep(self.names)
+            return
+        pools = [self._pool(p.type) for p in schema.params]
+        prefixes: list = [self.names] + [None] * n  # env with d parameters bound
+        iters: list = [None] * n
+        d = 0
+        self._visit(len(pools[0]))
+        iters[0] = iter(pools[0])
+        while d >= 0:
+            level = checks[d]
+            for obj in iters[d]:
+                env = prefixes[d] + (obj,)
+                if level and not self._joined(level, env):
+                    continue
+                if d + 1 == n:
+                    keep(env)
+                    continue
+                d += 1
+                prefixes[d] = env
+                self._visit(len(pools[d]))
+                iters[d] = iter(pools[d])
+                break
+            else:
+                d -= 1
+
+    def _lower(self, node) -> GroundFormula:
+        """Index a folded condition; atoms outside the universe are false."""
+        if node is True:
+            return _TRUE
+        if node is False:
+            return _FALSE
+        tag = node[0]
+        if type(tag) is str:
+            g = self.lowered.get(node)
+            if g is None:
+                index = self.universe.get(node)
+                g = self.lowered[node] = _FALSE if index is None else GAtom(index)
+            return g
+        if tag == _NOT:
+            inner = self._lower(node[1])
+            if inner is _TRUE:
+                return _FALSE
+            if inner is _FALSE:
+                return _TRUE
+            return GNot(inner)
+        parts = []
+        if tag == _AND:
+            for p in node[1]:
+                q = self._lower(p)
+                if q is _FALSE:
+                    return _FALSE
+                if q is not _TRUE:
+                    parts.append(q)
+            return GAnd(tuple(parts)) if parts else _TRUE
+        for p in node[1]:
+            q = self._lower(p)
+            if q is _TRUE:
+                return _TRUE
+            if q is not _FALSE:
+                parts.append(q)
+        return GOr(tuple(parts)) if parts else _FALSE
 
     def ground(self) -> GroundedTask:
-        raw_actions = []
+        raw: list = []
         for schema in self.domain.actions:
-            for binding in self._bindings(schema.params):
-                pre = self._cond(schema.precondition, binding)
-                if pre is _FALSE:
-                    continue
-                adds: set = set()
-                dels: set = set()
-                groups: list = []
-                self._effects(schema.effect, binding, adds, dels, groups)
-                if adds & dels or any(a & d for _, a, d in groups):
-                    continue  # contradictory instantiation
-                args = tuple(binding[p.name] for p in schema.params)
-                raw_actions.append((schema.name, args, pre, adds, dels, groups))
-                if len(raw_actions) > self.max_actions:
-                    raise GroundingExplosion(
-                        f"more than {self.max_actions} ground actions"
-                    )
+            self._schema(schema, raw)
 
-        universe: dict[Atom, int] = {}
+        universe = self.universe
 
-        def intern(atom: Atom) -> int:
-            idx = universe.get(atom)
-            if idx is None:
-                idx = len(universe)
-                universe[atom] = idx
-                if idx >= self.max_atoms:
+        def intern(keys) -> None:
+            new = [k for k in keys if k not in universe]
+            if len(new) > 1:
+                new.sort(key=_text)
+            for key in new:
+                if len(universe) >= self.max_atoms:
                     raise GroundingExplosion(f"more than {self.max_atoms} ground atoms")
-            return idx
+                universe[key] = len(universe)
 
-        for atom in sorted(self.init_atoms, key=str):
-            intern(atom)
-        for _, _, _, adds, _, groups in raw_actions:
-            for atom in sorted(adds, key=str):
-                intern(atom)
+        intern(self.init)
+        for _, _, _, adds, _, groups in raw:
+            intern(adds)
             for _, g_adds, _ in groups:
-                for atom in sorted(g_adds, key=str):
-                    intern(atom)
+                intern(g_adds)
+        bits = {key: 1 << i for key, i in universe.items()}
 
-        def lower(cond) -> GroundFormula:
-            """Index the condition IR; atoms outside the universe are false."""
-            if cond is _TRUE or cond is _FALSE:
-                return cond
-            if isinstance(cond, _PAtom):
-                idx = universe.get(cond.atom)
-                return GAtom(idx) if idx is not None else _FALSE
-            if isinstance(cond, _PNot):
-                inner = lower(cond.body)
-                if isinstance(inner, GTrue):
-                    return _FALSE
-                if isinstance(inner, GFalse):
-                    return _TRUE
-                return GNot(inner)
-            if isinstance(cond, _PAnd):
-                parts = []
-                for p in cond.parts:
-                    q = lower(p)
-                    if isinstance(q, GFalse):
-                        return _FALSE
-                    if not isinstance(q, GTrue):
-                        parts.append(q)
-                return GAnd(tuple(parts)) if parts else _TRUE
-            if isinstance(cond, _POr):
-                parts = []
-                for p in cond.parts:
-                    q = lower(p)
-                    if isinstance(q, GTrue):
-                        return _TRUE
-                    if not isinstance(q, GFalse):
-                        parts.append(q)
-                return GOr(tuple(parts)) if parts else _FALSE
-            raise TypeError(f"unexpected condition node: {cond!r}")
-
-        def mask(atoms: set, *, adds: bool) -> int:
-            m = 0
-            for atom in atoms:
-                idx = universe.get(atom)
-                if idx is None:
-                    if adds:
-                        raise AssertionError("add effect missing from universe")
-                    continue  # deleting a never-true atom is a no-op
-                m |= 1 << idx
-            return m
+        def mask(keys) -> int:
+            # Deleting an atom outside the universe is a no-op.
+            return sum([bits.get(k, 0) for k in keys])
 
         actions = []
-        for name, args, pre, adds, dels, groups in raw_actions:
-            pre_g = lower(pre)
-            if isinstance(pre_g, GFalse):
+        for name, args, pre, adds, dels, groups in raw:
+            pre_g = self._lower(pre)
+            if pre_g is _FALSE:
                 continue
             cond_groups = []
             for cond, g_adds, g_dels in groups:
-                cond_g = lower(cond)
-                if isinstance(cond_g, GFalse):
-                    continue
-                cond_groups.append((cond_g, mask(g_adds, adds=True), mask(g_dels, adds=False)))
+                cond_g = self._lower(cond)
+                if cond_g is not _FALSE:
+                    cond_groups.append((cond_g, mask(g_adds), mask(g_dels)))
             actions.append(
                 GroundAction(
                     name=name,
                     args=args,
                     precondition=pre_g,
-                    add_mask=mask(adds, adds=True),
-                    del_mask=mask(dels, adds=False),
+                    add_mask=mask(adds),
+                    del_mask=mask(dels),
                     conditional=tuple(cond_groups),
                     pre_masks=_literal_masks(pre_g),
                 )
             )
 
-        init_mask = 0
-        for atom in self.init_atoms:
-            init_mask |= 1 << universe[atom]
-
-        goal = lower(self._cond(self.problem.goal, {}))
-        atoms = tuple(sorted(universe, key=universe.get))
-        return GroundedTask(atoms=atoms, init=init_mask, goal=goal, actions=tuple(actions))
+        depth = self._literals((self.problem.goal,), ())
+        goal = self._lower(self._fold(self._cond(self.problem.goal, {}, depth), self.names))
+        return GroundedTask(
+            atoms=tuple(Atom(key[0], key[1:]) for key in universe),
+            init=mask(self.init),
+            goal=goal,
+            actions=tuple(actions),
+        )
 
 
 def ground(task: LinkedTask, *, max_atoms: int = 100_000, max_actions: int = 200_000) -> GroundedTask:
-    """Instantiate every action schema over all type-consistent object tuples."""
+    """Instantiate every action schema over the type-consistent object tuples
+    that pass its static preconditions.
+
+    Raises `GroundingExplosion` past `max_atoms` ground atoms, or once more
+    than `max_actions` bindings have been visited, partial and full
+    bindings of the parameters and the bindings of every forall included.
+    """
     return _Grounder(task, max_atoms, max_actions).ground()
 
 
@@ -465,22 +658,35 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     """Breadth-first search; any returned plan is optimal in step count.
 
     Each call first indexes the actions. An action whose precondition has a
-    positive literal is filed under its lowest positive precondition bit;
-    the rest (no positive literal, or a precondition that is not a literal
-    conjunction, such as an `or`) are tried in every state. A state then
-    tries only the always-tried actions and the buckets of its set bits.
-    Those candidates are sorted by action index, so successors are generated
-    in the same order as a scan over all actions, and the plan returned is
-    the one such a scan would return.
+    positive literal is filed under the positive precondition bit that the
+    fewest actions require (the lowest such bit on a tie); the rest (no
+    positive literal, or a precondition that is not a literal conjunction,
+    such as an `or`) are tried in every state. A state then tries only the
+    always-tried actions and the buckets of its set bits. Those candidates
+    are sorted by action index, so successors are generated in the same
+    order as a scan over all actions, and the plan returned is the one such
+    a scan would return.
 
-    A frontier whose successors would pass `max_plan_length` ends the
-    search before any of its states counts as expanded.
+    A goal that grounding folded to false is unsolvable before any state is
+    expanded. A frontier whose successors would pass `max_plan_length` ends
+    the search before any of its states counts as expanded.
     """
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
 
+    if isinstance(task.goal, GFalse):
+        return Unsolvable()
     if task.goal.holds(task.init):
         return Plan(())
+
+    # How many actions require each positive precondition bit.
+    need: dict[int, int] = {}
+    for action in task.actions:
+        pos = action.pre_masks[0] if action.pre_masks else 0
+        while pos:
+            low = pos & -pos
+            need[low] = need.get(low, 0) + 1
+            pos ^= low
 
     # Rows are (index, pos, neg, add, del, conditional, precondition); the
     # precondition is kept only where the masks cannot express it.
@@ -491,10 +697,17 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         pos, neg = masks or (0, 0)
         row = (index, pos, neg, action.add_mask, action.del_mask, action.conditional,
                None if masks else action.precondition)
-        if pos:
-            buckets.setdefault(pos & -pos, []).append(row)
-        else:
+        if not pos:
             always.append(row)
+            continue
+        key = pos & -pos
+        rest = pos ^ key
+        while rest:
+            low = rest & -rest
+            if need[low] < need[key]:
+                key = low
+            rest ^= low
+        buckets.setdefault(key, []).append(row)
     keys = sum(buckets)  # distinct single bits, so the sum is their union
     goal_masks = _literal_masks(task.goal)
     goal_pos, goal_neg = goal_masks or (0, 0)

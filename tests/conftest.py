@@ -70,6 +70,29 @@ def flagship(blocksworld_entry):
     return parse_problem(blocksworld_entry.flagship.text)
 
 
+# A 16-parameter action over the flagship's 3 blocks has 3^16 bindings, and
+# none of them is kept: its effect contradicts itself, or its precondition
+# is statically false once the last parameter is bound.
+WIDE_PARAMS = " ".join(f"?v{i}" for i in range(16))
+WIDE_ACTIONS = {
+    "contradictory-effect": (
+        f"(:action hog :parameters ({WIDE_PARAMS}) :precondition (and)"
+        " :effect (and (clear ?v0) (not (clear ?v0))))"
+    ),
+    "false-last-precondition": (
+        f"(:action hog :parameters ({WIDE_PARAMS}) :precondition (not (= ?v15 ?v15))"
+        " :effect (clear ?v0))"
+    ),
+}
+
+
+@pytest.fixture(params=sorted(WIDE_ACTIONS))
+def wide_blocksworld_text(request, blocksworld_entry):
+    """Blocksworld plus one 16-parameter action that grounds to nothing."""
+    text = blocksworld_entry.domain_text.rstrip()
+    return text[:-1] + WIDE_ACTIONS[request.param] + ")\n"
+
+
 @pytest.fixture(scope="session")
 def blocksworld_regression():
     return corpus.regression_suite("blocksworld")

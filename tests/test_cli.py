@@ -312,6 +312,15 @@ def test_grounding_explosion_is_reported(capsys, wide_task, command):
     assert json.loads(out.strip().splitlines()[-1]) == {"status": "grounding-explosion"}
 
 
+def test_wide_action_is_a_grounding_explosion(capsys, tmp_path, wide_blocksworld_text):
+    domain = tmp_path / "wide.pddl"
+    domain.write_text(wide_blocksworld_text)
+    code, out, err = run_cli(capsys, "plan", str(domain), "corpus:blocksworld:restack", "--json")
+    assert code == 1
+    assert err.startswith("grounding-explosion: more than 200000 ground actions or bindings")
+    assert json.loads(out.strip().splitlines()[-1]) == {"status": "grounding-explosion"}
+
+
 def test_unknown_corpus_name_exits_two(capsys):
     code, _, err = run_cli(capsys, "parse", "corpus:tetris")
     assert code == 2

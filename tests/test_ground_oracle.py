@@ -1,0 +1,271 @@
+"""`ground` against the reference grounder in oracle_ground.py.
+
+The two must return equal GroundedTasks (atom order, init, goal, action
+order, preconditions and masks) on the corpus, the figure variants,
+generated rule edits, tower and hanoi instances and random small typed
+domains, and raise the same GroundingExplosion under tight caps.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axiomforge import corpus
+from axiomforge.corpus import variants
+from axiomforge.pddl import (
+    ROOT_TYPE,
+    ActionSchema,
+    And,
+    Atom,
+    DomainAst,
+    Eq,
+    Forall,
+    LinkedTask,
+    Not,
+    Or,
+    PredicateDecl,
+    ProblemAst,
+    TypedName,
+    When,
+    link,
+    parse_domain,
+    parse_problem,
+)
+from axiomforge.planner import GroundingExplosion, ground
+
+from oracle_ground import oracle_ground
+from test_pinned_plans import hanoi, tower_reversal
+
+
+def _outcome(grounder, task, **caps):
+    try:
+        return grounder(task, **caps)
+    except GroundingExplosion as err:
+        return str(err)
+
+
+def assert_same_grounding(task):
+    assert ground(task) == oracle_ground(task)
+    assert _outcome(ground, task, max_atoms=3) == _outcome(oracle_ground, task, max_atoms=3)
+    # `ground` also counts the bindings it visits against max_actions, so it
+    # raises wherever the oracle does, and may raise where the oracle does not.
+    expected = _outcome(oracle_ground, task, max_actions=5)
+    got = _outcome(ground, task, max_actions=5)
+    if isinstance(expected, str):
+        assert isinstance(got, str) and got.startswith(expected)
+    elif not isinstance(got, str):
+        assert got == expected
+
+
+# -- fixed cases ---------------------------------------------------------------
+
+
+# `flip ?x ?x` both adds and deletes (on ?x) under its `when`, so it is
+# dropped as contradictory.
+TOGGLE = (
+    "(define (domain toggle) (:requirements :strips :conditional-effects)"
+    " (:predicates (on ?x) (lit ?x))"
+    " (:action flip :parameters (?x ?y) :precondition (lit ?x)"
+    " :effect (when (on ?x) (and (on ?y) (not (on ?x))))))",
+    "(define (problem two) (:domain toggle) (:objects a b)"
+    " (:init (lit a) (on a)) (:goal (on b)))",
+)
+
+
+def _corpus_cases():
+    out = [("toggle:two", *TOGGLE)]
+    for name in corpus.CORPUS_NAMES:
+        entry = corpus.load(name)
+        for prob in entry.problems:
+            out.append((f"{name}:{prob.name}", entry.domain_text, prob.text))
+    blocksworld = corpus.load("blocksworld")
+    for label, text in (("multi-lift", variants.MULTI_LIFT), ("mid-extract", variants.MID_EXTRACT)):
+        for prob in blocksworld.problems:
+            out.append((f"{label}:{prob.name}", text, prob.text))
+    for n in range(4, 9):
+        out.append((f"tower-reversal-{n}", blocksworld.domain_text, tower_reversal(n)))
+    for n in range(3, 8):
+        out.append((f"hanoi-{n}", corpus.load("hanoi").domain_text, hanoi(n)))
+    return out
+
+
+CASES = _corpus_cases()
+
+
+@pytest.mark.parametrize("domain_text, problem_text", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_ground_matches_oracle(domain_text, problem_text):
+    assert_same_grounding(link(parse_domain(domain_text), parse_problem(problem_text)))
+
+
+# -- rule edits ----------------------------------------------------------------
+
+
+def _mentions(f, var):
+    if isinstance(f, Atom):
+        return var in f.args
+    if isinstance(f, Eq):
+        return var in (f.left, f.right)
+    if isinstance(f, (Not, Forall)):
+        return _mentions(f.body, var)
+    if isinstance(f, (And, Or)):
+        return any(_mentions(p, var) for p in f.parts)
+    if isinstance(f, When):
+        return _mentions(f.condition, var) or _mentions(f.effect, var)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _without(f, var):
+    parts = f.parts if isinstance(f, And) else (f,)
+    return And(tuple(p for p in parts if not _mentions(p, var)))
+
+
+def rule_edits(domain):
+    """Each domain with one precondition part dropped, and each domain plus
+    a copy of one action without its last parameter: once without the
+    top-level conjuncts that mention it, once with that variable left
+    unbound, which both grounders read as a name."""
+    edits = []
+    for i, action in enumerate(domain.actions):
+        pre = action.precondition
+        if isinstance(pre, And):
+            for j in range(len(pre.parts)):
+                dropped = replace(action, precondition=And(pre.parts[:j] + pre.parts[j + 1 :]))
+                actions = domain.actions[:i] + (dropped,) + domain.actions[i + 1 :]
+                edits.append(replace(domain, actions=actions))
+        if action.params:
+            var = action.params[-1].name
+            lite = ActionSchema(
+                f"{action.name}-lite",
+                action.params[:-1],
+                _without(pre, var),
+                _without(action.effect, var),
+            )
+            edits.append(replace(domain, actions=domain.actions + (lite,)))
+            free = replace(action, name=f"{action.name}-free", params=action.params[:-1])
+            edits.append(replace(domain, actions=domain.actions + (free,)))
+    return edits
+
+
+EDIT_TASKS = [
+    (name, index, edit, corpus.load(name).flagship.text)
+    for name in corpus.CORPUS_NAMES
+    for index, edit in enumerate(rule_edits(parse_domain(corpus.load(name).domain_text)))
+]
+
+
+@pytest.mark.parametrize(
+    "edit, problem_text",
+    [t[2:] for t in EDIT_TASKS],
+    ids=[f"{t[0]}-{t[1]}" for t in EDIT_TASKS],
+)
+def test_ground_matches_oracle_on_rule_edits(edit, problem_text):
+    assert_same_grounding(link(edit, parse_problem(problem_text)))
+
+
+# -- random small typed domains ------------------------------------------------
+
+TYPES = (ROOT_TYPE, "t1", "t2", "t3")
+_type_refs = st.one_of(
+    st.sampled_from(TYPES), st.lists(st.sampled_from(TYPES), min_size=2, max_size=2).map(tuple)
+)
+
+
+def _condition(draw, preds, terms, depth):
+    kinds = ["atom", "atom", "not", "eq"] + (["and", "or", "forall"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        name, arity = draw(st.sampled_from(preds))
+        return Atom(name, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+    if kind == "eq":
+        return Eq(draw(st.sampled_from(terms)), draw(st.sampled_from(terms)))
+    if kind == "not":
+        return Not(_condition(draw, preds, terms, depth + 1))
+    if kind == "forall":
+        variables = _variables(draw)
+        return Forall(variables, _condition(draw, preds, terms + [v.name for v in variables], depth + 1))
+    parts = tuple(
+        _condition(draw, preds, terms, depth + 1) for _ in range(draw(st.integers(0, 3)))
+    )
+    return And(parts) if kind == "and" else Or(parts)
+
+
+def _effect(draw, preds, fluents, terms, depth, in_when=False):
+    kinds = ["add", "add", "del"] + (["and", "forall"] if depth < 3 else [])
+    kinds += ["when"] if depth < 2 and not in_when else []
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("add", "del"):
+        name, arity = draw(st.sampled_from(fluents))
+        atom = Atom(name, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+        return atom if kind == "add" else Not(atom)
+    if kind == "forall":
+        variables = _variables(draw)
+        inner = terms + [v.name for v in variables]
+        return Forall(variables, _effect(draw, preds, fluents, inner, depth + 1, in_when))
+    if kind == "when":
+        return When(
+            _condition(draw, preds, terms, depth + 1),
+            _effect(draw, preds, fluents, terms, depth + 1, in_when=True),
+        )
+    return And(tuple(
+        _effect(draw, preds, fluents, terms, depth + 1, in_when) for _ in range(draw(st.integers(0, 3)))
+    ))
+
+
+def _variables(draw):
+    # Names may repeat a parameter's, which the forall then shadows.
+    names = draw(st.lists(st.sampled_from(["?a", "?b", "?f", "?g"]), min_size=1, max_size=2, unique=True))
+    return tuple(TypedName(name, draw(_type_refs)) for name in names)
+
+
+@st.composite
+def typed_tasks(draw):
+    types = (
+        TypedName("t1", ROOT_TYPE),
+        TypedName("t2", draw(st.sampled_from([ROOT_TYPE, "t1"]))),
+        TypedName("t3", draw(st.sampled_from([ROOT_TYPE, "t1", "t2"]))),
+    )
+    constants = tuple(TypedName(f"c{i}", draw(_type_refs)) for i in range(draw(st.integers(1, 2))))
+    objects = tuple(TypedName(f"o{i}", draw(_type_refs)) for i in range(draw(st.integers(0, 3))))
+    preds = [(f"p{i}", draw(st.integers(0, 2))) for i in range(draw(st.integers(2, 4)))]
+    # Predicates outside `fluents` are static: no effect mentions them.
+    fluents = draw(st.lists(st.sampled_from(preds), min_size=1, max_size=len(preds), unique=True))
+    actions = []
+    for index in range(draw(st.integers(1, 3))):
+        params = tuple(
+            TypedName(f"?{'abc'[i]}", draw(_type_refs)) for i in range(draw(st.integers(0, 3)))
+        )
+        terms = [p.name for p in params] + [c.name for c in constants]
+        if draw(st.booleans()):
+            parts = [_condition(draw, preds, terms, 1) for _ in range(draw(st.integers(0, 4)))]
+            pre = And(tuple(parts))
+        else:
+            pre = _condition(draw, preds, terms, 0)
+        effect = And(tuple(
+            _effect(draw, preds, fluents, terms, 1) for _ in range(draw(st.integers(1, 3)))
+        ))
+        actions.append(ActionSchema(f"act{index}", params, pre, effect))
+    domain = DomainAst(
+        name="random",
+        requirements=frozenset(),
+        types=types,
+        constants=constants,
+        predicates=tuple(
+            PredicateDecl(name, tuple(TypedName(f"?x{i}") for i in range(arity)))
+            for name, arity in preds
+        ),
+        actions=tuple(actions),
+    )
+    names = [c.name for c in constants] + [o.name for o in objects]
+    facts = [Atom(name, (a, b)[:arity]) for name, arity in preds for a in names for b in names]
+    init = frozenset(draw(st.lists(st.sampled_from(sorted(set(facts), key=str)), max_size=8)))
+    goal = _condition(draw, preds, names, 0)
+    problem = ProblemAst("random-problem", "random", objects, init, goal)
+    return LinkedTask(domain, problem)
+
+
+@given(typed_tasks())
+@settings(max_examples=200, deadline=None)
+def test_ground_matches_oracle_on_random_typed_domains(task):
+    assert_same_grounding(task)

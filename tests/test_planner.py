@@ -10,6 +10,7 @@ from axiomforge.pddl import Atom, link, parse_domain, parse_problem
 from axiomforge.planner import (
     GAnd,
     GAtom,
+    GFalse,
     GNot,
     GOr,
     GroundAction,
@@ -28,6 +29,7 @@ from axiomforge.planner import (
 )
 
 from oracle_bfs import oracle_plan, oracle_plan_length
+from test_pinned_plans import tower_reversal
 
 
 def _task(domain_text, problem_text):
@@ -272,6 +274,15 @@ def test_unsolvable_never_degrades_with_limits():
     assert isinstance(solve(task, SearchLimits(max_plan_length=200)), Unsolvable)
 
 
+def test_goal_folded_to_false_is_unsolvable_at_once():
+    # No action adds (on b1 b1) and init lacks it, so the goal grounds to
+    # false; the answer must not depend on how many states the cap allows.
+    problem = tower_reversal(8).replace("(:goal (and", "(:goal (and (on b1 b1)")
+    task = _task(corpus.load("blocksworld").domain_text, problem)
+    assert task.goal == GFalse()
+    assert solve(task, SearchLimits(max_expanded_states=1)) == Unsolvable()
+
+
 def test_wall_budget(monkeypatch, flagship_task):
     ticks = iter([0.0] + [100.0] * 50)
     monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
@@ -281,8 +292,8 @@ def test_wall_budget(monkeypatch, flagship_task):
 
 def test_successors_follow_action_index_order():
     # Both actions reach the goal in one step. a0 needs p1 and a1 needs p0,
-    # so an index keyed by the lowest precondition bit meets a1 first; the
-    # plan must still be the one a scan in action-index order finds.
+    # so an index that gathers its buckets from the lowest bit up meets a1
+    # first; the plan must still be the one a scan in action-index order finds.
     actions = (
         GroundAction("a0", (), GAtom(1), 0b100, 0b001, pre_masks=(0b010, 0)),
         GroundAction("a1", (), GAtom(0), 0b100, 0b010, pre_masks=(0b001, 0)),

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from axiomforge import corpus
 from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, print_canonical
-from axiomforge.planner import Plan, Unsolvable, ground, solve
+from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
 from axiomforge.proposer import (
     ProposalContext,
     ProposalOracle,
@@ -206,6 +207,20 @@ def test_grounding_explosion_becomes_infinite_score(blocksworld, flagship, block
     cand = evaluator.evaluate(blocksworld, print_canonical(blocksworld), Provenance(None, 0, "boom"))
     assert math.isinf(cand.score)
     assert not isinstance(cand.plan_result, Plan)
+
+
+def test_wide_rule_edit_ends_as_grounding_explosion(
+    blocksworld, flagship, blocksworld_regression, wide_blocksworld_text
+):
+    # Every binding visited counts against max_actions, so the default cap
+    # ends grounding long before the 3^16 bindings are enumerated.
+    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
+    domain, text = _read(wide_blocksworld_text)
+    started = time.monotonic()
+    cand = evaluator.evaluate(domain, text, Provenance(None, 1, "wide"))
+    assert time.monotonic() - started < 1.0
+    assert math.isinf(cand.score)
+    assert cand.plan_result == ResourceExceeded("grounding failed: GroundingExplosion")
 
 
 def test_zero_weights_order_equals_plan_length_order(zero_evaluator):
