@@ -48,16 +48,28 @@ def _levenshtein_bits(a: str, b: str) -> int:
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance (insert, delete, substitute)."""
+    if a == b:
+        return 0
     # Shared prefix/suffix never changes the distance; stripping it makes
-    # comparisons between near-identical rule sets close to free.
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    a, b = a[lo:hi_a], b[lo:hi_b]
+    # comparisons between near-identical rule sets close to free. Both are
+    # found by binary search over slice equality, which compares in C.
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:  # a[:lo] == b[:lo]; no common prefix is longer than hi
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    prefix = lo
+    lo, hi = 0, min(len(a), len(b)) - prefix
+    end_a, end_b = len(a), len(b)
+    while lo < hi:  # the same search for the suffix, within what is left
+        mid = (lo + hi + 1) // 2
+        if a[end_a - mid : end_a - lo] == b[end_b - mid : end_b - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    a, b = a[prefix : end_a - lo], b[prefix : end_b - lo]
     if not a:
         return len(b)
     if not b:
@@ -155,6 +167,29 @@ def query_budget(n: int) -> int:
     return n * math.ceil(math.log2(n)) if n > 1 else 0
 
 
+def _merge_sort(items: list, closer) -> list:
+    # Module-level, not a closure in semantic_rank: a recursive closure is a
+    # reference cycle that keeps the oracle and the texts until the cyclic
+    # collector runs.
+    if len(items) <= 1:
+        return items
+    mid = len(items) // 2
+    left = _merge_sort(items[:mid], closer)
+    right = _merge_sort(items[mid:], closer)
+    merged = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if closer(left[i], right[j]):
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged
+
+
 def semantic_rank(reference: str, candidates: list, oracle: DistanceOracle) -> RankedList:
     """Merge sort whose comparator is one oracle query per pair."""
     if not candidates:
@@ -166,26 +201,7 @@ def semantic_rank(reference: str, candidates: list, oracle: DistanceOracle) -> R
         queries += 1
         return oracle.query(reference, a, b) is Choice.A
 
-    def sort(items: list) -> list:
-        if len(items) <= 1:
-            return items
-        mid = len(items) // 2
-        left = sort(items[:mid])
-        right = sort(items[mid:])
-        merged = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if closer(left[i], right[j]):
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged
-
-    ranked = sort(list(candidates))
+    ranked = _merge_sort(list(candidates), closer)
     return RankedList(tuple(ranked), queries)
 
 

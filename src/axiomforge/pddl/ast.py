@@ -140,10 +140,13 @@ class DomainAst:
             visit(c.type)
         return known
 
-    def is_subtype(self, sub: str, sup: str) -> bool:
+    def is_subtype(self, sub: str, sup: str, parents: dict | None = None) -> bool:
+        """`parents` is this domain's `parent_types()`, for a caller that
+        asks many questions and builds the map once."""
         if sup == ROOT_TYPE or sub == sup:
             return True
-        parents = self.parent_types()
+        if parents is None:
+            parents = self.parent_types()
         seen = set()
         cur: str | None = sub
         while cur is not None and cur not in seen:
@@ -153,11 +156,12 @@ class DomainAst:
             cur = parents.get(cur)
         return False
 
-    def matches_type(self, sub: str, target: TypeRef) -> bool:
-        """True if an object of type `sub` fits a slot typed `target`."""
+    def matches_type(self, sub: str, target: TypeRef, parents: dict | None = None) -> bool:
+        """True if an object of type `sub` fits a slot typed `target`;
+        `parents` as for `is_subtype`."""
         if isinstance(target, tuple):
-            return any(self.is_subtype(sub, t) for t in target)
-        return self.is_subtype(sub, target)
+            return any(self.is_subtype(sub, t, parents) for t in target)
+        return self.is_subtype(sub, target, parents)
 
 
 @dataclass(frozen=True)

@@ -504,6 +504,7 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
         b.fail_if_dirty()
 
     known_types = domain.known_types()
+    parents = domain.parent_types()
     term_types: dict[str, str] = {}
     for c in domain.constants:
         term_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
@@ -532,7 +533,7 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
             argt = term_types.get(arg)
             if argt is None:
                 b.diag(E.UNDECLARED_OBJECT, f"'{arg}' in {where} is not a declared object")
-            elif not domain.matches_type(argt, param.type):
+            elif not domain.matches_type(argt, param.type, parents):
                 b.diag(
                     E.TYPE_ERROR,
                     f"'{arg}' has type '{argt}' but '{atom.name}' expects '{_type_str(param.type)}'",
@@ -541,21 +542,20 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
     for atom in sorted(problem.init, key=str):
         check_atom(atom, "init")
 
-    def walk_goal(f: Formula) -> None:
+    # An explicit stack, in the order a recursive walk visits: a recursive
+    # closure would be a reference cycle left to the cyclic collector.
+    stack: list[Formula] = [problem.goal]
+    while stack:
+        f = stack.pop()
         if isinstance(f, Atom):
             check_atom(f, "goal")
         elif isinstance(f, Eq):
             for term in (f.left, f.right):
                 if not term.startswith("?") and term not in term_types:
                     b.diag(E.UNDECLARED_OBJECT, f"'{term}' in goal is not a declared object")
-        elif isinstance(f, Not):
-            walk_goal(f.body)
+        elif isinstance(f, (Not, Forall)):
+            stack.append(f.body)
         elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk_goal(part)
-        elif isinstance(f, Forall):
-            walk_goal(f.body)
-
-    walk_goal(problem.goal)
+            stack.extend(reversed(f.parts))
     b.fail_if_dirty()
     return LinkedTask(domain, problem)

@@ -274,6 +274,7 @@ class _Grounder:
         for o in self.problem.objects:
             self.object_types[o.name] = o.type if isinstance(o.type, str) else ROOT_TYPE
         self.pools: dict = {}
+        self.parents = self.domain.parent_types()
 
         touched: set = set()
         for action in self.domain.actions:
@@ -288,7 +289,8 @@ class _Grounder:
     def _pool(self, tref) -> tuple:
         pool = self.pools.get(tref)
         if pool is None:
-            pool = tuple(o for o, t in self.object_types.items() if self.domain.matches_type(t, tref))
+            matches = self.domain.matches_type
+            pool = tuple(o for o, t in self.object_types.items() if matches(t, tref, self.parents))
             self.pools[tref] = pool
         return pool
 

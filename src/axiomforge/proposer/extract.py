@@ -16,6 +16,11 @@ class ExtractionResult:
     dropped: int
 
 
+def fenced_blocks(raw_response: str) -> list[str]:
+    """The text inside every fenced block of a reply, in order; unparsed."""
+    return _FENCE.findall(raw_response)
+
+
 def extract_candidates(raw_response: str) -> ExtractionResult:
     """Parse every fenced block as a domain; never raises on garbage input.
 
@@ -25,9 +30,9 @@ def extract_candidates(raw_response: str) -> ExtractionResult:
     """
     domains: list[DomainAst] = []
     dropped = 0
-    for match in _FENCE.finditer(raw_response):
+    for block in fenced_blocks(raw_response):
         try:
-            domains.append(parse_domain(match.group(1)))
+            domains.append(parse_domain(block))
         except PddlError:
             dropped += 1
     return ExtractionResult(tuple(domains), dropped)

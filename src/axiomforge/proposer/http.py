@@ -1,14 +1,17 @@
 """Chat-completion HTTP client plus the oracles backed by it.
 
 The wire format is the common one: POST {base_url}/chat/completions with
-bearer auth, fields `model`, `messages`, `temperature`, `n`; proposals are
-read from `choices[*].message.content`. Any compatible provider or local
-stub works via AXIOMFORGE_BASE_URL. `requests` is imported on the first
-request, not when the package loads.
+bearer auth and a JSON body with fields `model`, `messages`, `temperature`,
+`n`; proposals are read from `choices[*].message.content`. Any compatible
+provider or local stub works via AXIOMFORGE_BASE_URL. Requests go through
+the standard library's `urllib.request`, imported on the first request, not
+when the package loads; HTTPS verifies against the system trust store, which
+`SSL_CERT_FILE` overrides.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from ..distance import Choice, DistanceOracle, OracleUnavailable
 from ..pddl import print_canonical
 from .context import ProposalContext
-from .extract import extract_candidates
+from .extract import extract_candidates, fenced_blocks
 from .oracles import ProposalOracle
 from .prompts import (
     SYSTEM_PROMPT,
@@ -68,25 +71,47 @@ class OracleClientConfig:
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float):
-    import requests
+    """POST `payload` as JSON; (status, decoded body). An error status is a
+    reply like any other, and a body that is not JSON reads as {}."""
+    import urllib.parse
+    import urllib.request
+    from urllib.error import HTTPError
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout_s)
+    # urllib would also open file: and ftp: URLs; a misspelt base URL is a
+    # configuration error, not something to retry.
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise OracleUnavailable(f"oracle URL must start with http:// or https://: {url!r}")
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode(),
+        headers={**headers, "Content-Type": "application/json"},
+        method="POST",
+    )
     try:
-        body = resp.json()
+        with urllib.request.urlopen(request, timeout=timeout_s) as resp:
+            status, raw = resp.status, resp.read()
+    except HTTPError as err:
+        with err:
+            status, raw = err.code, err.read()
+    try:
+        body = json.loads(raw)
     except ValueError:
         body = {}
-    return resp.status_code, body
+    return status, body
 
 
 class HttpChatClient:
     """Minimal chat-completion client with retry and exponential backoff.
 
     `transport` is injectable for tests: a callable of (url, headers,
-    payload, timeout_s) returning (status_code, body). Transport errors,
-    429 and 5xx responses are retried up to cfg.max_retries with
-    exponential backoff; 401/403 raise AuthError immediately. `complete`
-    returns one string per choice: a body without a list of choices gives
-    [], and a choice without string content gives "".
+    payload, timeout_s) returning (status_code, body); the default sends a
+    JSON POST through `urllib.request`. Transport errors (an `OSError`,
+    which covers refused connections, timeouts and TLS failures, or an
+    `http.client.HTTPException` such as a truncated reply), 429 and 5xx
+    responses are retried up to cfg.max_retries with exponential backoff;
+    401/403 raise AuthError immediately. `complete` returns one string per
+    choice: a body without a list of choices gives [], and a choice without
+    string content gives "".
     """
 
     def __init__(self, cfg: OracleClientConfig, transport=None):
@@ -95,7 +120,7 @@ class HttpChatClient:
         self.transport_calls = 0
 
     def complete(self, system: str, user: str, n: int = 1) -> list:
-        import requests
+        import http.client  # not at load time, which would slow every command's start
 
         api_key = os.environ.get(self.cfg.api_key_env_var)
         if not api_key:
@@ -120,7 +145,7 @@ class HttpChatClient:
             self.transport_calls += 1
             try:
                 status, body = self.transport(url, headers, payload, self.cfg.timeout_ms / 1000.0)
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
                 continue
             if status in (401, 403):
@@ -159,15 +184,14 @@ class HttpProposalOracle(ProposalOracle):
         return self.client.transport_calls
 
     def propose(self, ctx: ProposalContext, k: int) -> list:
-        """Every decode's blocks pooled and deduplicated in order; the cut to
-        k happens after link filtering, so duplicates and unlinkable blocks
-        cannot crowd out valid ones."""
+        """The raw text of every decode's fenced blocks, pooled and
+        deduplicated in order. Nothing is parsed here: the run's intake reads
+        each distinct block once, and the cut to k happens after link
+        filtering, so duplicates and unlinkable blocks cannot crowd out
+        valid ones."""
         self.calls += 1
         contents = self.client.complete(SYSTEM_PROMPT, build_prompt(ctx), n=self.client.cfg.samples)
-        texts = []
-        for content in contents:
-            texts.extend(print_canonical(d) for d in extract_candidates(content).domains)
-        return list(dict.fromkeys(texts))
+        return list(dict.fromkeys(block for content in contents for block in fenced_blocks(content)))
 
     def _one_block(self, prompt: str, fallback: str) -> str:
         contents = self.client.complete(SYSTEM_PROMPT, prompt, n=1)

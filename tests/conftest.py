@@ -20,6 +20,7 @@ class StubChatServer:
         self.base_url = ""
 
     def push(self, status, body):
+        """Queue one reply; `body` is sent as JSON, or as-is when bytes."""
         self.responses.append((status, body))
 
     @staticmethod
@@ -36,7 +37,7 @@ def stub_server():
             length = int(self.headers.get("Content-Length", 0))
             state.requests.append(json.loads(self.rfile.read(length)))
             status, body = state.responses.pop(0) if state.responses else (200, {})
-            payload = json.dumps(body).encode()
+            payload = body if isinstance(body, bytes) else json.dumps(body).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))

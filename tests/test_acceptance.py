@@ -6,10 +6,10 @@ in the captured output section); a failed assert marks the criterion red.
 
 import math
 import random
+import socket
 import time
 
 import pytest
-import requests
 
 from axiomforge import corpus
 from axiomforge.cli import main
@@ -317,15 +317,21 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     assert len(stub_server.requests) - requests_before == 3
     assert sleeps == [0.5, 1.0]
 
-    # Scripted mode performs zero network operations.
-    transport_calls = {"n": 0}
+    # Scripted mode performs zero network operations. Every socket connect
+    # is counted and refused; the HTTP oracle shows that the counter sees
+    # its connects, then a scripted evolve must make none.
+    connects = {"n": 0}
 
-    def counting_post(*args, **kwargs):
-        transport_calls["n"] += 1
-        raise AssertionError("network touched in scripted mode")
+    def refuse(*args, **kwargs):
+        connects["n"] += 1
+        raise ConnectionRefusedError("network disabled in this test")
 
-    monkeypatch.setattr(requests, "post", counting_post)
-    monkeypatch.setattr(requests, "request", counting_post)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    with pytest.raises(OracleUnavailable):
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem))
+    assert connects["n"] == 3
+    connects["n"] = 0
     argv = [
         "evolve", "corpus:blocksworld", "corpus:blocksworld:restack",
         "--algo", "beam", "--target-len", "4", "--oracle", "scripted",
@@ -333,9 +339,9 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    assert transport_calls["n"] == 0
+    assert connects["n"] == 0
     with capsys.disabled():
-        _report(8, "stub extraction exact, 500-retry backoff [0.5, 1.0]s, scripted transport calls = 0")
+        _report(8, "stub extraction exact, 500-retry backoff [0.5, 1.0]s, scripted socket connects = 0")
 
 
 def test_criterion_9_trajectory_replay_and_export(capsys, tmp_path):

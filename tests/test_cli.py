@@ -1,12 +1,12 @@
 import functools
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-import requests
 
 import axiomforge
 from axiomforge import cli, corpus, planner
@@ -125,17 +125,21 @@ def test_evolve_stdout_deterministic(capsys):
 
 
 def test_evolve_scripted_makes_no_network_calls(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise AssertionError("network touched in scripted mode")
+    connects = []
 
-    monkeypatch.setattr(requests, "post", explode)
-    monkeypatch.setattr(requests, "request", explode)
+    def refuse(*args, **kwargs):
+        connects.append(args)
+        raise ConnectionRefusedError("network disabled in this test")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
     code, out, _ = run_cli(
         capsys,
         "evolve", "corpus:blocksworld", "corpus:blocksworld:restack",
         "--algo", "beam", "--target-len", "4", "--oracle", "scripted", "--seed", "1",
     )
     assert code == 0 and "success: true" in out
+    assert connects == []
 
 
 def test_rank_by_levenshtein(capsys, tmp_path):
@@ -333,7 +337,7 @@ def test_missing_file_exits_three(capsys):
     assert "io failure" in err
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy"])
+@pytest.mark.parametrize("module", ["requests", "numpy", "urllib.request", "http.client", "ssl"])
 def test_cli_import_leaves_module_unloaded(module):
     paths = [str(Path(axiomforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -131,6 +132,18 @@ def test_identical_candidate_ranks_first(mutation_set):
     pool = [reference] + candidates[:5]
     ranked = semantic_rank(reference, pool, LevenshteinMockOracle())
     assert ranked.items[0] == reference
+
+
+def test_semantic_rank_leaves_no_cyclic_garbage(mutation_set):
+    reference, candidates = mutation_set
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            semantic_rank(reference, candidates, LevenshteinMockOracle())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_empty_candidates_rejected():

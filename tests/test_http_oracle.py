@@ -1,8 +1,11 @@
+import http.client
+import sys
 import time
 
 import pytest
-import requests
 
+import axiomforge.proposer.extract
+from axiomforge.corpus import variants
 from axiomforge.distance import Choice, OracleUnavailable
 from axiomforge.proposer import (
     AuthError,
@@ -13,6 +16,7 @@ from axiomforge.proposer import (
     OracleClientConfig,
     ProposalContext,
 )
+from axiomforge.search import SearchConfig, run_search
 from axiomforge.search.common import propose_domains
 from conftest import StubChatServer
 
@@ -160,13 +164,72 @@ def test_transport_exception_retries(monkeypatch, api_key, no_sleep):
 
     def failing_transport(url, headers, payload, timeout):
         calls["n"] += 1
-        raise requests.ConnectionError("refused")
+        raise ConnectionError("refused")
 
     client = HttpChatClient(OracleClientConfig(max_retries=1), transport=failing_transport)
     with pytest.raises(OracleUnavailable):
         client.complete("sys", "user")
     assert calls["n"] == 2
     assert client.transport_calls == 2
+
+
+def test_truncated_reply_is_retried(api_key, no_sleep):
+    replies = [http.client.IncompleteRead(b"{\"choi"), (200, _chat_body("B"))]
+
+    def truncating_transport(url, headers, payload, timeout):
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    client = HttpChatClient(OracleClientConfig(max_retries=1), transport=truncating_transport)
+    assert client.complete("sys", "user") == ["B"]
+    assert client.transport_calls == 2
+    assert no_sleep == [0.5]
+
+
+def test_default_transport_needs_no_requests(stub_server, api_key, no_sleep, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` now fails
+    stub_server.push(500, {})
+    stub_server.push(200, _chat_body("A", "B"))
+    assert HttpChatClient(_cfg(stub_server)).complete("sys", "user", n=2) == ["A", "B"]
+    assert [sent["n"] for sent in stub_server.requests] == [2, 2]
+    assert no_sleep == [0.5]
+
+
+def test_non_json_bodies_read_as_empty(stub_server, api_key, no_sleep):
+    stub_server.push(503, b"<html>busy</html>")
+    stub_server.push(200, b"not json")
+    assert HttpChatClient(_cfg(stub_server)).complete("sys", "user") == []
+    assert len(stub_server.requests) == 2
+    assert no_sleep == [0.5]
+
+
+@pytest.mark.parametrize("base_url", ["file:///etc", "ftp://127.0.0.1/v1", "localhost:8080/v1"])
+def test_base_url_must_be_http(api_key, no_sleep, base_url):
+    client = HttpChatClient(OracleClientConfig(base_url=base_url))
+    with pytest.raises(OracleUnavailable, match="http:// or https://"):
+        client.complete("sys", "user")
+    assert client.transport_calls == 1
+    assert no_sleep == []
+
+
+def test_repeated_block_is_parsed_once(
+    stub_server, api_key, monkeypatch, blocksworld, flagship, blocksworld_regression
+):
+    parsed = []
+    parse = axiomforge.proposer.extract.parse_domain
+    monkeypatch.setattr(
+        axiomforge.proposer.extract, "parse_domain", lambda text: parsed.append(text) or parse(text)
+    )
+    block = f"```pddl\n{variants.MID_EXTRACT}```\n"
+    stub_server.push(200, _chat_body(block * 2, block))
+    cfg = SearchConfig(algorithm="beam", target_length=4, seed=1)
+    oracle = HttpProposalOracle(_cfg(stub_server, samples=2))
+    result = run_search(cfg, blocksworld, flagship, blocksworld_regression, oracle)
+    assert result.success and result.best.plan_length == 4
+    assert len(stub_server.requests) == 1
+    assert len(parsed) == 1
 
 
 def test_distance_oracle_parses_choice(stub_server, api_key):

@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from axiomforge import corpus
-from axiomforge.pddl import LinkedTask, PddlError, link, parse_domain, parse_problem
+from axiomforge.pddl import DomainAst, LinkedTask, PddlError, link, parse_domain, parse_problem
+from axiomforge.planner import ground
 
 
 def _codes(err):
@@ -12,6 +15,43 @@ def test_link_flagship(blocksworld, flagship):
     task = link(blocksworld, flagship)
     assert isinstance(task, LinkedTask)
     assert task.domain is blocksworld and task.problem is flagship
+
+
+@pytest.mark.parametrize("name", ["blocksworld", "casino", "logistics"])
+def test_link_leaves_no_cyclic_garbage(name):
+    entry = corpus.load(name)
+    domain, problem = parse_domain(entry.domain_text), parse_problem(entry.flagship.text)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            link(domain, problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_goal_diagnostics_follow_goal_order(blocksworld):
+    problem = parse_problem(
+        "(define (problem p) (:domain blocksworld) (:objects a)"
+        " (:init) (:goal (and (on a zz) (not (clear yy)) (or (= xx a) (holding ww)))))"
+    )
+    with pytest.raises(PddlError) as err:
+        link(blocksworld, problem)
+    assert [d.message.split("'")[1] for d in err.value.diagnostics] == ["zz", "yy", "xx", "ww"]
+
+
+@pytest.mark.parametrize("name", ["casino", "logistics"])
+def test_type_map_is_built_once_per_link_and_ground(monkeypatch, name):
+    entry = corpus.load(name)
+    domain, problem = parse_domain(entry.domain_text), parse_problem(entry.flagship.text)
+    builds = []
+    parent_types = DomainAst.parent_types
+    monkeypatch.setattr(DomainAst, "parent_types", lambda self: builds.append(1) or parent_types(self))
+    task = link(domain, problem)
+    assert len(builds) == 1
+    assert ground(task).actions
+    assert len(builds) == 2
 
 
 def test_domain_name_mismatch():
