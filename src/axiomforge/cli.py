@@ -48,7 +48,7 @@ from .proposer import (
     OracleClientConfig,
     builtin_script,
 )
-from .search import ObjectiveWeights, SearchConfig, run_search
+from .search import ALGORITHMS, ObjectiveWeights, SearchConfig, run_search
 from .trajectory import MalformedTrajectory, export as export_runs
 
 EXIT_OK = 0
@@ -251,8 +251,8 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK if result.success else EXIT_LOGIC
 
 
-def _canonical_of(path: str) -> str:
-    return print_canonical(parse_domain(Path(path).read_text(encoding="utf-8")))
+def _canonical_of(spec: str) -> str:
+    return print_canonical(parse_domain(_read_text(spec, "domain")))
 
 
 def _cmd_rank(args) -> int:
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="search for rule edits reaching a target length")
     p.add_argument("domain")
     p.add_argument("problem")
-    p.add_argument("--algo", choices=("bfs", "mcts", "genetic", "beam"), default="beam")
+    p.add_argument("--algo", choices=ALGORITHMS, default="beam")
     p.add_argument("--target-len", type=_in_range(int, 0), required=True)
     p.add_argument("--beam-width", type=_in_range(int, 1), default=8)
     p.add_argument("--seed", type=int, default=0)

@@ -106,12 +106,9 @@ class DistanceOracle(ABC):
         self._cache: dict = {}
 
     @abstractmethod
-    def _sample(self, reference: str, a: str, b: str) -> Choice:
-        """One raw comparison; implementations count their own transport."""
-
     def _samples(self, reference: str, a: str, b: str, n: int) -> list[Choice]:
-        """n raw comparisons in one batch; by default n calls of `_sample`."""
-        return [self._sample(reference, a, b) for _ in range(n)]
+        """n raw comparisons in one batch; implementations count their own
+        transport."""
 
     def query(self, reference: str, a: str, b: str) -> Choice:
         flipped = a > b
@@ -149,11 +146,13 @@ class LevenshteinMockOracle(DistanceOracle):
         super().__init__(samples_per_query)
         self.transport_calls = 0
 
-    def _sample(self, reference: str, a: str, b: str) -> Choice:
-        self.transport_calls += 1
+    def _samples(self, reference: str, a: str, b: str, n: int) -> list[Choice]:
+        """Every vote agrees, so one comparison answers all n; each still
+        counts as a transport call."""
+        self.transport_calls += n
         ka = (levenshtein(reference, a), a)
         kb = (levenshtein(reference, b), b)
-        return Choice.A if ka <= kb else Choice.B
+        return [Choice.A if ka <= kb else Choice.B] * n
 
 
 @dataclass(frozen=True)

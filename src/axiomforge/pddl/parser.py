@@ -16,7 +16,7 @@ Grammar notes enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import errors as E
 from .ast import (
@@ -136,18 +136,6 @@ class _FormulaCtx:
     owner: str  # action or problem name, for messages
     in_when: bool = False
 
-    def with_bound(self, extra) -> "_FormulaCtx":
-        return _FormulaCtx(
-            self.b, self.kind, self.predicates, self.constants,
-            self.bound | frozenset(extra), self.owner, self.in_when,
-        )
-
-    def inside_when(self) -> "_FormulaCtx":
-        return _FormulaCtx(
-            self.b, self.kind, self.predicates, self.constants,
-            self.bound, self.owner, True,
-        )
-
 
 def _check_term(ctx: _FormulaCtx, name: str, node: SNode) -> None:
     if name.startswith("?"):
@@ -225,7 +213,7 @@ def _formula(ctx: _FormulaCtx, node: SNode) -> Formula:
             ctx.b.diag(E.SYNTAX, "'forall' takes (vars) and one body formula", node)
             return And()
         vars_ = _typed_names(ctx.b, node.items[1].items, variables=True, where="forall")
-        inner = ctx.with_bound(v.name for v in vars_)
+        inner = replace(ctx, bound=ctx.bound | frozenset(v.name for v in vars_))
         return Forall(vars_, _formula(inner, node.items[2]))
 
     if head == "when":
@@ -238,10 +226,10 @@ def _formula(ctx: _FormulaCtx, node: SNode) -> Formula:
         if len(node.items) != 3:
             ctx.b.diag(E.SYNTAX, "'when' takes a condition and an effect", node)
             return And()
-        cond_ctx = _FormulaCtx(
-            ctx.b, "pre", ctx.predicates, ctx.constants, ctx.bound, ctx.owner
+        return When(
+            _formula(replace(ctx, kind="pre"), node.items[1]),
+            _formula(replace(ctx, in_when=True), node.items[2]),
         )
-        return When(_formula(cond_ctx, node.items[1]), _formula(ctx.inside_when(), node.items[2]))
 
     if head == "=":
         if ctx.kind == "eff":
@@ -266,13 +254,12 @@ def _formula(ctx: _FormulaCtx, node: SNode) -> Formula:
     return _atom(ctx, node)
 
 
-# -- domains ------------------------------------------------------------------
+# -- documents ----------------------------------------------------------------
 
 
-def parse_domain(text: str) -> DomainAst:
-    """Parse a domain; raises PddlError carrying all collected diagnostics."""
-    b = _Builder()
-    root = read_one(text)
+def _header(b: _Builder, root: SNode, kind: str) -> tuple:
+    """NAME and the sections of `(define (KIND NAME) ...)`; raises on any
+    other shape."""
     items = root.items if isinstance(root, SList) else ()
     if (
         len(items) < 2
@@ -281,12 +268,47 @@ def parse_domain(text: str) -> DomainAst:
         or not isinstance(items[1], SList)
         or len(items[1].items) != 2
         or not isinstance(items[1].items[0], SAtom)
-        or items[1].items[0].text != "domain"
+        or items[1].items[0].text != kind
         or not isinstance(items[1].items[1], SAtom)
     ):
-        b.diag(E.SYNTAX, "expected (define (domain NAME) ...)", root)
+        b.diag(E.SYNTAX, f"expected (define ({kind} NAME) ...)", root)
         b.fail_if_dirty()
-    name = items[1].items[1].text
+    return items[1].items[1].text, items[2:]
+
+
+def _sections(b: _Builder, sections: tuple):
+    """(head, section) for each `(:head ...)` form, in order. A malformed
+    form is reported when the walk reaches it, so diagnostics keep document
+    order."""
+    for section in sections:
+        if not isinstance(section, SList) or not section.items or not isinstance(section.items[0], SAtom):
+            b.diag(E.SYNTAX, "expected a (:section ...) form", section)
+            continue
+        yield section.items[0].text, section
+
+
+def _requirements(b: _Builder, section: SList) -> list[str]:
+    """The supported flags of a `(:requirements ...)` section; others are
+    reported."""
+    flags = []
+    for item in section.items[1:]:
+        flag = _expect_atom(b, item, "requirement flag")
+        if flag is None:
+            continue
+        if flag not in SUPPORTED_REQUIREMENTS:
+            b.diag(E.UNSUPPORTED, f"requirement '{flag}' is not supported", item)
+        else:
+            flags.append(flag)
+    return flags
+
+
+# -- domains ------------------------------------------------------------------
+
+
+def parse_domain(text: str) -> DomainAst:
+    """Parse a domain; raises PddlError carrying all collected diagnostics."""
+    b = _Builder()
+    name, sections = _header(b, read_one(text), "domain")
 
     requirements: list[str] = []
     types: tuple = ()
@@ -294,20 +316,9 @@ def parse_domain(text: str) -> DomainAst:
     predicates: list[PredicateDecl] = []
     action_nodes: list[SList] = []
 
-    for section in items[2:]:
-        if not isinstance(section, SList) or not section.items or not isinstance(section.items[0], SAtom):
-            b.diag(E.SYNTAX, "expected a (:section ...) form", section)
-            continue
-        head = section.items[0].text
+    for head, section in _sections(b, sections):
         if head == ":requirements":
-            for item in section.items[1:]:
-                flag = _expect_atom(b, item, "requirement flag")
-                if flag is None:
-                    continue
-                if flag not in SUPPORTED_REQUIREMENTS:
-                    b.diag(E.UNSUPPORTED, f"requirement '{flag}' is not supported", item)
-                else:
-                    requirements.append(flag)
+            requirements += _requirements(b, section)
         elif head == ":types":
             types = _typed_names(b, section.items[1:], variables=False, where=":types")
         elif head == ":constants":
@@ -405,41 +416,21 @@ def parse_problem(text: str) -> ProblemAst:
     """Parse a problem; cross-checks against a domain happen in `link`."""
     b = _Builder()
     root = read_one(text)
-    items = root.items if isinstance(root, SList) else ()
-    if (
-        len(items) < 2
-        or not isinstance(items[0], SAtom)
-        or items[0].text != "define"
-        or not isinstance(items[1], SList)
-        or len(items[1].items) != 2
-        or not isinstance(items[1].items[0], SAtom)
-        or items[1].items[0].text != "problem"
-        or not isinstance(items[1].items[1], SAtom)
-    ):
-        b.diag(E.SYNTAX, "expected (define (problem NAME) ...)", root)
-        b.fail_if_dirty()
-    name = items[1].items[1].text
+    name, sections = _header(b, root, "problem")
 
     domain_name = ""
     objects: tuple = ()
     init: list[Atom] = []
     goal: Formula | None = None
 
-    for section in items[2:]:
-        if not isinstance(section, SList) or not section.items or not isinstance(section.items[0], SAtom):
-            b.diag(E.SYNTAX, "expected a (:section ...) form", section)
-            continue
-        head = section.items[0].text
+    for head, section in _sections(b, sections):
         if head == ":domain":
             if len(section.items) == 2 and isinstance(section.items[1], SAtom):
                 domain_name = section.items[1].text
             else:
                 b.diag(E.SYNTAX, "expected (:domain NAME)", section)
         elif head == ":requirements":
-            for item in section.items[1:]:
-                flag = _expect_atom(b, item, "requirement flag")
-                if flag is not None and flag not in SUPPORTED_REQUIREMENTS:
-                    b.diag(E.UNSUPPORTED, f"requirement '{flag}' is not supported", item)
+            _requirements(b, section)
         elif head == ":objects":
             objects = _typed_names(b, section.items[1:], variables=False, where=":objects")
             seen = set()

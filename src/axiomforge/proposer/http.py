@@ -17,9 +17,8 @@ import time
 from dataclasses import dataclass
 
 from ..distance import Choice, DistanceOracle, OracleUnavailable
-from ..pddl import print_canonical
 from .context import ProposalContext
-from .extract import extract_candidates, fenced_blocks
+from .extract import fenced_blocks
 from .oracles import ProposalOracle
 from .prompts import (
     SYSTEM_PROMPT,
@@ -48,8 +47,6 @@ class AuthError(Exception):
 class OracleClientConfig:
     base_url: str = DEFAULT_BASE_URL
     model: str = DEFAULT_MODEL
-    api_key_env_var: str = API_KEY_ENV_VAR
-    temperature: float = 1.0
     samples: int = 16
     timeout_ms: int = 30_000
     max_retries: int = 3
@@ -122,11 +119,9 @@ class HttpChatClient:
     def complete(self, system: str, user: str, n: int = 1) -> list:
         import http.client  # not at load time, which would slow every command's start
 
-        api_key = os.environ.get(self.cfg.api_key_env_var)
+        api_key = os.environ.get(API_KEY_ENV_VAR)
         if not api_key:
-            raise AuthError(
-                f"set {self.cfg.api_key_env_var} before using the HTTP oracle"
-            )
+            raise AuthError(f"set {API_KEY_ENV_VAR} before using the HTTP oracle")
         url = self.cfg.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {api_key}"}
         payload = {
@@ -135,7 +130,7 @@ class HttpChatClient:
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ],
-            "temperature": self.cfg.temperature,
+            "temperature": 1.0,
             "n": n,
         }
         last_error = "no attempt made"
@@ -194,12 +189,11 @@ class HttpProposalOracle(ProposalOracle):
         return list(dict.fromkeys(block for content in contents for block in fenced_blocks(content)))
 
     def _one_block(self, prompt: str, fallback: str) -> str:
+        """The raw text of the reply's first fenced block, or `fallback`
+        when there is none. Unparsed: the run's intake reads it, and a
+        block that does not parse or link falls back to parent A there."""
         contents = self.client.complete(SYSTEM_PROMPT, prompt, n=1)
-        for content in contents:
-            result = extract_candidates(content)
-            if result.domains:
-                return print_canonical(result.domains[0])
-        return fallback
+        return next((block for content in contents for block in fenced_blocks(content)), fallback)
 
     def crossover(self, ctx: ProposalContext, parent_a: str, parent_b: str) -> str:
         self.calls += 1
@@ -225,9 +219,6 @@ class HttpDistanceOracle(DistanceOracle):
     @property
     def transport_calls(self) -> int:
         return self.client.transport_calls
-
-    def _sample(self, reference: str, a: str, b: str) -> Choice:
-        return self._samples(reference, a, b, 1)[0]
 
     def _samples(self, reference: str, a: str, b: str, n: int) -> list[Choice]:
         prompt = comparison_prompt(reference, a, b)

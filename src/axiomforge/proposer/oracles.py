@@ -50,15 +50,13 @@ class ScriptedOracle(ProposalOracle):
     """Replays canned domain texts; fully deterministic, no network.
 
     The first entry whose trigger accepts the context supplies the
-    responses. Crossover defaults to returning parent A and mutation to the
-    identity, keeping genetic runs reproducible.
+    responses. Crossover returns parent A and mutation is the identity,
+    keeping genetic runs reproducible.
     """
 
-    def __init__(self, entries, crossover_fn=None, mutate_fn=None):
+    def __init__(self, entries):
         super().__init__()
         self.entries = tuple(entries)
-        self._crossover_fn = crossover_fn
-        self._mutate_fn = mutate_fn
 
     def propose(self, ctx: ProposalContext, k: int) -> list:
         self.calls += 1
@@ -69,14 +67,10 @@ class ScriptedOracle(ProposalOracle):
 
     def crossover(self, ctx: ProposalContext, parent_a: str, parent_b: str) -> str:
         self.calls += 1
-        if self._crossover_fn is not None:
-            return self._crossover_fn(ctx, parent_a, parent_b)
         return parent_a
 
     def mutate(self, ctx: ProposalContext, candidate: str) -> str:
         self.calls += 1
-        if self._mutate_fn is not None:
-            return self._mutate_fn(ctx, candidate)
         return candidate
 
 

@@ -11,8 +11,6 @@ from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
 
-ROLLOUT_CHAIN_LENGTH = 1
-
 
 def ucb1(mean_reward: float, node_visits: int, parent_visits: int, c: float) -> float:
     """Unvisited nodes sort first; otherwise mean + c*sqrt(ln(parent)/visits)."""
@@ -99,14 +97,11 @@ def mcts_search(
                 path.append(node)
 
         value = reward(node.cand)
-        rollout_cand = node.cand
-        for _ in range(ROLLOUT_CHAIN_LENGTH):
-            proposals = run.propose(rollout_cand)
-            if not proposals:
-                break
+        proposals = run.propose(node.cand)
+        if proposals:
             domain, text = proposals[rng.randrange(len(proposals))]
             provenance = Provenance(
-                rollout_cand.step_id, iteration, f"rollout from step {rollout_cand.step_id}"
+                node.cand.step_id, iteration, f"rollout from step {node.cand.step_id}"
             )
             rollout_cand = run.evaluate(domain, text, provenance, "mcts-rollout")
             if found is None and run.reached(rollout_cand):

@@ -177,6 +177,17 @@ def test_rank_semantic_mock(capsys, tmp_path):
     assert payload["oracle_queries"] >= 1
 
 
+def test_rank_reads_corpus_references(capsys):
+    code, out, _ = run_cli(
+        capsys, "rank", "corpus:blocksworld", "corpus:hanoi", "corpus:gripper",
+        "--metric", "hybrid", "--oracle", "mock", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["ranking"] == ["corpus:gripper", "corpus:hanoi"]
+    assert payload["oracle_queries"] == 1
+
+
 def test_corpus_dump_and_list(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "corpus", "list")
     assert code == 0

@@ -175,12 +175,13 @@ def test_majority_vote_tie_breaks_by_levenshtein():
             super().__init__(samples_per_query=2)
             self.flips = iter([Choice.A, Choice.B])
 
-        def _sample(self, reference, a, b):
-            self.transport_calls += 1
-            return next(self.flips)
+        def _samples(self, reference, a, b, n):
+            self.transport_calls += n
+            return [next(self.flips) for _ in range(n)]
 
     oracle = Coin()
     assert oracle.query("abcd", "abcx", "wxyz") is Choice.A  # closer by edit distance
+    assert next(oracle.flips, None) is None  # both flips were voted: a 1-1 tie
 
 
 def test_faithful_oracle_overrides_edit_distance():
@@ -203,11 +204,11 @@ def test_faithful_oracle_overrides_edit_distance():
         return sum(part in precondition for part in ("(at ?x)", "(clear ?y)"))
 
     class Faithful(LevenshteinMockOracle):
-        def _sample(self, ref, a, b):
-            self.transport_calls += 1
+        def _samples(self, ref, a, b, n):
             if _required(a) != _required(b):
-                return Choice.A if _required(a) > _required(b) else Choice.B
-            return super()._sample(ref, a, b)
+                self.transport_calls += n
+                return [Choice.A if _required(a) > _required(b) else Choice.B] * n
+            return super()._samples(ref, a, b, n)
 
     ranked = semantic_rank(reference, [loosened, tightened], Faithful())
     assert ranked.items == (tightened, loosened)

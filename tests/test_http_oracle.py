@@ -232,12 +232,32 @@ def test_repeated_block_is_parsed_once(
     assert len(parsed) == 1
 
 
+def test_genetic_children_are_parsed_once(
+    api_key, monkeypatch, blocksworld, flagship, blocksworld_regression
+):
+    parsed = []
+    parse = axiomforge.proposer.extract.parse_domain
+    monkeypatch.setattr(
+        axiomforge.proposer.extract, "parse_domain", lambda text: parsed.append(text) or parse(text)
+    )
+
+    def transport(url, headers, payload, timeout_s):
+        return 200, _chat_body(f"```pddl\n{variants.MID_EXTRACT}```\n")
+
+    cfg = SearchConfig(algorithm="genetic", target_length=1, ga_population=4, ga_generations=2)
+    oracle = HttpProposalOracle(OracleClientConfig(samples=1), transport)
+    result = run_search(cfg, blocksworld, flagship, blocksworld_regression, oracle)
+    assert oracle.calls == 11
+    assert len(parsed) == 1  # crossover and mutation replies are read by the intake alone
+    assert result.explored == 2 and result.best.plan_length == 6
+
+
 def test_distance_oracle_parses_choice(stub_server, api_key):
     stub_server.push(200, _chat_body("B"))
     oracle = HttpDistanceOracle(_cfg(stub_server, samples=1))
-    assert oracle._sample("ref", "x", "y") is Choice.B
+    assert oracle._samples("ref", "x", "y", 1) == [Choice.B]
     stub_server.push(200, _chat_body("  answer: A"))
-    assert oracle._sample("ref", "x", "y") is Choice.A
+    assert oracle._samples("ref", "x", "y", 1) == [Choice.A]
     assert oracle.transport_calls == 2
 
 
@@ -295,6 +315,13 @@ def test_proposal_oracle_crossover_falls_back(stub_server, api_key, blocksworld,
     assert oracle.calls == 1
 
 
+def test_crossover_returns_first_block_unparsed(stub_server, api_key, blocksworld, flagship):
+    stub_server.push(200, _chat_body(f"```pddl\n{BROKEN}```\n```pddl\n{GOOD_A}```\n"))
+    oracle = HttpProposalOracle(_cfg(stub_server))
+    ctx = ProposalContext(blocksworld, flagship, 6, 4)
+    assert oracle.crossover(ctx, "parent-a-text", "parent-b-text") == BROKEN
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -311,4 +338,4 @@ def test_malformed_reply_reads_as_empty(stub_server, api_key, blocksworld, flags
     stub_server.push(200, body)
     assert HttpProposalOracle(_cfg(stub_server)).crossover(ctx, "a-text", "b-text") == "a-text"
     stub_server.push(200, body)
-    assert HttpDistanceOracle(_cfg(stub_server))._sample("ref", "x", "y") is Choice.A
+    assert HttpDistanceOracle(_cfg(stub_server))._samples("ref", "x", "y", 1) == [Choice.A]

@@ -679,9 +679,11 @@ def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
 def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blocksworld_regression):
     parents, batches = [], []
 
-    def crossover(ctx, parent_a, parent_b):
-        parents.append((parent_a, parent_b))
-        return child
+    class Breeder(ScriptedOracle):
+        def crossover(self, ctx, parent_a, parent_b):
+            self.calls += 1
+            parents.append((parent_a, parent_b))
+            return child
 
     class BatchLog(CandidateEvaluator):
         def evaluate_many(self, items):
@@ -689,7 +691,7 @@ def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blo
             return super().evaluate_many(items)
 
     evaluator = BatchLog(blocksworld, flagship, blocksworld_regression, weights=ZERO)
-    oracle = ScriptedOracle([ScriptEntry(lambda ctx: True, (WORSE,))], crossover_fn=crossover)
+    oracle = Breeder([ScriptEntry(lambda ctx: True, (WORSE,))])
     result = genetic_search(
         _cfg("genetic", target_length=0, ga_population=4, ga_generations=3),
         _ctx(evaluator, 0),
