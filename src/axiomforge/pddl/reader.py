@@ -1,25 +1,28 @@
 """S-expression reader: text -> positioned node tree.
 
-Identifiers are lowercased here, `;` comments stripped, and every node
-remembers the line/column it started on (both 1-based).
+One compiled regex splits the text, and each match is an atom, `(`, `)`,
+a newline, or a run of blanks (space, tab, carriage return) or a `;`
+comment, which is skipped. Identifiers are lowercased here, and every node
+remembers the line/column it started on (both 1-based; a column counts
+characters, so a tab is one). Nodes are named tuples, which are cheaper to
+build than frozen dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import SYNTAX, Diagnostic, PddlError
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     line: int
     col: int
@@ -27,74 +30,60 @@ class SList:
 
 SNode = SAtom | SList
 
-_DELIMS = "()"
-
 # Deepest list nesting accepted. Real domains stay below ten levels; the
 # cap keeps every recursive consumer of the tree (parser, printer, linker,
 # grounder) far inside Python's recursion limit on untrusted text.
 MAX_DEPTH = 64
 
+# Every character falls in one alternative. `lastindex` tells them apart:
+# 1 an atom, 2 `(`, 3 `)`, 4 a newline, None a blank run or a comment.
+_TOKEN = re.compile(r"([^ \t\r\n;()]+)|(\()|(\))|(\n)|[ \t\r]+|;[^\n]*")
 
-def _tokens(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DELIMS:
-            yield ch, line, col
-            i += 1
-            col += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n;()":
-            i += 1
-            col += 1
-        yield text[start:i].lower(), line, start_col
+
+def _error(message: str, line: int, col: int) -> PddlError:
+    return PddlError([Diagnostic(SYNTAX, message, line, col)])
 
 
 def read_one(text: str) -> SNode:
     """Read exactly one top-level s-expression; reject trailing content."""
-    stack: list[tuple[list, int, int]] = []
+    stack: list[tuple[list, int, int]] = []  # (items, line, col) per open list
+    items: list | None = None  # the items of the innermost open list
     result: SNode | None = None
-    for tok, line, col in _tokens(text):
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind is None:
+            continue
+        if kind == 4:
+            line += 1
+            line_start = m.end()
+            continue
+        col = m.start() - line_start + 1
         if result is not None:
-            raise PddlError([Diagnostic(SYNTAX, "unexpected content after top-level form", line, col)])
-        if tok == "(":
+            raise _error("unexpected content after top-level form", line, col)
+        if kind == 1:
+            if items is None:
+                raise _error(f"expected '(' but found '{m[1].lower()}'", line, col)
+            items.append(SAtom(m[1].lower(), line, col))
+        elif kind == 2:
             if len(stack) == MAX_DEPTH:
-                raise PddlError([Diagnostic(SYNTAX, f"nesting deeper than {MAX_DEPTH} levels", line, col)])
-            stack.append(([], line, col))
-        elif tok == ")":
-            if not stack:
-                raise PddlError([Diagnostic(SYNTAX, "unbalanced ')'", line, col)])
-            items, l0, c0 = stack.pop()
-            node = SList(tuple(items), l0, c0)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                result = node
+                raise _error(f"nesting deeper than {MAX_DEPTH} levels", line, col)
+            items = []
+            stack.append((items, line, col))
         else:
-            atom = SAtom(tok, line, col)
+            if not stack:
+                raise _error("unbalanced ')'", line, col)
+            done, l0, c0 = stack.pop()
+            node = SList(tuple(done), l0, c0)
             if stack:
-                stack[-1][0].append(atom)
+                items = stack[-1][0]
+                items.append(node)
             else:
-                raise PddlError([Diagnostic(SYNTAX, f"expected '(' but found '{tok}'", line, col)])
+                items = None
+                result = node
     if stack:
         _, l0, c0 = stack[-1]
-        raise PddlError([Diagnostic(SYNTAX, "unclosed '('", l0, c0)])
+        raise _error("unclosed '('", l0, c0)
     if result is None:
-        raise PddlError([Diagnostic(SYNTAX, "empty input", 1, 1)])
+        raise _error("empty input", 1, 1)
     return result

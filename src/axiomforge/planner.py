@@ -20,6 +20,10 @@ PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
   * instantiations where one effect group both adds and deletes the same
     atom (e.g. `stack(a, a)` in blocks world) are dropped as contradictory,
     which keeps add/delete sets disjoint.
+
+The schemas are compiled from the domain alone (`Schemas`), so the problems
+of one domain can share one compile; each `ground` call binds it to its
+problem's objects and initial state.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from .pddl.ast import (
     And,
     Atom,
+    DomainAst,
     Eq,
     Forall,
     Formula,
@@ -230,76 +235,61 @@ def _text(key: tuple) -> str:
 # Tags of compiled specs. A condition spec folds against a binding to True,
 # False, an atom key `(predicate, *args)`, or a (_NOT | _AND | _OR, ...)
 # tuple over those; `_lower` indexes that once the atom universe is known.
-_VALUE, _ATOM, _STATIC, _EQ, _NOT, _AND, _OR, _FORALL, _WHEN = range(9)
+_VALUE, _ATOM, _STATIC, _INIT, _EQ, _NOT, _AND, _OR, _FORALL, _WHEN = range(10)
 
 _TRUE = GTrue()
 _FALSE = GFalse()
 
 
-class _Grounder:
-    """Grounds one linked task by joining schemas against static atoms.
+class Schemas:
+    """The action schemas of one domain, compiled for grounding.
 
-    Each call compiles every formula once. A binding is a tuple `env`: the
-    names the schema's formulas mention (predicates and constants), then
-    the action's parameters in declaration order, then the variables of the
-    enclosing foralls. An atom compiles to an `itemgetter` over slots of env
-    that returns its key, or to the key itself when no variable occurs in it.
+    The compile reads the domain only, so one compile serves every problem
+    of the domain: `ground` compiles on the first call it is passed this
+    object, and later calls reuse that.
 
-    Parameters are bound depth-first in declaration order. Each top-level
-    conjunct of a precondition that is a static atom or an `=`, or the
-    negation of one, is tested at the first depth where its variables are
-    bound. That is a join against the initial state, since static
-    predicates never change. The bindings that pass come out in
-    `itertools.product` order, so the ground actions keep the order of a
-    scan over the full cartesian product.
+    A binding is a tuple `env`: the names the schema's formulas mention
+    (predicates and constants), then the action's parameters in declaration
+    order, then the variables of the enclosing foralls. An atom compiles to
+    an `itemgetter` over slots of env that returns its key, or to the key
+    itself when no variable occurs in it. A forall keeps the types of its
+    variables, and a static atom without variables keeps its key; grounding
+    resolves those against each problem's objects and initial state.
 
-    Every binding visited, partial or full, in a parameter list or a forall,
-    counts against `max_actions`. Kept actions are among them, and a schema
-    whose bindings all fail late still ends after bounded work.
+    Each top-level conjunct of a precondition that is a static atom or an
+    `=`, or the negation of one, becomes a check at the first parameter
+    depth where its variables are bound. That is a join against the initial
+    state, since static predicates never change. Such a conjunct without
+    variables tests the whole schema once per problem instead.
     """
 
-    def __init__(self, task: LinkedTask, max_atoms: int, max_actions: int):
-        from operator import itemgetter
-
-        self.itemgetter = itemgetter
-        self.domain = task.domain
-        self.problem = task.problem
-        self.max_atoms = max_atoms
-        self.max_actions = max_actions
-        self.visited = 0
-
-        self.object_types: dict[str, str] = {}
-        for c in self.domain.constants:
-            self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
-        for o in self.problem.objects:
-            self.object_types[o.name] = o.type if isinstance(o.type, str) else ROOT_TYPE
-        self.pools: dict = {}
-        self.parents = self.domain.parent_types()
-
-        touched: set = set()
-        for action in self.domain.actions:
-            _effect_predicates(action.effect, touched)
-        self.static_preds = {p.name for p in self.domain.predicates} - touched
-        self.init = {(a.name, *a.args) for a in self.problem.init}
+    def __init__(self, domain: DomainAst):
+        self.domain = domain
+        self.actions: list | None = None  # compiled schemas, once compiled
+        self.static_preds: set = set()
+        self.parents: dict = {}
         self.names: tuple = ()  # the literal slots of the formulas being compiled
         self.slots: dict = {}
-        self.universe: dict[tuple, int] = {}  # atom key -> index
-        self.lowered: dict = {}  # atom key -> GAtom, or _FALSE outside the universe
 
-    def _pool(self, tref) -> tuple:
-        pool = self.pools.get(tref)
-        if pool is None:
-            matches = self.domain.matches_type
-            pool = tuple(o for o, t in self.object_types.items() if matches(t, tref, self.parents))
-            self.pools[tref] = pool
-        return pool
+    def compile(self) -> Schemas:
+        """Compile every schema, unless that is done already; returns self."""
+        if self.actions is None:
+            from operator import itemgetter
 
-    def _visit(self, count: int) -> None:
-        self.visited += count
-        if self.visited > self.max_actions:
-            raise GroundingExplosion(f"more than {self.max_actions} ground actions or bindings")
+            self.itemgetter = itemgetter
+            touched: set = set()
+            for action in self.domain.actions:
+                _effect_predicates(action.effect, touched)
+            self.static_preds = {p.name for p in self.domain.predicates} - touched
+            self.parents = self.domain.parent_types()
+            compiled = [self._schema(schema) for schema in self.domain.actions]
+            self.actions = [c for c in compiled if c is not None]
+        return self
 
-    # -- compiling, once per call
+    def condition(self, f: Formula) -> tuple:
+        """(env, spec) of a condition with no free variable, such as a goal."""
+        depth = self._literals((f,), ())
+        return self.names, self._cond(f, {}, depth)
 
     def _literals(self, formulas: tuple, bound) -> int:
         """Give each name that `formulas` mention, other than the variables
@@ -322,15 +312,11 @@ class _Grounder:
         return scope[term] if term in scope else self.slots[term]
 
     def _forall(self, f: Forall, scope: dict, depth: int) -> tuple:
-        """(pools, inner scope, inner depth, number of bindings) of a forall."""
+        """(variable types, inner scope, inner depth) of a forall."""
         inner = dict(scope)
         for i, v in enumerate(f.variables):
             inner[v.name] = depth + i
-        pools = tuple(self._pool(v.type) for v in f.variables)
-        count = 1
-        for pool in pools:
-            count *= len(pool)
-        return pools, inner, depth + len(pools), count
+        return tuple(v.type for v in f.variables), inner, depth + len(f.variables)
 
     def _cond(self, f: Formula, scope: dict, depth: int) -> tuple:
         """Compile a condition; `scope` maps variables to env slots, and env
@@ -339,7 +325,7 @@ class _Grounder:
             key = self._key(f, scope)
             static = f.name in self.static_preds
             if isinstance(key, tuple):
-                return (_VALUE, key in self.init if static else key)
+                return (_INIT if static else _VALUE, key)
             return (_STATIC if static else _ATOM, key)
         if isinstance(f, Eq):
             if f.left in scope or f.right in scope:
@@ -351,8 +337,8 @@ class _Grounder:
             return (_AND if isinstance(f, And) else _OR,
                     tuple(self._cond(p, scope, depth) for p in f.parts))
         if isinstance(f, Forall):
-            pools, inner, inner_depth, count = self._forall(f, scope, depth)
-            return (_FORALL, pools, self._cond(f.body, inner, inner_depth), count)
+            types, inner, inner_depth = self._forall(f, scope, depth)
+            return (_FORALL, types, self._cond(f.body, inner, inner_depth))
         raise TypeError(f"unexpected construct in condition: {f!r}")
 
     def _effect(self, f: Formula, scope: dict, depth: int) -> tuple:
@@ -371,13 +357,112 @@ class _Grounder:
             key = self._key(f.body if delete else f, scope)
             out[(2 if delete else 0) + (0 if isinstance(key, tuple) else 1)].append(key)
         elif isinstance(f, Forall):
-            pools, inner, inner_depth, count = self._forall(f, scope, depth)
-            out[4].append((_FORALL, pools, self._effect(f.body, inner, inner_depth), count))
+            types, inner, inner_depth = self._forall(f, scope, depth)
+            out[4].append((_FORALL, types, self._effect(f.body, inner, inner_depth)))
         elif isinstance(f, When):
             out[4].append((_WHEN, self._cond(f.condition, scope, depth),
                            self._effect(f.effect, scope, depth)))
         else:
             raise TypeError(f"unexpected construct in effect: {f!r}")
+
+    def _schema(self, schema) -> tuple | None:
+        """(name, literal slots, parameter types, static tests without
+        variables, checks per depth, precondition, effect) of one schema;
+        None when an `=` of two constants makes its precondition false."""
+        params = [p.name for p in schema.params]
+        base = self._literals((schema.precondition, schema.effect), params)
+        n = len(params)
+        scope = {name: base + i for i, name in enumerate(params)}
+        depth = base + n
+
+        pre = schema.precondition
+        facts: list = []  # (key, wanted truth in init)
+        checks: list = [[] for _ in range(n)]
+        rest = []
+        for part in pre.parts if isinstance(pre, And) else (pre,):
+            literal = part.body if isinstance(part, Not) else part
+            if not (isinstance(literal, Eq)
+                    or isinstance(literal, Atom) and literal.name in self.static_preds):
+                rest.append(part)
+                continue
+            spec = self._cond(literal, scope, depth)
+            want = literal is part
+            if spec[0] == _VALUE:
+                if spec[1] is not want:
+                    return None  # statically false for every binding
+                continue
+            if spec[0] == _INIT:
+                facts.append((spec[1], want))
+                continue
+            terms = (literal.left, literal.right) if isinstance(literal, Eq) else literal.args
+            level = max(scope[t] for t in terms if t in scope) - base
+            get = self.itemgetter(spec[1], spec[2]) if spec[0] == _EQ else spec[1]
+            checks[level].append((get, spec[0] == _EQ, want))
+        if isinstance(pre, And):
+            pre_spec = (_AND, tuple(self._cond(p, scope, depth) for p in rest))
+        else:
+            pre_spec = self._cond(pre, scope, depth) if rest else (_VALUE, True)
+        effect = self._effect(schema.effect, scope, depth)
+        types = tuple(p.type for p in schema.params)
+        return (schema.name, self.names, types, tuple(facts), checks, pre_spec, effect)
+
+
+class _Grounder:
+    """Grounds one linked task with the compiled schemas of its domain.
+
+    Parameters are bound depth-first in declaration order, and each depth
+    runs the static checks compiled for it. The bindings that pass come out
+    in `itertools.product` order, so the ground actions keep the order of a
+    scan over the full cartesian product.
+
+    Every binding visited, partial or full, in a parameter list or a forall,
+    counts against `max_actions`. Kept actions are among them, and a schema
+    whose bindings all fail late still ends after bounded work.
+    """
+
+    def __init__(self, task: LinkedTask, schemas: Schemas, max_atoms: int, max_actions: int):
+        self.schemas = schemas
+        self.domain = task.domain
+        self.problem = task.problem
+        self.max_atoms = max_atoms
+        self.max_actions = max_actions
+        self.visited = 0
+
+        self.object_types: dict[str, str] = {}
+        for c in self.domain.constants:
+            self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
+        for o in self.problem.objects:
+            self.object_types[o.name] = o.type if isinstance(o.type, str) else ROOT_TYPE
+        self.pools: dict = {}  # type -> objects of that type
+        self.forall_pools: dict = {}  # variable types -> (pools, number of bindings)
+        self.init = {(a.name, *a.args) for a in self.problem.init}
+        self.universe: dict[tuple, int] = {}  # atom key -> index
+        self.lowered: dict = {}  # atom key -> GAtom, or _FALSE outside the universe
+
+    def _pool(self, tref) -> tuple:
+        pool = self.pools.get(tref)
+        if pool is None:
+            matches = self.domain.matches_type
+            parents = self.schemas.parents
+            pool = tuple(o for o, t in self.object_types.items() if matches(t, tref, parents))
+            self.pools[tref] = pool
+        return pool
+
+    def _forall_pools(self, types: tuple) -> tuple:
+        """(pools, number of bindings) of a forall's variables."""
+        got = self.forall_pools.get(types)
+        if got is None:
+            pools = tuple(self._pool(t) for t in types)
+            count = 1
+            for pool in pools:
+                count *= len(pool)
+            got = self.forall_pools[types] = (pools, count)
+        return got
+
+    def _visit(self, count: int) -> None:
+        self.visited += count
+        if self.visited > self.max_actions:
+            raise GroundingExplosion(f"more than {self.max_actions} ground actions or bindings")
 
     # -- evaluating, once per binding
 
@@ -408,6 +493,8 @@ class _Grounder:
                 if q is not False:
                     parts.append(q)
             return (_OR, tuple(parts)) if parts else False
+        if kind == _INIT:
+            return spec[1] in self.init
         parts = []
         if kind == _AND:
             for p in spec[1]:
@@ -417,7 +504,8 @@ class _Grounder:
                 if q is not True:
                     parts.append(q)
             return (_AND, tuple(parts)) if parts else True
-        _, pools, body, count = spec  # a forall folds to a conjunction
+        _, types, body = spec  # a forall folds to a conjunction
+        pools, count = self._forall_pools(types)
         self._visit(count)
         for combo in itertools.product(*pools):
             q = self._fold(body, env + combo)
@@ -437,7 +525,8 @@ class _Grounder:
             dels.add(get(env))
         for item in nested:
             if item[0] == _FORALL:
-                _, pools, body, count = item
+                _, types, body = item
+                pools, count = self._forall_pools(types)
                 self._visit(count)
                 for combo in itertools.product(*pools):
                     self._effects(body, env + combo, adds, dels, groups)
@@ -462,39 +551,15 @@ class _Grounder:
                 return False
         return True
 
-    def _schema(self, schema, raw: list) -> None:
+    def _schema(self, schema: tuple, raw: list) -> None:
         """Append (name, args, precondition, adds, dels, groups) to `raw` for
-        each binding of `schema` that is kept, in product order."""
-        params = [p.name for p in schema.params]
-        base = self._literals((schema.precondition, schema.effect), params)
-        n = len(params)
-        scope = {name: base + i for i, name in enumerate(params)}
-        depth = base + n
-
-        pre = schema.precondition
-        checks: list = [[] for _ in range(n)]
-        rest = []
-        for part in pre.parts if isinstance(pre, And) else (pre,):
-            literal = part.body if isinstance(part, Not) else part
-            if not (isinstance(literal, Eq)
-                    or isinstance(literal, Atom) and literal.name in self.static_preds):
-                rest.append(part)
-                continue
-            spec = self._cond(literal, scope, depth)
-            want = literal is part
-            if spec[0] == _VALUE:
-                if spec[1] is not want:
-                    return  # statically false for every binding
-                continue
-            terms = (literal.left, literal.right) if isinstance(literal, Eq) else literal.args
-            level = max(scope[t] for t in terms if t in scope) - base
-            get = self.itemgetter(spec[1], spec[2]) if spec[0] == _EQ else spec[1]
-            checks[level].append((get, spec[0] == _EQ, want))
-        if isinstance(pre, And):
-            pre_spec = (_AND, tuple(self._cond(p, scope, depth) for p in rest))
-        else:
-            pre_spec = self._cond(pre, scope, depth) if rest else (_VALUE, True)
-        effect = self._effect(schema.effect, scope, depth)
+        each binding of a compiled schema that is kept, in product order."""
+        name, names, types, facts, checks, pre_spec, effect = schema
+        for key, want in facts:
+            if (key in self.init) is not want:
+                return  # statically false for every binding
+        base = len(names)
+        n = len(types)
 
         def keep(env: tuple) -> None:
             cond = self._fold(pre_spec, env)
@@ -506,14 +571,14 @@ class _Grounder:
             self._effects(effect, env, adds, dels, groups)
             if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, a, d in groups):
                 return  # contradictory instantiation
-            raw.append((schema.name, env[base:], cond, adds, dels, groups))
+            raw.append((name, env[base:], cond, adds, dels, groups))
 
         if not n:
             self._visit(1)
-            keep(self.names)
+            keep(names)
             return
-        pools = [self._pool(p.type) for p in schema.params]
-        prefixes: list = [self.names] + [None] * n  # env with d parameters bound
+        pools = [self._pool(t) for t in types]
+        prefixes: list = [names] + [None] * n  # env with d parameters bound
         iters: list = [None] * n
         d = 0
         self._visit(len(pools[0]))
@@ -574,7 +639,7 @@ class _Grounder:
 
     def ground(self) -> GroundedTask:
         raw: list = []
-        for schema in self.domain.actions:
+        for schema in self.schemas.actions:
             self._schema(schema, raw)
 
         universe = self.universe
@@ -621,8 +686,8 @@ class _Grounder:
                 )
             )
 
-        depth = self._literals((self.problem.goal,), ())
-        goal = self._lower(self._fold(self._cond(self.problem.goal, {}, depth), self.names))
+        names, spec = self.schemas.condition(self.problem.goal)
+        goal = self._lower(self._fold(spec, names))
         return GroundedTask(
             atoms=tuple(Atom(key[0], key[1:]) for key in universe),
             init=mask(self.init),
@@ -631,15 +696,29 @@ class _Grounder:
         )
 
 
-def ground(task: LinkedTask, *, max_atoms: int = 100_000, max_actions: int = 200_000) -> GroundedTask:
+def ground(
+    task: LinkedTask,
+    *,
+    max_atoms: int = 100_000,
+    max_actions: int = 200_000,
+    schemas: Schemas | None = None,
+) -> GroundedTask:
     """Instantiate every action schema over the type-consistent object tuples
     that pass its static preconditions.
 
     Raises `GroundingExplosion` past `max_atoms` ground atoms, or once more
     than `max_actions` bindings have been visited, partial and full
     bindings of the parameters and the bindings of every forall included.
+
+    `schemas`, when given, is the compile of `task.domain` to use: pass the
+    same `Schemas` to each call for the problems of one domain, and the
+    domain is compiled once.
     """
-    return _Grounder(task, max_atoms, max_actions).ground()
+    if schemas is None:
+        schemas = Schemas(task.domain)
+    elif schemas.domain is not task.domain:
+        raise ValueError("schemas were compiled for another domain")
+    return _Grounder(task, schemas.compile(), max_atoms, max_actions).ground()
 
 
 # -- execution ----------------------------------------------------------------

@@ -41,18 +41,23 @@ def extract_candidates(raw_response: str) -> ExtractionResult:
 class Intake:
     """Reads oracle text for one search run: `intake(text)` is the linked
     domain and its canonical text, or None when the text does not parse or
-    link. Each distinct text is read once and its answer kept."""
+    link. Each distinct text is read once and its answer kept, and
+    `linked` maps each canonical text to the `LinkedTask` of the first
+    domain read with it, so the evaluator need not link that domain again."""
 
     def __init__(self, problem: ProblemAst):
         self.problem = problem
+        self.linked: dict = {}
         self._seen: dict = {}
 
     def __call__(self, text: str) -> tuple | None:
         if text not in self._seen:
             try:
                 domain = parse_domain(text)
-                link(domain, self.problem)
-                self._seen[text] = (domain, print_canonical(domain))
+                task = link(domain, self.problem)
+                canonical = print_canonical(domain)
+                self._seen[text] = (domain, canonical)
+                self.linked.setdefault(canonical, task)
             except PddlError:
                 self._seen[text] = None
         return self._seen[text]

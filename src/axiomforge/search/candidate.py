@@ -13,6 +13,7 @@ from ..pddl import (
     Eq,
     Forall,
     Formula,
+    LinkedTask,
     Not,
     Or,
     PddlError,
@@ -25,6 +26,7 @@ from ..planner import (
     GroundingExplosion,
     Plan,
     ResourceExceeded,
+    Schemas,
     SearchLimits,
     SolveResult,
     ground,
@@ -116,6 +118,11 @@ class CandidateEvaluator:
     (the run's intake printed it once): proposing the same edit twice
     returns the first EditCandidate untouched, so step records stay unique
     per distinct rule set. `evaluations` counts cache misses.
+
+    Each evaluation compiles the candidate's schemas once, for the flagship
+    and every regression problem. `linked` maps canonical texts to
+    `LinkedTask`s against the flagship problem (a search run hands over its
+    intake's); a candidate found there is not linked to the flagship again.
     """
 
     def __init__(
@@ -138,15 +145,23 @@ class CandidateEvaluator:
         self.max_atoms = max_atoms
         self.max_actions = max_actions
         self.evaluations = 0
+        self.linked: dict = {}
         self._memo: dict = {}
 
-    def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
-        task = ground(
-            link(domain, problem),
+    def _flagship(self, domain: DomainAst, text: str) -> LinkedTask:
+        task = self.linked.get(text)
+        if task is None or task.domain is not domain or task.problem is not self.problem:
+            task = link(domain, self.problem)
+        return task
+
+    def _solve(self, task: LinkedTask, schemas: Schemas) -> SolveResult:
+        grounded = ground(
+            task,
             max_atoms=self.max_atoms,
             max_actions=self.max_actions,
+            schemas=schemas,
         )
-        return solve(task, self.limits)
+        return solve(grounded, self.limits)
 
     def evaluate(self, domain: DomainAst, text: str, provenance: Provenance) -> EditCandidate:
         """Score `domain`, whose canonical text is `text`."""
@@ -160,12 +175,13 @@ class CandidateEvaluator:
             compactness=compactness(domain),
             lev_distance=levenshtein(self.original_text, text),
         )
+        schemas = Schemas(domain)
         try:
-            cand.plan_result = self._solve(domain, self.problem)
+            cand.plan_result = self._solve(self._flagship(domain, text), schemas)
             # The suite usually holds the flagship too; reuse its result.
             cand.regression_ok = all(
                 isinstance(
-                    cand.plan_result if prob == self.problem else self._solve(domain, prob),
+                    cand.plan_result if prob == self.problem else self._solve(link(domain, prob), schemas),
                     Plan,
                 )
                 for prob in self.regression

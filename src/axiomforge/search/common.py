@@ -85,6 +85,7 @@ class SearchRun:
         self.evaluator = evaluator
         self.recorder = recorder or StepRecorder()
         self.intake = Intake(ctx.problem)
+        evaluator.linked = self.intake.linked
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
         self._calls0, self._evals0 = oracle.calls, evaluator.evaluations

@@ -3,7 +3,9 @@
 The two must return equal GroundedTasks (atom order, init, goal, action
 order, preconditions and masks) on the corpus, the figure variants,
 generated rule edits, tower and hanoi instances and random small typed
-domains, and raise the same GroundingExplosion under tight caps.
+domains, and raise the same GroundingExplosion under tight caps. Each
+input is grounded twice: with a compile of its own, and with one `Schemas`
+compile per domain shared by every problem of that domain.
 """
 
 from dataclasses import replace
@@ -33,7 +35,7 @@ from axiomforge.pddl import (
     parse_domain,
     parse_problem,
 )
-from axiomforge.planner import GroundingExplosion, ground
+from axiomforge.planner import GroundingExplosion, Schemas, ground
 
 from oracle_ground import oracle_ground
 from test_pinned_plans import hanoi, tower_reversal
@@ -46,13 +48,15 @@ def _outcome(grounder, task, **caps):
         return str(err)
 
 
-def assert_same_grounding(task):
-    assert ground(task) == oracle_ground(task)
-    assert _outcome(ground, task, max_atoms=3) == _outcome(oracle_ground, task, max_atoms=3)
+def assert_same_grounding(task, schemas=None):
+    """`schemas`, when given, is a compile of task.domain that other
+    problems share."""
+    assert ground(task, schemas=schemas) == oracle_ground(task)
+    assert _outcome(ground, task, max_atoms=3, schemas=schemas) == _outcome(oracle_ground, task, max_atoms=3)
     # `ground` also counts the bindings it visits against max_actions, so it
     # raises wherever the oracle does, and may raise where the oracle does not.
     expected = _outcome(oracle_ground, task, max_actions=5)
-    got = _outcome(ground, task, max_actions=5)
+    got = _outcome(ground, task, max_actions=5, schemas=schemas)
     if isinstance(expected, str):
         assert isinstance(got, str) and got.startswith(expected)
     elif not isinstance(got, str):
@@ -97,6 +101,64 @@ CASES = _corpus_cases()
 @pytest.mark.parametrize("domain_text, problem_text", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_ground_matches_oracle(domain_text, problem_text):
     assert_same_grounding(link(parse_domain(domain_text), parse_problem(problem_text)))
+
+
+def assert_same_grounding_shared(domain, problems):
+    """Ground every problem with one compile of `domain`."""
+    schemas = Schemas(domain)
+    for problem in problems:
+        assert_same_grounding(link(domain, problem), schemas)
+
+
+# The CASES grouped by domain text, each under the label of its first case.
+FAMILIES: dict = {}
+for _label, _domain_text, _problem_text in CASES:
+    FAMILIES.setdefault(_domain_text, (_label.split(":")[0], []))[1].append(_problem_text)
+
+
+@pytest.mark.parametrize(
+    "domain_text, problem_texts", [(d, p) for d, (_, p) in FAMILIES.items()],
+    ids=[label for label, _ in FAMILIES.values()],
+)
+def test_shared_compile_matches_oracle(domain_text, problem_texts):
+    problems = [parse_problem(text) for text in problem_texts]
+    assert_same_grounding_shared(parse_domain(domain_text), problems)
+
+
+# One compile, two problems that differ where grounding reads the problem:
+# the static 0-ary `powered` (a ground static precondition atom) holds in
+# one init only, and the forall over `lamp` ranges over different objects.
+SWITCHBOARD = (
+    "(define (domain switchboard) (:requirements :strips :typing :conditional-effects)"
+    " (:types lamp switch)"
+    " (:predicates (powered) (wired ?s - switch ?l - lamp) (lit ?l - lamp) (done))"
+    " (:action flip :parameters (?s - switch)"
+    " :precondition (and (powered) (not (done)))"
+    " :effect (and (done) (forall (?l - lamp) (when (wired ?s ?l) (lit ?l))))))"
+)
+SWITCHBOARD_PROBLEMS = (
+    "(define (problem small) (:domain switchboard) (:objects s1 - switch l1 - lamp)"
+    " (:init (powered) (wired s1 l1)) (:goal (forall (?l - lamp) (lit ?l))))",
+    "(define (problem dark) (:domain switchboard) (:objects s1 - switch l1 l2 - lamp)"
+    " (:init (wired s1 l1)) (:goal (lit l1)))",
+    "(define (problem big) (:domain switchboard) (:objects s1 s2 - switch l1 l2 l3 - lamp)"
+    " (:init (powered) (wired s1 l1) (wired s1 l3) (wired s2 l2))"
+    " (:goal (forall (?l - lamp) (lit ?l))))",
+)
+
+
+def test_shared_compile_follows_each_problem():
+    domain = parse_domain(SWITCHBOARD)
+    tasks = [link(domain, parse_problem(text)) for text in SWITCHBOARD_PROBLEMS]
+    schemas = Schemas(domain)
+    small, dark, big = (ground(task, schemas=schemas) for task in tasks)
+    assert [len(t.actions) for t in (small, dark, big)] == [1, 0, 2]
+    # flip s1 adds (done) and (lit ?l) for each lamp wired to s1.
+    assert [bin(t.actions[0].add_mask).count("1") for t in (small, big)] == [2, 3]
+    assert_same_grounding_shared(domain, [task.problem for task in tasks])
+    # A compile belongs to one domain.
+    with pytest.raises(ValueError):
+        ground(link(parse_domain(SWITCHBOARD), tasks[0].problem), schemas=schemas)
 
 
 # -- rule edits ----------------------------------------------------------------
@@ -162,6 +224,14 @@ EDIT_TASKS = [
 )
 def test_ground_matches_oracle_on_rule_edits(edit, problem_text):
     assert_same_grounding(link(edit, parse_problem(problem_text)))
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_shared_compile_matches_oracle_on_rule_edits(name):
+    entry = corpus.load(name)
+    problems = [parse_problem(p.text) for p in entry.problems]
+    for edit in rule_edits(parse_domain(entry.domain_text)):
+        assert_same_grounding_shared(edit, problems)
 
 
 # -- random small typed domains ------------------------------------------------
@@ -257,15 +327,38 @@ def typed_tasks(draw):
         ),
         actions=tuple(actions),
     )
-    names = [c.name for c in constants] + [o.name for o in objects]
+    return LinkedTask(domain, _problem(draw, domain, objects))
+
+
+def _problem(draw, domain, objects):
+    """A problem over `objects`: random init facts and a random goal."""
+    preds = [(p.name, len(p.params)) for p in domain.predicates]
+    names = [c.name for c in domain.constants] + [o.name for o in objects]
     facts = [Atom(name, (a, b)[:arity]) for name, arity in preds for a in names for b in names]
     init = frozenset(draw(st.lists(st.sampled_from(sorted(set(facts), key=str)), max_size=8)))
     goal = _condition(draw, preds, names, 0)
-    problem = ProblemAst("random-problem", "random", objects, init, goal)
-    return LinkedTask(domain, problem)
+    return ProblemAst("random-problem", "random", objects, init, goal)
 
 
 @given(typed_tasks())
 @settings(max_examples=200, deadline=None)
 def test_ground_matches_oracle_on_random_typed_domains(task):
     assert_same_grounding(task)
+
+
+@st.composite
+def typed_families(draw):
+    """A random typed domain and three problems of it, with their own
+    objects, init facts and goals."""
+    task = draw(typed_tasks())
+    problems = [task.problem]
+    for _ in range(2):
+        objects = tuple(TypedName(f"o{i}", draw(_type_refs)) for i in range(draw(st.integers(0, 3))))
+        problems.append(_problem(draw, task.domain, objects))
+    return task.domain, problems
+
+
+@given(typed_families())
+@settings(max_examples=100, deadline=None)
+def test_shared_compile_matches_oracle_on_random_typed_domains(family):
+    assert_same_grounding_shared(*family)

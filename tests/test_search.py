@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from axiomforge import corpus
+from axiomforge import corpus, planner
 from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, print_canonical
 from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
@@ -701,3 +701,34 @@ def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blo
     assert result.explored == 2  # the root and WORSE; no child is new
     assert any(a != b for a, b in parents)
     assert [text for batch in batches for text in batch] == [a for a, _ in parents]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_each_candidate_is_linked_to_the_flagship_and_compiled_once(
+    algorithm, monkeypatch, blocksworld, flagship, blocksworld_regression
+):
+    """The intake's link serves the evaluator, and one compile of a
+    candidate serves every problem it is grounded for."""
+    flagship_links, compiled = [], []
+
+    def recording_link(domain, problem):
+        if problem is flagship:
+            flagship_links.append(id(domain))
+        return link(domain, problem)
+
+    compile_schemas = planner.Schemas.compile
+
+    def recording_compile(schemas):
+        if schemas.actions is None:
+            compiled.append(id(schemas.domain))
+        return compile_schemas(schemas)
+
+    monkeypatch.setattr(extract_module, "link", recording_link)
+    monkeypatch.setattr(candidate_module, "link", recording_link)
+    monkeypatch.setattr(planner.Schemas, "compile", recording_compile)
+    result = run_search(
+        _unreachable_cfg(algorithm), blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3)
+    )
+    assert result.explored > 1
+    assert len(flagship_links) == len(set(flagship_links))
+    assert len(compiled) == len(set(compiled)) == result.explored
