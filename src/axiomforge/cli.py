@@ -1,12 +1,25 @@
 """Operator surface: parse, plan, validate, evolve, rank, corpus, export.
 
-Exit codes: 0 success, 1 domain or logic failure (diagnostics, unsolvable,
-no search success, invalid plan), 2 usage error, 3 external failure (oracle
-transport, credentials, unreadable files). With --json the final stdout
-line is a single JSON object describing the outcome.
+Each command prints its human-readable lines and returns (exit code, JSON
+payload); a failure is raised, and `main` alone reports it as an exit code,
+a stderr line and a payload.
+
+Exit codes: 0 success, 1 domain or logic failure (diagnostics, grounding
+explosion, unsolvable, resource limit, no search success, invalid plan,
+malformed trajectory), 2 usage error (bad flags, unknown corpus entry),
+3 external failure (oracle transport, credentials, unreadable files).
+
+With --json, every exit that reaches `main` ends with one JSON object as the
+final stdout line. Its `status` is the outcome of a command that ran (ok,
+plan, unsolvable, resource-exceeded, valid, invalid, success, no-success)
+or the failure it raised (error, grounding-explosion, oracle-failure,
+malformed, unknown-corpus-entry, io-failure). Usage errors that argparse
+reports exit 2 before --json is read, so they print no JSON line.
 
 Inputs named `corpus:NAME` load the embedded domain NAME;
-`corpus:NAME:PROBLEM` loads one of its problem instances.
+`corpus:NAME:PROBLEM` loads one of its problem instances. `validate` reads
+each plan line as PDDL, so case, runs of blanks and a trailing `;` comment
+do not matter.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from .pddl import (
     parse_problem,
     print_canonical,
 )
+from .pddl.reader import SList, read_one
 from .planner import (
     GroundingExplosion,
     Plan,
@@ -76,44 +90,14 @@ def _limits(args) -> SearchLimits:
     )
 
 
-def _print_json(args, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _diagnostics_payload(err: PddlError) -> list:
-    return [
-        {"code": d.code, "message": d.message, "line": d.line, "col": d.col}
-        for d in err.diagnostics
-    ]
-
-
-def _report_diagnostics(args, err: PddlError) -> int:
-    for d in err.diagnostics:
-        print(str(d), file=sys.stderr)
-    _print_json(args, {"status": "error", "diagnostics": _diagnostics_payload(err)})
-    return EXIT_LOGIC
-
-
-def _report_explosion(args, err: GroundingExplosion) -> int:
-    print(f"grounding-explosion: {err}", file=sys.stderr)
-    _print_json(args, {"status": "grounding-explosion"})
-    return EXIT_LOGIC
-
-
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_parse(args) -> int:
-    try:
-        domain = parse_domain(_read_text(args.domain, "domain"))
-    except PddlError as err:
-        return _report_diagnostics(args, err)
-    text = print_canonical(domain)
-    sys.stdout.write(text)
-    _print_json(args, {"status": "ok", "name": domain.name,
-                       "actions": len(domain.actions), "predicates": len(domain.predicates)})
-    return EXIT_OK
+def _cmd_parse(args) -> tuple[int, dict]:
+    domain = parse_domain(_read_text(args.domain, "domain"))
+    sys.stdout.write(print_canonical(domain))
+    return EXIT_OK, {"status": "ok", "name": domain.name,
+                     "actions": len(domain.actions), "predicates": len(domain.predicates)}
 
 
 def _load_task(args):
@@ -122,66 +106,58 @@ def _load_task(args):
     return ground(link(domain, problem))
 
 
-def _cmd_plan(args) -> int:
-    try:
-        task = _load_task(args)
-    except PddlError as err:
-        return _report_diagnostics(args, err)
-    except GroundingExplosion as err:
-        return _report_explosion(args, err)
-    result = solve(task, _limits(args))
+def _cmd_plan(args) -> tuple[int, dict]:
+    result = solve(_load_task(args), _limits(args))
     if isinstance(result, Plan):
         for step in result.steps:
             print(str(step))
         print(f"length: {result.length}")
-        _print_json(args, {"status": "plan", "length": result.length,
-                           "steps": [str(s) for s in result.steps]})
-        return EXIT_OK
+        return EXIT_OK, {"status": "plan", "length": result.length,
+                         "steps": [str(s) for s in result.steps]}
     if isinstance(result, Unsolvable):
         print("unsolvable")
-        _print_json(args, {"status": "unsolvable"})
-        return EXIT_LOGIC
+        return EXIT_LOGIC, {"status": "unsolvable"}
     print(f"resource-exceeded: {result.reason}")
-    _print_json(args, {"status": "resource-exceeded", "reason": result.reason})
-    return EXIT_LOGIC
+    return EXIT_LOGIC, {"status": "resource-exceeded", "reason": result.reason}
 
 
-def _cmd_validate(args) -> int:
+def _step_key(line: str) -> tuple | None:
+    """The atoms of a plan line read as PDDL, or None unless it reads as
+    one flat list."""
     try:
-        task = _load_task(args)
-    except PddlError as err:
-        return _report_diagnostics(args, err)
-    except GroundingExplosion as err:
-        return _report_explosion(args, err)
-    by_text = {str(a): a for a in task.actions}
+        items = read_one(line).items
+    except PddlError:
+        return None
+    if any(isinstance(item, SList) for item in items):
+        return None
+    return tuple(item.text for item in items)
+
+
+def _cmd_validate(args) -> tuple[int, dict]:
+    task = _load_task(args)
+    by_key = {(a.name, *a.args): a for a in task.actions}
     steps = []
-    for lineno, raw in enumerate(Path(args.plan).read_text(encoding="utf-8").splitlines(), 1):
+    for raw in Path(args.plan).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith(";") or line.startswith("length:"):
             continue
-        action = by_text.get(line)
+        action = by_key.get(_step_key(line))
         if action is None:
             print(f"invalid at step {len(steps)}: unknown action {line}")
-            _print_json(args, {"status": "invalid", "failed_at": len(steps)})
-            return EXIT_LOGIC
+            return EXIT_LOGIC, {"status": "invalid", "failed_at": len(steps)}
         steps.append(action)
     ok, failed_at = validate_plan(task, Plan(tuple(steps)))
     if ok:
         print("valid")
-        _print_json(args, {"status": "valid", "length": len(steps)})
-        return EXIT_OK
+        return EXIT_OK, {"status": "valid", "length": len(steps)}
     print(f"invalid at step {failed_at}")
-    _print_json(args, {"status": "invalid", "failed_at": failed_at})
-    return EXIT_LOGIC
+    return EXIT_LOGIC, {"status": "invalid", "failed_at": failed_at}
 
 
-def _cmd_evolve(args) -> int:
-    try:
-        domain = parse_domain(_read_text(args.domain, "domain"))
-        problem = parse_problem(_read_text(args.problem, "problem"))
-        link(domain, problem)
-    except PddlError as err:
-        return _report_diagnostics(args, err)
+def _cmd_evolve(args) -> tuple[int, dict]:
+    domain = parse_domain(_read_text(args.domain, "domain"))
+    problem = parse_problem(_read_text(args.problem, "problem"))
+    link(domain, problem)
 
     weights = ObjectiveWeights(alpha=args.alpha, lam=args.lam)
     cfg = SearchConfig(
@@ -206,26 +182,21 @@ def _cmd_evolve(args) -> int:
         oracle = HttpProposalOracle(cfg_http)
         distance_oracle = HttpDistanceOracle(cfg_http)
 
-    try:
-        regression = (
-            corpus.regression_suite(domain.name)
-            if domain.name in corpus.CORPUS_NAMES
-            else []
-        )
-        result = run_search(
-            cfg,
-            domain,
-            problem,
-            regression,
-            oracle,
-            distance_oracle=distance_oracle,
-            limits=_limits(args),
-            trajectory_path=args.trajectory,
-        )
-    except (OracleUnavailable, AuthError) as err:
-        print(f"oracle failure: {err}", file=sys.stderr)
-        _print_json(args, {"status": "oracle-failure", "error": str(err)})
-        return EXIT_EXTERNAL
+    regression = (
+        corpus.regression_suite(domain.name)
+        if domain.name in corpus.CORPUS_NAMES
+        else []
+    )
+    result = run_search(
+        cfg,
+        domain,
+        problem,
+        regression,
+        oracle,
+        distance_oracle=distance_oracle,
+        limits=_limits(args),
+        trajectory_path=args.trajectory,
+    )
 
     best = result.best
     print(f"algorithm: {cfg.algorithm}")
@@ -236,31 +207,24 @@ def _cmd_evolve(args) -> int:
     print(f"oracle-calls: {result.oracle_calls}")
     if args.trajectory:
         print(f"trajectory: {args.trajectory}")
-    _print_json(
-        args,
-        {
-            "status": "success" if result.success else "no-success",
-            "algorithm": cfg.algorithm,
-            "best_length": best.plan_length if best is not None else None,
-            "best_score": best.score if best is not None else None,
-            "explored": result.explored,
-            "oracle_calls": result.oracle_calls,
-            "trajectory": args.trajectory,
-        },
-    )
-    return EXIT_OK if result.success else EXIT_LOGIC
+    return EXIT_OK if result.success else EXIT_LOGIC, {
+        "status": "success" if result.success else "no-success",
+        "algorithm": cfg.algorithm,
+        "best_length": best.plan_length if best is not None else None,
+        "best_score": best.score if best is not None else None,
+        "explored": result.explored,
+        "oracle_calls": result.oracle_calls,
+        "trajectory": args.trajectory,
+    }
 
 
 def _canonical_of(spec: str) -> str:
     return print_canonical(parse_domain(_read_text(spec, "domain")))
 
 
-def _cmd_rank(args) -> int:
-    try:
-        reference = _canonical_of(args.reference)
-        texts = {path: _canonical_of(path) for path in args.candidates}
-    except PddlError as err:
-        return _report_diagnostics(args, err)
+def _cmd_rank(args) -> tuple[int, dict]:
+    reference = _canonical_of(args.reference)
+    texts = {path: _canonical_of(path) for path in args.candidates}
 
     queries = 0
     if args.metric == "lev":
@@ -274,31 +238,24 @@ def _cmd_rank(args) -> int:
         for path in args.candidates:  # first path wins for duplicate texts
             by_text.setdefault(texts[path], []).append(path)
         unique_texts = list(by_text)
-        try:
-            if args.metric == "semantic":
-                ranked = semantic_rank(reference, unique_texts, oracle)
-            else:
-                keep = min(args.keep, len(unique_texts))
-                ranked = hybrid_rank(reference, unique_texts, keep, oracle)
-        except (OracleUnavailable, AuthError) as err:
-            print(f"oracle failure: {err}", file=sys.stderr)
-            _print_json(args, {"status": "oracle-failure", "error": str(err)})
-            return EXIT_EXTERNAL
+        if args.metric == "semantic":
+            ranked = semantic_rank(reference, unique_texts, oracle)
+        else:
+            keep = min(args.keep, len(unique_texts))
+            ranked = hybrid_rank(reference, unique_texts, keep, oracle)
         queries = ranked.oracle_queries_used
         ordered = [path for text in ranked.items for path in by_text[text]]
 
     for i, path in enumerate(ordered, start=1):
         print(f"{i}\t{path}")
-    _print_json(args, {"status": "ok", "ranking": ordered, "oracle_queries": queries})
-    return EXIT_OK
+    return EXIT_OK, {"status": "ok", "ranking": ordered, "oracle_queries": queries}
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> tuple[int, dict]:
     if args.corpus_cmd == "list":
         for name in corpus.CORPUS_NAMES:
             print(name)
-        _print_json(args, {"status": "ok", "names": list(corpus.CORPUS_NAMES)})
-        return EXIT_OK
+        return EXIT_OK, {"status": "ok", "names": list(corpus.CORPUS_NAMES)}
     entry = corpus.load(args.name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,20 +269,13 @@ def _cmd_corpus(args) -> int:
         written.append(str(path))
     for path in written:
         print(path)
-    _print_json(args, {"status": "ok", "files": written})
-    return EXIT_OK
+    return EXIT_OK, {"status": "ok", "files": written}
 
 
-def _cmd_export(args) -> int:
-    try:
-        count = export_runs(args.runs, args.out, args.format)
-    except MalformedTrajectory as err:
-        print(str(err), file=sys.stderr)
-        _print_json(args, {"status": "malformed", "error": str(err)})
-        return EXIT_LOGIC
+def _cmd_export(args) -> tuple[int, dict]:
+    count = export_runs(args.runs, args.out, args.format)
     print(f"exported: {count}")
-    _print_json(args, {"status": "ok", "runs": count, "out": args.out})
-    return EXIT_OK
+    return EXIT_OK, {"status": "ok", "runs": count, "out": args.out}
 
 
 # -- argument wiring ----------------------------------------------------------
@@ -442,16 +392,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. A failure it raises is reported here: a stderr line,
+    an exit code and a payload; with --json the payload ends stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload = args.fn(args)
+    except PddlError as err:
+        for d in err.diagnostics:
+            print(d, file=sys.stderr)
+        code, payload = EXIT_LOGIC, {"status": "error", "diagnostics": [
+            {"code": d.code, "message": d.message, "line": d.line, "col": d.col}
+            for d in err.diagnostics
+        ]}
+    except GroundingExplosion as err:
+        print(f"grounding-explosion: {err}", file=sys.stderr)
+        code, payload = EXIT_LOGIC, {"status": "grounding-explosion"}
+    except (OracleUnavailable, AuthError) as err:
+        print(f"oracle failure: {err}", file=sys.stderr)
+        code, payload = EXIT_EXTERNAL, {"status": "oracle-failure", "error": str(err)}
+    except MalformedTrajectory as err:
+        print(err, file=sys.stderr)
+        code, payload = EXIT_LOGIC, {"status": "malformed", "error": str(err)}
     except corpus.UnknownDomain as err:
         print(f"unknown corpus entry: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        code, payload = EXIT_USAGE, {"status": "unknown-corpus-entry", "error": str(err)}
     except OSError as err:
         print(f"io failure: {err}", file=sys.stderr)
-        return EXIT_EXTERNAL
+        code, payload = EXIT_EXTERNAL, {"status": "io-failure", "error": str(err)}
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    return code
 
 
 def entrypoint() -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .pddl.ast import (
     And,
@@ -274,9 +275,6 @@ class Schemas:
     def compile(self) -> Schemas:
         """Compile every schema, unless that is done already; returns self."""
         if self.actions is None:
-            from operator import itemgetter
-
-            self.itemgetter = itemgetter
             touched: set = set()
             for action in self.domain.actions:
                 _effect_predicates(action.effect, touched)
@@ -306,7 +304,7 @@ class Schemas:
         if scope.keys().isdisjoint(atom.args):
             return (atom.name, *atom.args)
         slots = self.slots
-        return self.itemgetter(slots[atom.name], *[scope[a] if a in scope else slots[a] for a in atom.args])
+        return itemgetter(slots[atom.name], *[scope[a] if a in scope else slots[a] for a in atom.args])
 
     def _slot(self, term: str, scope: dict) -> int:
         return scope[term] if term in scope else self.slots[term]
@@ -396,7 +394,7 @@ class Schemas:
                 continue
             terms = (literal.left, literal.right) if isinstance(literal, Eq) else literal.args
             level = max(scope[t] for t in terms if t in scope) - base
-            get = self.itemgetter(spec[1], spec[2]) if spec[0] == _EQ else spec[1]
+            get = itemgetter(spec[1], spec[2]) if spec[0] == _EQ else spec[1]
             checks[level].append((get, spec[0] == _EQ, want))
         if isinstance(pre, And):
             pre_spec = (_AND, tuple(self._cond(p, scope, depth) for p in rest))

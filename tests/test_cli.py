@@ -12,6 +12,8 @@ import axiomforge
 from axiomforge import cli, corpus, planner
 from axiomforge.cli import main
 
+B, R = "corpus:blocksworld", "corpus:blocksworld:restack"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -85,6 +87,33 @@ def test_validate_detects_bad_step(capsys, tmp_path):
     )
     assert code == 1
     assert out.strip() == "invalid at step 0"
+
+
+RESTACK_PLAN = ["(unstack c b)", "(putdown c)", "(pickup b)", "(stack b a)", "(pickup c)",
+                "(stack c b)"]
+
+
+@pytest.mark.parametrize("line", [
+    "(UNSTACK C B)", "(unstack \t c b)", "(unstack c b) ; note", "  (Unstack  c\tB)  ",
+])
+def test_validate_reads_plan_lines_as_pddl(capsys, tmp_path, line):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("\n".join(["; restack", line, *RESTACK_PLAN[1:], "length: 6"]) + "\n")
+    code, out, _ = run_cli(capsys, "validate", B, R, str(plan_file))
+    assert code == 0
+    assert out == "valid\n"
+
+
+@pytest.mark.parametrize("line", [
+    "(unstack (c) b)", "unstack c b", "(unstack c b", "(unstack c b))", "()", "(fly c b)",
+])
+def test_validate_rejects_a_line_that_is_not_one_flat_list(capsys, tmp_path, line):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(f"{RESTACK_PLAN[0]}\n{line}\n")
+    code, out, _ = run_cli(capsys, "validate", B, R, str(plan_file), "--json")
+    assert code == 1
+    assert out.splitlines() == [f"invalid at step 1: unknown action {line}",
+                                '{"failed_at": 1, "status": "invalid"}']
 
 
 def test_evolve_scripted_beam(capsys, tmp_path):
@@ -336,16 +365,75 @@ def test_wide_action_is_a_grounding_explosion(capsys, tmp_path, wide_blocksworld
     assert json.loads(out.strip().splitlines()[-1]) == {"status": "grounding-explosion"}
 
 
-def test_unknown_corpus_name_exits_two(capsys):
-    code, _, err = run_cli(capsys, "parse", "corpus:tetris")
-    assert code == 2
-    assert "unknown corpus entry" in err
+NO_FILE = "[Errno 2] No such file or directory"
+URL_REFUSED = "oracle URL must start with http:// or https://: 'ftp://nowhere/chat/completions'"
+NO_KEY = "set AXIOMFORGE_API_KEY before using the HTTP oracle"
+UNDECLARED = {"code": "undeclared-predicate", "message": "predicate 'q' is not declared",
+              "line": 1, "col": 102}
+
+# (argv, environment, exit code, first stderr line, last stdout line as JSON),
+# each run with --json. `{tmp}` stands for the test's directory; an
+# environment value of None unsets the variable. Neither oracle row reaches
+# the network: the transport refuses an ftp URL before it connects, and the
+# client refuses to send a request without a key.
+FAILURES = [
+    pytest.param(["parse", "{tmp}/undeclared.pddl"], {}, 1,
+                 "1:102: undeclared-predicate: predicate 'q' is not declared",
+                 {"status": "error", "diagnostics": [UNDECLARED]}, id="diagnostics"),
+    pytest.param(["evolve", B, R, "--oracle", "http", "--target-len", "4"],
+                 {"AXIOMFORGE_API_KEY": "x", "AXIOMFORGE_BASE_URL": "ftp://nowhere"}, 3,
+                 f"oracle failure: {URL_REFUSED}",
+                 {"status": "oracle-failure", "error": URL_REFUSED}, id="oracle-url"),
+    pytest.param(["rank", B, "corpus:hanoi", "corpus:gripper", "--metric", "semantic",
+                  "--oracle", "http"], {"AXIOMFORGE_API_KEY": None}, 3,
+                 f"oracle failure: {NO_KEY}",
+                 {"status": "oracle-failure", "error": NO_KEY}, id="oracle-key"),
+    pytest.param(["export", "{tmp}/early.jsonl", "--format", "jsonl", "--out", "{tmp}/out.jsonl"],
+                 {}, 1, "{tmp}/early.jsonl:1: record before header",
+                 {"status": "malformed", "error": "{tmp}/early.jsonl:1: record before header"},
+                 id="malformed"),
+    pytest.param(["parse", "corpus:tetris"], {}, 2, "unknown corpus entry: 'tetris'",
+                 {"status": "unknown-corpus-entry", "error": "'tetris'"},
+                 id="unknown-corpus-entry"),
+    pytest.param(["plan", B, "corpus:blocksworld:nope"], {}, 2,
+                 "unknown corpus entry: \"blocksworld has no problem named 'nope'\"",
+                 {"status": "unknown-corpus-entry",
+                  "error": "\"blocksworld has no problem named 'nope'\""},
+                 id="unknown-corpus-problem"),
+    pytest.param(["parse", "/nonexistent/file.pddl"], {}, 3,
+                 f"io failure: {NO_FILE}: '/nonexistent/file.pddl'",
+                 {"status": "io-failure", "error": f"{NO_FILE}: '/nonexistent/file.pddl'"},
+                 id="io-failure"),
+    pytest.param(["plan", "/nonexistent", R], {}, 3, f"io failure: {NO_FILE}: '/nonexistent'",
+                 {"status": "io-failure", "error": f"{NO_FILE}: '/nonexistent'"},
+                 id="io-failure-plan"),
+]
 
 
-def test_missing_file_exits_three(capsys):
-    code, _, err = run_cli(capsys, "parse", "/nonexistent/file.pddl")
-    assert code == 3
-    assert "io failure" in err
+@pytest.mark.parametrize("argv, env, code, first_err, payload", FAILURES)
+def test_failure_outcome(capsys, tmp_path, monkeypatch, argv, env, code, first_err, payload):
+    (tmp_path / "undeclared.pddl").write_text(
+        "(define (domain u) (:requirements :strips) (:predicates (p))"
+        " (:action a :parameters () :precondition (q) :effect (p)))"
+    )
+    (tmp_path / "early.jsonl").write_text('{"kind": "step"}\n')
+    for name, value in env.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a failure row tried to open a connection")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    tmp = json.dumps(str(tmp_path))[1:-1]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    got_code, out, err = run_cli(capsys, *argv, "--json")
+    assert got_code == code
+    assert err.splitlines()[0] == first_err.replace("{tmp}", str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == json.loads(json.dumps(payload).replace("{tmp}", tmp))
 
 
 @pytest.mark.parametrize("module", ["requests", "numpy", "urllib.request", "http.client", "ssl"])
