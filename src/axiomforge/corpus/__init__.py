@@ -13,7 +13,13 @@ CORPUS_NAMES = tuple(sorted(DOMAIN_TEXTS))
 
 
 class UnknownDomain(KeyError):
-    """Requested corpus entry does not exist."""
+    """Requested corpus entry does not exist.
+
+    A `KeyError` prints the repr of its key; this prints its message as is.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,19 @@ PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
     atom (e.g. `stack(a, a)` in blocks world) are dropped as contradictory,
     which keeps add/delete sets disjoint.
 
-The schemas are compiled from the domain alone (`Schemas`), so the problems
-of one domain can share one compile; each `ground` call binds it to its
-problem's objects and initial state.
+Grounding runs in three steps: compile each schema (`_Compiler`), bind it
+to the problem's objects and initial state, and lower the kept bindings to
+`GroundAction`s over the interned atom universe. Every step goes through a
+`RunCache`, which a search run shares across its candidates, since a rule
+edit changes one action and copies the rest. The cache keeps link verdicts
+by the problem and what `link` reads of the domain; compiles by the action
+and the static predicates it mentions; kept bindings and the folded goal by
+the compile, the problem and the domain's types and constants; and
+lowerings by the atom universe, which must be equal, in order. A reused
+binding or goal charges the bindings it visited to `max_actions` again. So
+the join against static atoms is incremental across a run's candidates,
+and `ground` returns a `GroundedTask` equal, field for field, to a fresh
+call's, and raises the same explosion where a fresh call does.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .pddl import PddlError, link
 from .pddl.ast import (
     And,
     Atom,
@@ -43,6 +54,7 @@ from .pddl.ast import (
     LinkedTask,
     Not,
     Or,
+    ProblemAst,
     ROOT_TYPE,
     When,
 )
@@ -211,6 +223,20 @@ def _effect_predicates(f: Formula, acc: set) -> None:
         _effect_predicates(f.effect, acc)
 
 
+def _predicates(f: Formula, acc: set) -> None:
+    """Add the name of every predicate `f` mentions to `acc`."""
+    if isinstance(f, Atom):
+        acc.add(f.name)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            _predicates(p, acc)
+    elif isinstance(f, (Not, Forall)):
+        _predicates(f.body, acc)
+    elif isinstance(f, When):
+        _predicates(f.condition, acc)
+        _predicates(f.effect, acc)
+
+
 def _names(f: Formula, acc: list) -> None:
     """Append every predicate name and term of `f` to `acc`."""
     if isinstance(f, Atom):
@@ -242,12 +268,10 @@ _TRUE = GTrue()
 _FALSE = GFalse()
 
 
-class Schemas:
-    """The action schemas of one domain, compiled for grounding.
-
-    The compile reads the domain only, so one compile serves every problem
-    of the domain: `ground` compiles on the first call it is passed this
-    object, and later calls reuse that.
+class _Compiler:
+    """Compiles action schemas and conditions for grounding. The compile
+    reads the formulas and which predicates among those they mention are
+    static (no effect of the domain touches them), nothing else.
 
     A binding is a tuple `env`: the names the schema's formulas mention
     (predicates and constants), then the action's parameters in declaration
@@ -264,25 +288,10 @@ class Schemas:
     variables tests the whole schema once per problem instead.
     """
 
-    def __init__(self, domain: DomainAst):
-        self.domain = domain
-        self.actions: list | None = None  # compiled schemas, once compiled
-        self.static_preds: set = set()
-        self.parents: dict = {}
+    def __init__(self, static_preds: frozenset):
+        self.static_preds = static_preds
         self.names: tuple = ()  # the literal slots of the formulas being compiled
         self.slots: dict = {}
-
-    def compile(self) -> Schemas:
-        """Compile every schema, unless that is done already; returns self."""
-        if self.actions is None:
-            touched: set = set()
-            for action in self.domain.actions:
-                _effect_predicates(action.effect, touched)
-            self.static_preds = {p.name for p in self.domain.predicates} - touched
-            self.parents = self.domain.parent_types()
-            compiled = [self._schema(schema) for schema in self.domain.actions]
-            self.actions = [c for c in compiled if c is not None]
-        return self
 
     def condition(self, f: Formula) -> tuple:
         """(env, spec) of a condition with no free variable, such as a goal."""
@@ -363,7 +372,7 @@ class Schemas:
         else:
             raise TypeError(f"unexpected construct in effect: {f!r}")
 
-    def _schema(self, schema) -> tuple | None:
+    def schema(self, schema) -> tuple | None:
         """(name, literal slots, parameter types, static tests without
         variables, checks per depth, precondition, effect) of one schema;
         None when an `=` of two constants makes its precondition false."""
@@ -405,8 +414,134 @@ class Schemas:
         return (schema.name, self.names, types, tuple(facts), checks, pre_spec, effect)
 
 
+class _Work:
+    """A cached result, how many bindings computing it visited, and what it
+    lowered to, by atom universe token."""
+
+    __slots__ = ("value", "visited", "lowered")
+
+    def __init__(self, value, visited: int):
+        self.value = value
+        self.visited = visited
+        self.lowered: dict = {}
+
+
+class RunCache:
+    """The link and grounding work that one search run's candidates share.
+
+    A run makes one and hands it to its intake and its evaluator; nothing
+    outlives the run. Each layer is keyed on exactly what it reads, so a hit
+    returns what doing the work again would:
+      * `link` verdicts, by the problem and the domain's name, types,
+        constants, predicates and the set of types its action parameters
+        name (they feed `known_types`). A failure is kept as its
+        diagnostics and raised again as a fresh `PddlError`.
+      * Schema compiles, by the action and the static predicates it
+        mentions.
+      * The kept bindings of a compiled schema, and the folded goal, by the
+        problem and the domain's types and constants (the goal also by its
+        static predicates), with the number of bindings that work visited.
+        A hit charges that number to `max_actions` again, so a cached call
+        raises `GroundingExplosion` exactly where a fresh one does.
+      * What those bindings and that goal lowered to, by the interned atom
+        universe, which is reused only when it is equal, in order.
+    """
+
+    def __init__(self):
+        # Hashing an AST walks it, so what is read off a domain or problem
+        # is worked out once per object, and keys built from ASTs are
+        # interned as small ints in `_tokens`. An entry under an object's id
+        # holds the object, so no other object takes that id meanwhile.
+        self._tokens: dict = {}
+        self._problems: dict = {}  # id -> (problem, token, goal predicates)
+        self._domains: dict = {}  # id -> [domain, link key token, schemas]
+        self._links: dict = {}  # (problem, domain) tokens -> () or the failure's diagnostics
+        self._actions: dict = {}  # action -> [mentioned, touched, {static key: (spec, binds)}]
+        self.goals: dict = {}  # (problem, typing token, static goal predicates) -> _Work
+        self._universes: dict = {}  # atom keys in index order -> (token, atoms)
+
+    def _token(self, key) -> int:
+        return self._tokens.setdefault(key, len(self._tokens))
+
+    def _domain(self, domain: DomainAst) -> list:
+        seen = self._domains.get(id(domain))
+        if seen is None:
+            seen = self._domains[id(domain)] = [domain, None, None]
+        return seen
+
+    def problem(self, problem: ProblemAst) -> tuple:
+        """(token, goal predicates) of `problem`; equal problems share the
+        token."""
+        got = self._problems.get(id(problem))
+        if got is None:
+            goal_preds: set = set()
+            _predicates(problem.goal, goal_preds)
+            got = self._problems[id(problem)] = (problem, self._token(problem), frozenset(goal_preds))
+        return got[1:]
+
+    def link(self, domain: DomainAst, problem: ProblemAst) -> LinkedTask:
+        """`pddl.link(domain, problem)`, answered from an earlier verdict
+        with the same key when there is one."""
+        seen = self._domain(domain)
+        if seen[1] is None:
+            params = frozenset(p.type for a in domain.actions for p in a.params)
+            seen[1] = self._token((domain.name, domain.types, domain.constants, domain.predicates, params))
+        key = (self.problem(problem)[0], seen[1])
+        verdict = self._links.get(key)
+        if verdict is None:
+            try:
+                link(domain, problem)
+                verdict = ()
+            except PddlError as err:
+                verdict = err.diagnostics
+            self._links[key] = verdict
+        if verdict:
+            raise PddlError(verdict)
+        return LinkedTask(domain, problem)
+
+    def schemas(self, domain: DomainAst) -> tuple:
+        """(compiled schemas, static predicates, typing token) of `domain`.
+        Each compiled schema is a (spec, binds) pair; a schema whose
+        precondition is statically false is left out. The typing token
+        stands for the domain's types and constants."""
+        seen = self._domain(domain)
+        if seen[2] is None:
+            entries = []
+            touched: set = set()
+            for action in domain.actions:
+                entry = self._actions.setdefault(action, [])  # hashes the action once
+                if not entry:
+                    mentioned: set = set()
+                    effects: set = set()
+                    _predicates(action.precondition, mentioned)
+                    _predicates(action.effect, mentioned)
+                    _effect_predicates(action.effect, effects)
+                    entry += (frozenset(mentioned), frozenset(effects), {})
+                entries.append(entry)
+                touched |= entry[1]
+            static = frozenset(p.name for p in domain.predicates) - touched
+            compiled = []
+            for action, (mentioned, _, compiles) in zip(domain.actions, entries):
+                key = mentioned & static
+                got = compiles.get(key)
+                if got is None:
+                    got = compiles[key] = (_Compiler(key).schema(action), {})
+                if got[0] is not None:
+                    compiled.append(got)
+            seen[2] = (compiled, static, self._token((domain.types, domain.constants)))
+        return seen[2]
+
+    def universe(self, keys: tuple) -> tuple:
+        """(token, ground Atoms) of the atom universe whose keys in index
+        order are `keys`."""
+        got = self._universes.get(keys)
+        if got is None:
+            got = self._universes[keys] = (len(self._universes), tuple(Atom(k[0], k[1:]) for k in keys))
+        return got
+
+
 class _Grounder:
-    """Grounds one linked task with the compiled schemas of its domain.
+    """Grounds one linked task, reusing what a `RunCache` holds.
 
     Parameters are bound depth-first in declaration order, and each depth
     runs the static checks compiled for it. The bindings that pass come out
@@ -418,14 +553,15 @@ class _Grounder:
     whose bindings all fail late still ends after bounded work.
     """
 
-    def __init__(self, task: LinkedTask, schemas: Schemas, max_atoms: int, max_actions: int):
-        self.schemas = schemas
+    def __init__(self, task: LinkedTask, cache: RunCache, max_atoms: int, max_actions: int):
+        self.cache = cache
         self.domain = task.domain
         self.problem = task.problem
         self.max_atoms = max_atoms
         self.max_actions = max_actions
         self.visited = 0
 
+        self.parents = self.domain.parent_types()
         self.object_types: dict[str, str] = {}
         for c in self.domain.constants:
             self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
@@ -436,12 +572,13 @@ class _Grounder:
         self.init = {(a.name, *a.args) for a in self.problem.init}
         self.universe: dict[tuple, int] = {}  # atom key -> index
         self.lowered: dict = {}  # atom key -> GAtom, or _FALSE outside the universe
+        self.bits: dict | None = None  # atom key -> its bit, once the universe is known
 
     def _pool(self, tref) -> tuple:
         pool = self.pools.get(tref)
         if pool is None:
             matches = self.domain.matches_type
-            parents = self.schemas.parents
+            parents = self.parents
             pool = tuple(o for o, t in self.object_types.items() if matches(t, tref, parents))
             self.pools[tref] = pool
         return pool
@@ -549,13 +686,26 @@ class _Grounder:
                 return False
         return True
 
-    def _schema(self, schema: tuple, raw: list) -> None:
-        """Append (name, args, precondition, adds, dels, groups) to `raw` for
-        each binding of a compiled schema that is kept, in product order."""
+    def _reuse(self, table: dict, key, compute) -> _Work:
+        """`table[key]`, charging the bindings it visited again, or else the
+        `_Work` of `compute()`, which visits them itself."""
+        work = table.get(key)
+        if work is None:
+            start = self.visited
+            value = compute()
+            work = table[key] = _Work(value, self.visited - start)
+        else:
+            self._visit(work.visited)
+        return work
+
+    def _schema(self, schema: tuple) -> list:
+        """(name, args, precondition, adds, dels, groups) of each binding of
+        a compiled schema that is kept, in product order."""
+        raw: list = []
         name, names, types, facts, checks, pre_spec, effect = schema
         for key, want in facts:
             if (key in self.init) is not want:
-                return  # statically false for every binding
+                return raw  # statically false for every binding
         base = len(names)
         n = len(types)
 
@@ -574,7 +724,7 @@ class _Grounder:
         if not n:
             self._visit(1)
             keep(names)
-            return
+            return raw
         pools = [self._pool(t) for t in types]
         prefixes: list = [names] + [None] * n  # env with d parameters bound
         iters: list = [None] * n
@@ -597,6 +747,7 @@ class _Grounder:
                 break
             else:
                 d -= 1
+        return raw
 
     def _lower(self, node) -> GroundFormula:
         """Index a folded condition; atoms outside the universe are false."""
@@ -635,28 +786,11 @@ class _Grounder:
                 parts.append(q)
         return GOr(tuple(parts)) if parts else _FALSE
 
-    def ground(self) -> GroundedTask:
-        raw: list = []
-        for schema in self.schemas.actions:
-            self._schema(schema, raw)
-
-        universe = self.universe
-
-        def intern(keys) -> None:
-            new = [k for k in keys if k not in universe]
-            if len(new) > 1:
-                new.sort(key=_text)
-            for key in new:
-                if len(universe) >= self.max_atoms:
-                    raise GroundingExplosion(f"more than {self.max_atoms} ground atoms")
-                universe[key] = len(universe)
-
-        intern(self.init)
-        for _, _, _, adds, _, groups in raw:
-            intern(adds)
-            for _, g_adds, _ in groups:
-                intern(g_adds)
-        bits = {key: 1 << i for key, i in universe.items()}
+    def _actions(self, raw: list) -> tuple:
+        """The GroundActions of a schema's kept bindings, against the universe."""
+        bits = self.bits
+        if bits is None:
+            bits = self.bits = {key: 1 << i for key, i in self.universe.items()}
 
         def mask(keys) -> int:
             # Deleting an atom outside the universe is a no-op.
@@ -683,13 +817,53 @@ class _Grounder:
                     pre_masks=_literal_masks(pre_g),
                 )
             )
+        return tuple(actions)
 
-        names, spec = self.schemas.condition(self.problem.goal)
-        goal = self._lower(self._fold(spec, names))
+    def ground(self) -> GroundedTask:
+        cache = self.cache
+        schemas, static, typing = cache.schemas(self.domain)
+        problem, goal_preds = cache.problem(self.problem)
+        task = (problem, typing)  # what binding reads besides the schema
+        bound = [self._reuse(binds, task, lambda: self._schema(spec)) for spec, binds in schemas]
+
+        universe = self.universe
+
+        def intern(keys) -> None:
+            new = [k for k in keys if k not in universe]
+            if len(new) > 1:
+                new.sort(key=_text)
+            for key in new:
+                if len(universe) >= self.max_atoms:
+                    raise GroundingExplosion(f"more than {self.max_atoms} ground atoms")
+                universe[key] = len(universe)
+
+        intern(self.init)
+        for work in bound:
+            for _, _, _, adds, _, groups in work.value:
+                intern(adds)
+                for _, g_adds, _ in groups:
+                    intern(g_adds)
+        token, atoms = cache.universe(tuple(universe))
+
+        actions: list = []
+        for work in bound:
+            lowered = work.lowered.get(token)
+            if lowered is None:
+                lowered = work.lowered[token] = self._actions(work.value)
+            actions += lowered
+
+        def fold_goal():
+            names, spec = _Compiler(goal_preds & static).condition(self.problem.goal)
+            return self._fold(spec, names)
+
+        goal = self._reuse(cache.goals, (*task, goal_preds & static), fold_goal)
+        goal_g = goal.lowered.get(token)
+        if goal_g is None:
+            goal_g = goal.lowered[token] = self._lower(goal.value)
         return GroundedTask(
-            atoms=tuple(Atom(key[0], key[1:]) for key in universe),
-            init=mask(self.init),
-            goal=goal,
+            atoms=atoms,
+            init=(1 << len(self.init)) - 1,  # interned first, so the lowest bits
+            goal=goal_g,
             actions=tuple(actions),
         )
 
@@ -699,7 +873,7 @@ def ground(
     *,
     max_atoms: int = 100_000,
     max_actions: int = 200_000,
-    schemas: Schemas | None = None,
+    cache: RunCache | None = None,
 ) -> GroundedTask:
     """Instantiate every action schema over the type-consistent object tuples
     that pass its static preconditions.
@@ -708,15 +882,14 @@ def ground(
     than `max_actions` bindings have been visited, partial and full
     bindings of the parameters and the bindings of every forall included.
 
-    `schemas`, when given, is the compile of `task.domain` to use: pass the
-    same `Schemas` to each call for the problems of one domain, and the
-    domain is compiled once.
+    `cache` is the run's `RunCache`; without one, the call makes a private
+    one, so every call takes the same path. A compile, a schema's kept
+    bindings, the folded goal or a lowering found there is reused, and a
+    reused binding or goal charges the bindings it visited to `max_actions`
+    again. The `GroundedTask` returned is equal, field for field, to the
+    one a call with a fresh cache returns, and so is any explosion raised.
     """
-    if schemas is None:
-        schemas = Schemas(task.domain)
-    elif schemas.domain is not task.domain:
-        raise ValueError("schemas were compiled for another domain")
-    return _Grounder(task, schemas.compile(), max_atoms, max_actions).ground()
+    return _Grounder(task, cache if cache is not None else RunCache(), max_atoms, max_actions).ground()
 
 
 # -- execution ----------------------------------------------------------------

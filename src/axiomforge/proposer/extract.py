@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..pddl import DomainAst, PddlError, ProblemAst, link, parse_domain, print_canonical
+from ..pddl import DomainAst, PddlError, ProblemAst, parse_domain, print_canonical
+from ..planner import RunCache
 
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
 
@@ -41,23 +42,22 @@ def extract_candidates(raw_response: str) -> ExtractionResult:
 class Intake:
     """Reads oracle text for one search run: `intake(text)` is the linked
     domain and its canonical text, or None when the text does not parse or
-    link. Each distinct text is read once and its answer kept, and
-    `linked` maps each canonical text to the `LinkedTask` of the first
-    domain read with it, so the evaluator need not link that domain again."""
+    link. Each distinct text is read once and its answer kept. It links
+    through `cache`, the run's `RunCache` (a private one when none is
+    given), so the evaluator finds the verdict there and does not link the
+    domain to the problem again."""
 
-    def __init__(self, problem: ProblemAst):
+    def __init__(self, problem: ProblemAst, cache: RunCache | None = None):
         self.problem = problem
-        self.linked: dict = {}
+        self.cache = cache if cache is not None else RunCache()
         self._seen: dict = {}
 
     def __call__(self, text: str) -> tuple | None:
         if text not in self._seen:
             try:
                 domain = parse_domain(text)
-                task = link(domain, self.problem)
-                canonical = print_canonical(domain)
-                self._seen[text] = (domain, canonical)
-                self.linked.setdefault(canonical, task)
+                self.cache.link(domain, self.problem)
+                self._seen[text] = (domain, print_canonical(domain))
             except PddlError:
                 self._seen[text] = None
         return self._seen[text]

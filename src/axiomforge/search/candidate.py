@@ -13,20 +13,18 @@ from ..pddl import (
     Eq,
     Forall,
     Formula,
-    LinkedTask,
     Not,
     Or,
     PddlError,
     ProblemAst,
     When,
-    link,
     print_canonical,
 )
 from ..planner import (
     GroundingExplosion,
     Plan,
     ResourceExceeded,
-    Schemas,
+    RunCache,
     SearchLimits,
     SolveResult,
     ground,
@@ -119,10 +117,10 @@ class CandidateEvaluator:
     returns the first EditCandidate untouched, so step records stay unique
     per distinct rule set. `evaluations` counts cache misses.
 
-    Each evaluation compiles the candidate's schemas once, for the flagship
-    and every regression problem. `linked` maps canonical texts to
-    `LinkedTask`s against the flagship problem (a search run hands over its
-    intake's); a candidate found there is not linked to the flagship again.
+    Links and grounding go through `cache`, a `RunCache` that a search run
+    replaces with its own, shared with its intake: a candidate's link to the
+    flagship is then the intake's verdict, and the compiles, bindings and
+    lowerings of the actions it shares with earlier candidates are reused.
     """
 
     def __init__(
@@ -145,21 +143,15 @@ class CandidateEvaluator:
         self.max_atoms = max_atoms
         self.max_actions = max_actions
         self.evaluations = 0
-        self.linked: dict = {}
+        self.cache = RunCache()
         self._memo: dict = {}
 
-    def _flagship(self, domain: DomainAst, text: str) -> LinkedTask:
-        task = self.linked.get(text)
-        if task is None or task.domain is not domain or task.problem is not self.problem:
-            task = link(domain, self.problem)
-        return task
-
-    def _solve(self, task: LinkedTask, schemas: Schemas) -> SolveResult:
+    def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
         grounded = ground(
-            task,
+            self.cache.link(domain, problem),
             max_atoms=self.max_atoms,
             max_actions=self.max_actions,
-            schemas=schemas,
+            cache=self.cache,
         )
         return solve(grounded, self.limits)
 
@@ -175,15 +167,11 @@ class CandidateEvaluator:
             compactness=compactness(domain),
             lev_distance=levenshtein(self.original_text, text),
         )
-        schemas = Schemas(domain)
         try:
-            cand.plan_result = self._solve(self._flagship(domain, text), schemas)
+            cand.plan_result = self._solve(domain, self.problem)
             # The suite usually holds the flagship too; reuse its result.
             cand.regression_ok = all(
-                isinstance(
-                    cand.plan_result if prob == self.problem else self._solve(link(domain, prob), schemas),
-                    Plan,
-                )
+                isinstance(cand.plan_result if prob == self.problem else self._solve(domain, prob), Plan)
                 for prob in self.regression
             )
             cand.score = score(cand, self.weights)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ..planner import RunCache
 from ..proposer import Intake, NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
@@ -67,9 +68,10 @@ def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, intake
 
 
 class SearchRun:
-    """State of one search: the intake that reads oracle text, the recorded
-    steps, the best candidate so far, and the oracle and evaluator counters
-    at the start of the run."""
+    """State of one search: the run's `RunCache`, shared by the intake that
+    reads oracle text and by the evaluator, the recorded steps, the best
+    candidate so far, and the oracle and evaluator counters at the start of
+    the run."""
 
     def __init__(
         self,
@@ -84,8 +86,9 @@ class SearchRun:
         self.oracle = oracle
         self.evaluator = evaluator
         self.recorder = recorder or StepRecorder()
-        self.intake = Intake(ctx.problem)
-        evaluator.linked = self.intake.linked
+        self.cache = RunCache()
+        self.intake = Intake(ctx.problem, self.cache)
+        evaluator.cache = self.cache
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
         self._calls0, self._evals0 = oracle.calls, evaluator.evaluations

@@ -392,13 +392,12 @@ FAILURES = [
                  {}, 1, "{tmp}/early.jsonl:1: record before header",
                  {"status": "malformed", "error": "{tmp}/early.jsonl:1: record before header"},
                  id="malformed"),
-    pytest.param(["parse", "corpus:tetris"], {}, 2, "unknown corpus entry: 'tetris'",
-                 {"status": "unknown-corpus-entry", "error": "'tetris'"},
+    pytest.param(["parse", "corpus:tetris"], {}, 2, "unknown corpus entry: tetris",
+                 {"status": "unknown-corpus-entry", "error": "tetris"},
                  id="unknown-corpus-entry"),
     pytest.param(["plan", B, "corpus:blocksworld:nope"], {}, 2,
-                 "unknown corpus entry: \"blocksworld has no problem named 'nope'\"",
-                 {"status": "unknown-corpus-entry",
-                  "error": "\"blocksworld has no problem named 'nope'\""},
+                 "unknown corpus entry: blocksworld has no problem named 'nope'",
+                 {"status": "unknown-corpus-entry", "error": "blocksworld has no problem named 'nope'"},
                  id="unknown-corpus-problem"),
     pytest.param(["parse", "/nonexistent/file.pddl"], {}, 3,
                  f"io failure: {NO_FILE}: '/nonexistent/file.pddl'",

@@ -35,6 +35,15 @@ def test_unknown_domain():
         corpus.regression_suite("chess")
 
 
+def test_unknown_entry_prints_its_message_plainly():
+    with pytest.raises(KeyError) as err:
+        corpus.load("chess")
+    assert str(err.value) == "chess"
+    with pytest.raises(KeyError) as err:
+        corpus.load("blocksworld").problem("nope")
+    assert str(err.value) == "blocksworld has no problem named 'nope'"
+
+
 def test_load_is_embedded_no_filesystem():
     entry = corpus.load("blocksworld")
     assert entry.domain_text.startswith("(define (domain blocksworld)")

@@ -4,8 +4,11 @@ The two must return equal GroundedTasks (atom order, init, goal, action
 order, preconditions and masks) on the corpus, the figure variants,
 generated rule edits, tower and hanoi instances and random small typed
 domains, and raise the same GroundingExplosion under tight caps. Each
-input is grounded twice: with a compile of its own, and with one `Schemas`
-compile per domain shared by every problem of that domain.
+input is grounded with a private cache of its own, and again through one
+`RunCache` shared with the other problems of its domain and, for the rule
+edits and the random families, with the other edits as a search run
+shares it with its candidates. The shared cache must return and raise
+exactly what a private one does.
 """
 
 from dataclasses import replace
@@ -35,7 +38,7 @@ from axiomforge.pddl import (
     parse_domain,
     parse_problem,
 )
-from axiomforge.planner import GroundingExplosion, Schemas, ground
+from axiomforge.planner import GroundingExplosion, RunCache, ground
 
 from oracle_ground import oracle_ground
 from test_pinned_plans import hanoi, tower_reversal
@@ -48,15 +51,15 @@ def _outcome(grounder, task, **caps):
         return str(err)
 
 
-def assert_same_grounding(task, schemas=None):
-    """`schemas`, when given, is a compile of task.domain that other
-    problems share."""
-    assert ground(task, schemas=schemas) == oracle_ground(task)
-    assert _outcome(ground, task, max_atoms=3, schemas=schemas) == _outcome(oracle_ground, task, max_atoms=3)
+def assert_same_grounding(task, cache=None):
+    """`cache`, when given, is a RunCache that other tasks share."""
+    assert ground(task, cache=cache) == oracle_ground(task)
+    assert _outcome(ground, task, max_atoms=3, cache=cache) == _outcome(oracle_ground, task, max_atoms=3)
     # `ground` also counts the bindings it visits against max_actions, so it
     # raises wherever the oracle does, and may raise where the oracle does not.
     expected = _outcome(oracle_ground, task, max_actions=5)
-    got = _outcome(ground, task, max_actions=5, schemas=schemas)
+    got = _outcome(ground, task, max_actions=5, cache=cache)
+    assert got == _outcome(ground, task, max_actions=5)
     if isinstance(expected, str):
         assert isinstance(got, str) and got.startswith(expected)
     elif not isinstance(got, str):
@@ -103,11 +106,11 @@ def test_ground_matches_oracle(domain_text, problem_text):
     assert_same_grounding(link(parse_domain(domain_text), parse_problem(problem_text)))
 
 
-def assert_same_grounding_shared(domain, problems):
-    """Ground every problem with one compile of `domain`."""
-    schemas = Schemas(domain)
+def assert_same_grounding_shared(domain, problems, cache=None):
+    """Ground every problem through one cache: `cache`, or a new one."""
+    cache = cache if cache is not None else RunCache()
     for problem in problems:
-        assert_same_grounding(link(domain, problem), schemas)
+        assert_same_grounding(link(domain, problem), cache)
 
 
 # The CASES grouped by domain text, each under the label of its first case.
@@ -150,15 +153,60 @@ SWITCHBOARD_PROBLEMS = (
 def test_shared_compile_follows_each_problem():
     domain = parse_domain(SWITCHBOARD)
     tasks = [link(domain, parse_problem(text)) for text in SWITCHBOARD_PROBLEMS]
-    schemas = Schemas(domain)
-    small, dark, big = (ground(task, schemas=schemas) for task in tasks)
+    cache = RunCache()
+    small, dark, big = (ground(task, cache=cache) for task in tasks)
     assert [len(t.actions) for t in (small, dark, big)] == [1, 0, 2]
     # flip s1 adds (done) and (lit ?l) for each lamp wired to s1.
     assert [bin(t.actions[0].add_mask).count("1") for t in (small, big)] == [2, 3]
-    assert_same_grounding_shared(domain, [task.problem for task in tasks])
-    # A compile belongs to one domain.
-    with pytest.raises(ValueError):
-        ground(link(parse_domain(SWITCHBOARD), tasks[0].problem), schemas=schemas)
+    assert_same_grounding_shared(domain, [task.problem for task in tasks], cache)
+    # An equal domain parsed again shares the cache's work too.
+    assert_same_grounding_shared(parse_domain(SWITCHBOARD), [task.problem for task in tasks], cache)
+
+
+def test_a_cached_binding_charges_its_visits_again():
+    """Every cap below what the big problem visits raises at the same point
+    through a cache that already holds its bindings and goal, the forall
+    in flip's effect and in the goal included."""
+    domain = parse_domain(SWITCHBOARD)
+    task = link(domain, parse_problem(SWITCHBOARD_PROBLEMS[2]))
+    cache = RunCache()
+    ground(task, cache=cache)
+    outcomes = [_outcome(ground, task, max_actions=cap) for cap in range(16)]
+    assert isinstance(outcomes[0], str) and not isinstance(outcomes[-1], str)
+    assert [_outcome(ground, task, max_actions=cap, cache=cache) for cap in range(16)] == outcomes
+
+
+# `drive` joins on the static `road`, and `pave` makes it fluent. `alarm`,
+# placed before `drive`, interns a new atom ahead of what `drive` adds, so
+# the index of every atom `drive` adds moves.
+ROADS = (
+    "(define (domain roads) (:requirements :strips)"
+    " (:predicates (at ?x) (road ?x ?y) (rang)){first}"
+    " (:action drive :parameters (?x ?y) :precondition (and (at ?x) (road ?x ?y))"
+    " :effect (and (at ?y) (not (at ?x)))){last})"
+)
+UNEDITED = {"first": "", "last": ""}
+ALARM = {"first": " (:action alarm :parameters (?x) :precondition (at ?x) :effect (rang))"}
+PAVE = {"last": " (:action pave :parameters (?x ?y) :precondition (at ?x) :effect (road ?x ?y))"}
+ROADS_PROBLEM = (
+    "(define (problem trip) (:domain roads) (:objects a b c)"
+    " (:init (at a) (road a b)) (:goal (at c)))"
+)
+
+
+@pytest.mark.parametrize("edit", [PAVE, ALARM, PAVE | ALARM], ids=["fluent-road", "new-atom", "both"])
+def test_a_cache_follows_an_edit_to_another_action(edit):
+    """An edit elsewhere in the domain can make a predicate that `drive`
+    reads fluent, or move the index of every atom `drive` lowers to; the
+    cached compile, bindings and lowering of `drive` must not be reused."""
+    problem = parse_problem(ROADS_PROBLEM)
+    cache = RunCache()
+    before = link(parse_domain(ROADS.format_map(UNEDITED)), problem)
+    after = link(parse_domain(ROADS.format_map(UNEDITED | edit)), problem)
+    assert_same_grounding(before, cache)
+    assert_same_grounding(after, cache)
+    assert ground(after, cache=cache) != ground(before)
+    assert_same_grounding(before, cache)
 
 
 # -- rule edits ----------------------------------------------------------------
@@ -230,8 +278,19 @@ def test_ground_matches_oracle_on_rule_edits(edit, problem_text):
 def test_shared_compile_matches_oracle_on_rule_edits(name):
     entry = corpus.load(name)
     problems = [parse_problem(p.text) for p in entry.problems]
-    for edit in rule_edits(parse_domain(entry.domain_text)):
-        assert_same_grounding_shared(edit, problems)
+    domain = parse_domain(entry.domain_text)
+    cache = RunCache()
+    for edit in [domain, *rule_edits(domain), domain]:
+        assert_same_grounding_shared(edit, problems, cache)
+
+
+def test_one_cache_serves_every_rule_edit_of_every_corpus_domain():
+    cache = RunCache()
+    for name in corpus.CORPUS_NAMES:
+        entry = corpus.load(name)
+        problems = [parse_problem(p.text) for p in entry.problems]
+        for edit in rule_edits(parse_domain(entry.domain_text)):
+            assert_same_grounding_shared(edit, problems, cache)
 
 
 # -- random small typed domains ------------------------------------------------
@@ -361,4 +420,9 @@ def typed_families(draw):
 @given(typed_families())
 @settings(max_examples=100, deadline=None)
 def test_shared_compile_matches_oracle_on_random_typed_domains(family):
-    assert_same_grounding_shared(*family)
+    """One cache for the family's domain and its rule edits, as a run
+    shares it with its candidates."""
+    domain, problems = family
+    cache = RunCache()
+    for edit in [domain, *rule_edits(domain)[:6]]:
+        assert_same_grounding_shared(edit, problems, cache)

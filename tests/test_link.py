@@ -1,10 +1,13 @@
 import gc
+from dataclasses import replace
 
 import pytest
 
 from axiomforge import corpus
-from axiomforge.pddl import DomainAst, LinkedTask, PddlError, link, parse_domain, parse_problem
-from axiomforge.planner import ground
+from axiomforge.pddl import DomainAst, LinkedTask, PddlError, TypedName, link, parse_domain, parse_problem
+from axiomforge.planner import RunCache, ground
+
+from test_ground_oracle import rule_edits
 
 
 def _codes(err):
@@ -131,3 +134,50 @@ def test_object_colliding_with_constant():
     with pytest.raises(PddlError) as err:
         link(monkey, problem)
     assert "duplicate-object" in _codes(err)
+
+
+def _link_outcome(linker, domain, problem):
+    """The LinkedTask of a pass, checked to hold the very ASTs passed, or
+    the diagnostics of a failure."""
+    try:
+        task = linker(domain, problem)
+    except PddlError as err:
+        return err.diagnostics
+    assert task.domain is domain and task.problem is problem
+    return task
+
+
+def _link_edits(domain):
+    """Every rule edit of `domain`, then the domain renamed, its first
+    predicate given one more argument, and the first parameter of its first
+    action with parameters given the undeclared type `ghost`."""
+    first = domain.predicates[0]
+    wider = replace(first, params=first.params + (TypedName("?extra"),))
+    action = next(a for a in domain.actions if a.params)
+    ghostly = replace(action, params=(replace(action.params[0], type="ghost"),) + action.params[1:])
+    return [
+        *rule_edits(domain),
+        replace(domain, name=f"{domain.name}-renamed"),
+        replace(domain, predicates=(wider,) + domain.predicates[1:]),
+        replace(domain, actions=tuple(ghostly if a is action else a for a in domain.actions)),
+    ]
+
+
+def test_cached_link_matches_link():
+    """One cache answers for every edit of every corpus domain, against
+    every problem of the domain and the flagship with an object of type
+    `ghost`, which links only once an action parameter names that type."""
+    cache = RunCache()
+    outcomes = set()
+    for name in corpus.CORPUS_NAMES:
+        entry = corpus.load(name)
+        problems = [parse_problem(p.text) for p in entry.problems]
+        flagship = problems[0]
+        problems.append(replace(flagship, objects=flagship.objects + (TypedName("spook", "ghost"),)))
+        domain = parse_domain(entry.domain_text)
+        for edit in [domain, *_link_edits(domain)]:
+            for problem in problems:
+                expected = _link_outcome(link, edit, problem)
+                assert _link_outcome(cache.link, edit, problem) == expected
+                outcomes.add(type(expected))
+    assert outcomes == {LinkedTask, tuple}

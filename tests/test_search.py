@@ -664,6 +664,38 @@ def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_re
     assert first and parsed == first
 
 
+def _record_links_and_compiles(monkeypatch):
+    """Lists that collect the key of each `link` call (the problem and what
+    link reads of the domain) and the action of each schema compile."""
+    links, compiled = [], []
+
+    def recording_link(domain, problem):
+        params = frozenset(p.type for a in domain.actions for p in a.params)
+        links.append((problem, domain.name, domain.types, domain.constants, domain.predicates, params))
+        return link(domain, problem)
+
+    compile_schema = planner._Compiler.schema
+
+    def recording_schema(compiler, action):
+        compiled.append(action)
+        return compile_schema(compiler, action)
+
+    monkeypatch.setattr(planner, "link", recording_link)
+    monkeypatch.setattr(planner._Compiler, "schema", recording_schema)
+    return links, compiled
+
+
+def test_a_second_run_links_and_grounds_again(monkeypatch, blocksworld, flagship, blocksworld_regression):
+    links, compiled = _record_links_and_compiles(monkeypatch)
+    cfg = _unreachable_cfg("beam")
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
+    first = (list(links), list(compiled))
+    links.clear()
+    compiled.clear()
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
+    assert first[0] and first[1] and (links, compiled) == first
+
+
 def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
     oracle = _oracle(UNLINKABLE, WORSE, BROKEN, variants.MID_EXTRACT)
     run = SearchRun(_cfg("beam"), _ctx(zero_evaluator), oracle, zero_evaluator)
@@ -707,28 +739,15 @@ def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blo
 def test_each_candidate_is_linked_to_the_flagship_and_compiled_once(
     algorithm, monkeypatch, blocksworld, flagship, blocksworld_regression
 ):
-    """The intake's link serves the evaluator, and one compile of a
-    candidate serves every problem it is grounded for."""
-    flagship_links, compiled = [], []
-
-    def recording_link(domain, problem):
-        if problem is flagship:
-            flagship_links.append(id(domain))
-        return link(domain, problem)
-
-    compile_schemas = planner.Schemas.compile
-
-    def recording_compile(schemas):
-        if schemas.actions is None:
-            compiled.append(id(schemas.domain))
-        return compile_schemas(schemas)
-
-    monkeypatch.setattr(extract_module, "link", recording_link)
-    monkeypatch.setattr(candidate_module, "link", recording_link)
-    monkeypatch.setattr(planner.Schemas, "compile", recording_compile)
+    """Within one run, each distinct action schema is compiled once, and
+    `link` runs once per distinct link key and problem: the intake's link
+    to the flagship serves the evaluator, and an edit that keeps what link
+    reads of the domain is not linked again."""
+    links, compiled = _record_links_and_compiles(monkeypatch)
     result = run_search(
         _unreachable_cfg(algorithm), blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3)
     )
     assert result.explored > 1
-    assert len(flagship_links) == len(set(flagship_links))
-    assert len(compiled) == len(set(compiled)) == result.explored
+    assert compiled and len(compiled) == len(set(compiled))
+    assert links and len(links) == len(set(links))
+    assert len(compiled) < result.explored * len(blocksworld.actions)
