@@ -89,7 +89,9 @@ class TrajectoryWriter:
         if step.parent_id is not None and step.parent_id >= step.step_id:
             raise ValueError("parent_id must be smaller than step_id")
         self._last_step_id = step.step_id
-        self._write({"kind": "step", **asdict(step)})
+        # A step's fields are all str, int, float, bool or None, so its
+        # __dict__ writes what `asdict` would, without a deep copy.
+        self._write({"kind": "step", **vars(step)})
 
     def finalize(self, result: dict) -> None:
         self._write({"kind": "result", **result})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from axiomforge import corpus
 from axiomforge.pddl import Atom, link, parse_domain, parse_problem
 from axiomforge.planner import (
+    _CHUNK_BITS,
     GAnd,
     GAtom,
     GFalse,
@@ -292,7 +293,7 @@ def test_wall_budget(monkeypatch, flagship_task):
 
 def test_successors_follow_action_index_order():
     # Both actions reach the goal in one step. a0 needs p1 and a1 needs p0,
-    # so an index that gathers its buckets from the lowest bit up meets a1
+    # so a generator that visits actions by the bits they need meets a1
     # first; the plan must still be the one a scan in action-index order finds.
     actions = (
         GroundAction("a0", (), GAtom(1), 0b100, 0b001, pre_masks=(0b010, 0)),
@@ -379,6 +380,10 @@ def _tasks(draw):
 @given(_tasks())
 @settings(max_examples=60, deadline=None)
 def test_solve_matches_oracle_on_random_tasks(task):
+    _assert_matches_oracle(task)
+
+
+def _assert_matches_oracle(task):
     expected = oracle_plan(task)
     # 2^8 states bound every plan, so the length cap never truncates.
     result = solve(task, SearchLimits(max_plan_length=1 << MAX_ATOMS))
@@ -389,3 +394,102 @@ def test_solve_matches_oracle_on_random_tasks(task):
     # The first shortest plan of a scan in action-index order, step for step.
     assert result.steps == tuple(task.actions[i] for i in expected)
     assert validate_plan(task, result) == (True, None)
+
+
+# The same tasks with their atoms moved to scattered bits of a universe of
+# 40 or more, so literals sit in several of `solve`'s chunks and on both
+# sides of chunk edges, negative ones in high chunks too.
+
+WIDE_ATOMS = 40
+
+
+def _move_formula(f, where):
+    if isinstance(f, GAtom):
+        return GAtom(where[f.index])
+    if isinstance(f, GNot):
+        return GNot(_move_formula(f.body, where))
+    if isinstance(f, (GAnd, GOr)):
+        return type(f)(tuple(_move_formula(p, where) for p in f.parts))
+    return f
+
+
+def _move_mask(mask, where):
+    return sum(1 << where[i] for i in range(MAX_ATOMS) if mask >> i & 1)
+
+
+@st.composite
+def _wide_tasks(draw):
+    task = draw(_tasks())
+    width = draw(st.integers(WIDE_ATOMS, WIDE_ATOMS + 24))
+    edges = [b for k in range(_CHUNK_BITS, width, _CHUNK_BITS) for b in (k - 1, k)]
+    where = draw(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(0, width - 1)),
+            min_size=len(task.atoms),
+            max_size=len(task.atoms),
+            unique=True,
+        )
+    )
+    actions = tuple(
+        GroundAction(
+            a.name,
+            (),
+            _move_formula(a.precondition, where),
+            _move_mask(a.add_mask, where),
+            _move_mask(a.del_mask, where),
+            tuple(
+                (_move_formula(c, where), _move_mask(add, where), _move_mask(dele, where))
+                for c, add, dele in a.conditional
+            ),
+            a.pre_masks and tuple(_move_mask(m, where) for m in a.pre_masks),
+        )
+        for a in task.actions
+    )
+    return GroundedTask(
+        atoms=tuple(Atom(f"p{i}") for i in range(width)),
+        init=_move_mask(task.init, where),
+        goal=_move_formula(task.goal, where),
+        actions=actions,
+    )
+
+
+@given(_wide_tasks())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_oracle_on_wide_random_tasks(task):
+    _assert_matches_oracle(task)
+
+
+def _atoms(count):
+    return tuple(Atom(f"p{i}") for i in range(count))
+
+
+EDGE_TASKS = {
+    # No action reads a literal bit, so `solve` has no chunk at all; the
+    # `or` action comes first but applies only after `a1`.
+    "no-literal-bits": GroundedTask(
+        atoms=_atoms(3),
+        init=0b000,
+        goal=GAtom(2),
+        actions=(
+            GroundAction("a0", (), GOr((GAtom(1), GAtom(0))), 0b100, 0),
+            GroundAction("a1", (), GTrue(), 0b010, 0, pre_masks=(0, 0)),
+        ),
+    ),
+    "no-actions": GroundedTask(atoms=_atoms(1), init=0, goal=GAtom(0), actions=()),
+    # (and p0 (not p0)) never holds, so the plan goes through a1.
+    "contradictory-precondition": GroundedTask(
+        atoms=_atoms(3),
+        init=0b001,
+        goal=GAtom(2),
+        actions=(
+            GroundAction("a0", (), GAnd((GAtom(0), GNot(GAtom(0)))), 0b100, 0, pre_masks=(1, 1)),
+            GroundAction("a1", (), GAtom(0), 0b010, 0, pre_masks=(0b001, 0)),
+            GroundAction("a2", (), GAtom(1), 0b100, 0, pre_masks=(0b010, 0)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_TASKS)
+def test_solve_matches_oracle_on_edge_tasks(name):
+    _assert_matches_oracle(EDGE_TASKS[name])
