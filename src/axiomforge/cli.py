@@ -300,10 +300,12 @@ def _in_range(kind, low, high=math.inf):
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=_in_range(int, 1), default=1_000_000,
+    p.add_argument("--max-states", type=_in_range(int, 1), default=SearchLimits.max_expanded_states,
                    help="cap on expanded states per solve")
-    p.add_argument("--max-len", type=_in_range(int, 1), default=100, help="cap on plan length")
-    p.add_argument("--budget-ms", type=_in_range(int, 1), default=10_000, help="wall budget per solve")
+    p.add_argument("--max-len", type=_in_range(int, 1), default=SearchLimits.max_plan_length,
+                   help="cap on plan length")
+    p.add_argument("--budget-ms", type=_in_range(int, 1), default=SearchLimits.wall_budget_ms,
+                   help="wall budget per solve")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,21 +340,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--algo", choices=ALGORITHMS, default="beam")
     p.add_argument("--target-len", type=_in_range(int, 0), required=True)
-    p.add_argument("--beam-width", type=_in_range(int, 1), default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beam-width", type=_in_range(int, 1), default=SearchConfig.beam_width)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--oracle", choices=("http", "scripted"), default="http")
     p.add_argument("--trajectory", help="write the run record to this jsonl file")
-    p.add_argument("--alpha", type=_in_range(float, 0), default=0.01, help="distance weight")
-    p.add_argument("--lambda", dest="lam", type=_in_range(float, 0), default=0.01,
+    p.add_argument("--alpha", type=_in_range(float, 0), default=ObjectiveWeights.alpha,
+                   help="distance weight")
+    p.add_argument("--lambda", dest="lam", type=_in_range(float, 0), default=ObjectiveWeights.lam,
                    help="compactness weight")
-    p.add_argument("--samples", type=_in_range(int, 1), default=16, help="oracle decodes per request")
-    p.add_argument("--max-depth", type=_in_range(int, 1), default=3)
-    p.add_argument("--proposals", type=_in_range(int, 1), default=4, help="proposals per expansion")
-    p.add_argument("--mcts-iterations", type=_in_range(int, 1), default=32)
-    p.add_argument("--mcts-c", type=_in_range(float, 0), default=1.4142135623730951)
-    p.add_argument("--ga-population", type=_in_range(int, 2), default=8)
-    p.add_argument("--ga-generations", type=_in_range(int, 0), default=10)
-    p.add_argument("--ga-mutation-rate", type=_in_range(float, 0, 1), default=0.25)
+    p.add_argument("--samples", type=_in_range(int, 1), default=OracleClientConfig.samples,
+                   help="oracle decodes per request")
+    p.add_argument("--max-depth", type=_in_range(int, 1), default=SearchConfig.max_depth)
+    p.add_argument("--proposals", type=_in_range(int, 1), default=SearchConfig.proposals_per_expansion,
+                   help="proposals per expansion")
+    p.add_argument("--mcts-iterations", type=_in_range(int, 1), default=SearchConfig.mcts_iterations)
+    p.add_argument("--mcts-c", type=_in_range(float, 0), default=SearchConfig.mcts_exploration_c)
+    p.add_argument("--ga-population", type=_in_range(int, 2), default=SearchConfig.ga_population)
+    p.add_argument("--ga-generations", type=_in_range(int, 0), default=SearchConfig.ga_generations)
+    p.add_argument("--ga-mutation-rate", type=_in_range(float, 0, 1),
+                   default=SearchConfig.ga_mutation_rate)
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_evolve)
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep", type=_in_range(int, 1), default=16, help="hybrid pre-filter survivors")
     p.add_argument("--oracle", choices=("http", "mock"), default="http")
     p.add_argument(
-        "--samples", type=_in_range(int, 1), default=16,
+        "--samples", type=_in_range(int, 1), default=OracleClientConfig.samples,
         help="oracle votes per comparison, asked for in one request",
     )
     p.add_argument("--json", action="store_true")

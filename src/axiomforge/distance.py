@@ -99,7 +99,7 @@ class DistanceOracle(ABC):
     distance to the reference.
     """
 
-    def __init__(self, samples_per_query: int = 16):
+    def __init__(self, samples_per_query: int):
         if samples_per_query < 1:
             raise ValueError("samples_per_query must be >= 1")
         self.samples_per_query = samples_per_query

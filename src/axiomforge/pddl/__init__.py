@@ -16,6 +16,7 @@ from .ast import (
     ProblemAst,
     TypedName,
     When,
+    walk,
 )
 from .errors import Diagnostic, PddlError
 from .parser import SUPPORTED_REQUIREMENTS, link, parse_domain, parse_problem
@@ -46,4 +47,5 @@ __all__ = [
     "parse_problem",
     "print_canonical",
     "print_canonical_problem",
+    "walk",
 ]

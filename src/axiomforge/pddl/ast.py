@@ -8,7 +8,7 @@ Types are plain strings; an ``(either a b)`` type is a tuple of strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 ROOT_TYPE = "object"
 
@@ -68,6 +68,27 @@ class When:
 
 
 Formula = Union[Atom, Eq, Not, And, Or, Forall, When]
+
+
+def walk(f: Formula) -> Iterator[Formula]:
+    """Every node of `f` in pre-order: each node before its parts, and the
+    parts in document order (a `when`'s condition before its effect). The
+    walk keeps an explicit stack, so it leaves no reference cycle and has no
+    depth limit."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Atom, Eq)):
+            continue
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.parts))
+        elif isinstance(node, (Not, Forall)):
+            stack.append(node.body)
+        elif isinstance(node, When):
+            stack += (node.effect, node.condition)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
 
 
 @dataclass(frozen=True)

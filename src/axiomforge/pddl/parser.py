@@ -36,6 +36,7 @@ from .ast import (
     TypedName,
     TypeRef,
     When,
+    walk,
 )
 from .printer import _type_str
 from .reader import SAtom, SList, SNode, read_one
@@ -533,20 +534,13 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
     for atom in sorted(problem.init, key=str):
         check_atom(atom, "init")
 
-    # An explicit stack, in the order a recursive walk visits: a recursive
-    # closure would be a reference cycle left to the cyclic collector.
-    stack: list[Formula] = [problem.goal]
-    while stack:
-        f = stack.pop()
+    # Goal diagnostics follow the goal's document order (`walk`).
+    for f in walk(problem.goal):
         if isinstance(f, Atom):
             check_atom(f, "goal")
         elif isinstance(f, Eq):
             for term in (f.left, f.right):
                 if not term.startswith("?") and term not in term_types:
                     b.diag(E.UNDECLARED_OBJECT, f"'{term}' in goal is not a declared object")
-        elif isinstance(f, (Not, Forall)):
-            stack.append(f.body)
-        elif isinstance(f, (And, Or)):
-            stack.extend(reversed(f.parts))
     b.fail_if_dirty()
     return LinkedTask(domain, problem)

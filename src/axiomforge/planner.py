@@ -56,6 +56,7 @@ from .pddl.ast import (
     ProblemAst,
     ROOT_TYPE,
     When,
+    walk,
 )
 
 
@@ -160,10 +161,7 @@ class GroundAction:
     conditional: tuple = ()  # (condition, add_mask, del_mask) triples
     pre_masks: tuple | None = None
 
-    def __str__(self) -> str:
-        if not self.args:
-            return f"({self.name})"
-        return f"({self.name} {' '.join(self.args)})"
+    __str__ = Atom.__str__
 
     def applicable(self, state: int) -> bool:
         if self.pre_masks is not None:
@@ -222,37 +220,6 @@ def _effect_predicates(f: Formula, acc: set) -> None:
         _effect_predicates(f.effect, acc)
 
 
-def _predicates(f: Formula, acc: set) -> None:
-    """Add the name of every predicate `f` mentions to `acc`."""
-    if isinstance(f, Atom):
-        acc.add(f.name)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _predicates(p, acc)
-    elif isinstance(f, (Not, Forall)):
-        _predicates(f.body, acc)
-    elif isinstance(f, When):
-        _predicates(f.condition, acc)
-        _predicates(f.effect, acc)
-
-
-def _names(f: Formula, acc: list) -> None:
-    """Append every predicate name and term of `f` to `acc`."""
-    if isinstance(f, Atom):
-        acc.append(f.name)
-        acc.extend(f.args)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _names(p, acc)
-    elif isinstance(f, (Not, Forall)):
-        _names(f.body, acc)
-    elif isinstance(f, Eq):
-        acc += (f.left, f.right)
-    elif isinstance(f, When):
-        _names(f.condition, acc)
-        _names(f.effect, acc)
-
-
 def _text(key: tuple) -> str:
     """`str` of the ground atom whose key is `key`."""
     return "(" + " ".join(key) + ")"
@@ -302,7 +269,12 @@ class _Compiler:
         in `bound`, a slot at the front of env; returns how many there are."""
         names: list = []
         for f in formulas:
-            _names(f, names)
+            for node in walk(f):
+                if isinstance(node, Atom):
+                    names.append(node.name)
+                    names += node.args
+                elif isinstance(node, Eq):
+                    names += (node.left, node.right)
         self.names = tuple(dict.fromkeys(n for n in names if n not in bound))
         self.slots = {name: i for i, name in enumerate(self.names)}
         return len(self.names)
@@ -473,9 +445,8 @@ class RunCache:
         token."""
         got = self._problems.get(id(problem))
         if got is None:
-            goal_preds: set = set()
-            _predicates(problem.goal, goal_preds)
-            got = self._problems[id(problem)] = (problem, self._token(problem), frozenset(goal_preds))
+            goal_preds = frozenset(f.name for f in walk(problem.goal) if isinstance(f, Atom))
+            got = self._problems[id(problem)] = (problem, self._token(problem), goal_preds)
         return got[1:]
 
     def link(self, domain: DomainAst, problem: ProblemAst) -> LinkedTask:
@@ -510,12 +481,11 @@ class RunCache:
             for action in domain.actions:
                 entry = self._actions.setdefault(action, [])  # hashes the action once
                 if not entry:
-                    mentioned: set = set()
+                    mentioned = frozenset(f.name for part in (action.precondition, action.effect)
+                                          for f in walk(part) if isinstance(f, Atom))
                     effects: set = set()
-                    _predicates(action.precondition, mentioned)
-                    _predicates(action.effect, mentioned)
                     _effect_predicates(action.effect, effects)
-                    entry += (frozenset(mentioned), frozenset(effects), {})
+                    entry += (mentioned, frozenset(effects), {})
                 entries.append(entry)
                 touched |= entry[1]
             static = frozenset(p.name for p in domain.predicates) - touched

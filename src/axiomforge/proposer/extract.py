@@ -1,4 +1,5 @@
-"""Pull candidate domains out of free-form oracle replies."""
+"""The fenced-block format: quote PDDL for a prompt, and pull candidate
+domains out of free-form oracle replies."""
 
 from __future__ import annotations
 
@@ -9,6 +10,12 @@ from ..pddl import DomainAst, PddlError, ProblemAst, parse_domain, print_canonic
 from ..planner import RunCache
 
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
+
+
+def fenced(text: str) -> str:
+    """`text` in a ```pddl block, less its trailing newlines; `_FENCE`
+    reads it back."""
+    return "```pddl\n" + text.rstrip("\n") + "\n```"
 
 
 @dataclass(frozen=True)

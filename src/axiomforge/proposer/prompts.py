@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..pddl import print_canonical, print_canonical_problem
 from .context import ProposalContext
+from .extract import fenced
 
 SYSTEM_PROMPT = (
     "You revise the rules of logic games written in PDDL. Rules are the"
@@ -21,14 +22,10 @@ def build_prompt(ctx: ProposalContext) -> str:
     """
     parts = [
         "Current rules:",
-        "```pddl",
-        print_canonical(ctx.domain).rstrip("\n"),
-        "```",
+        fenced(print_canonical(ctx.domain)),
         "",
         "Scenario:",
-        "```pddl",
-        print_canonical_problem(ctx.problem).rstrip("\n"),
-        "```",
+        fenced(print_canonical_problem(ctx.problem)),
         "",
     ]
     if ctx.baseline_length is None:
@@ -63,14 +60,10 @@ def crossover_prompt(ctx: ProposalContext, parent_a: str, parent_b: str) -> str:
             " into a single rule set.",
             "",
             "Rule set A:",
-            "```pddl",
-            parent_a.rstrip("\n"),
-            "```",
+            fenced(parent_a),
             "",
             "Rule set B:",
-            "```pddl",
-            parent_b.rstrip("\n"),
-            "```",
+            fenced(parent_b),
             "",
             f"The combined rules must keep the domain name and should solve the"
             f" scenario in at most {ctx.target_length} steps.",
@@ -86,9 +79,7 @@ def mutation_prompt(ctx: ProposalContext, candidate: str) -> str:
             "Make one small change to this rule set: add, drop, or adjust a"
             " single precondition, effect, or action.",
             "",
-            "```pddl",
-            candidate.rstrip("\n"),
-            "```",
+            fenced(candidate),
             "",
             f"Aim for solvability in at most {ctx.target_length} steps without"
             f" breaking scenarios that already work.",
@@ -108,19 +99,13 @@ def comparison_prompt(reference: str, a: str, b: str) -> str:
             " they allow.",
             "",
             "Reference:",
-            "```pddl",
-            reference.rstrip("\n"),
-            "```",
+            fenced(reference),
             "",
             "Candidate A:",
-            "```pddl",
-            a.rstrip("\n"),
-            "```",
+            fenced(a),
             "",
             "Candidate B:",
-            "```pddl",
-            b.rstrip("\n"),
-            "```",
+            fenced(b),
             "",
             "Reply with the single letter A or B.",
         ]

@@ -6,20 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..distance import levenshtein
-from ..pddl import (
-    And,
-    Atom,
-    DomainAst,
-    Eq,
-    Forall,
-    Formula,
-    Not,
-    Or,
-    PddlError,
-    ProblemAst,
-    When,
-    print_canonical,
-)
+from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, print_canonical, walk
 from ..planner import (
     GroundingExplosion,
     Plan,
@@ -41,29 +28,19 @@ class ObjectiveWeights:
     unsolvable_penalty: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.lam < 0 or self.unsolvable_penalty <= 0:
-            raise ValueError("weights must be non-negative, penalty positive")
-
-
-def _count_literals(f: Formula) -> int:
-    if isinstance(f, (Atom, Eq)):
-        return 1
-    if isinstance(f, Not):
-        return _count_literals(f.body)
-    if isinstance(f, (And, Or)):
-        return sum(_count_literals(p) for p in f.parts)
-    if isinstance(f, Forall):
-        return _count_literals(f.body)
-    if isinstance(f, When):
-        return _count_literals(f.condition) + _count_literals(f.effect)
-    raise TypeError(f"not a formula: {f!r}")
+        # Written so that NaN, for which every comparison is False, fails.
+        if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf
+                and 0 < self.unsolvable_penalty < math.inf):
+            raise ValueError("weights must be finite and non-negative, penalty positive")
 
 
 def compactness(domain: DomainAst) -> int:
     """Rule-set size: total literal count over all preconditions and effects."""
     return sum(
-        _count_literals(a.precondition) + _count_literals(a.effect)
+        isinstance(node, (Atom, Eq))
         for a in domain.actions
+        for f in (a.precondition, a.effect)
+        for node in walk(f)
     )
 
 
@@ -130,9 +107,6 @@ class CandidateEvaluator:
         regression: list,
         limits: SearchLimits | None = None,
         weights: ObjectiveWeights | None = None,
-        *,
-        max_atoms: int = 100_000,
-        max_actions: int = 200_000,
     ):
         self.original = original
         self.original_text = print_canonical(original)
@@ -140,20 +114,12 @@ class CandidateEvaluator:
         self.regression = list(regression)
         self.limits = limits or SearchLimits()
         self.weights = weights or ObjectiveWeights()
-        self.max_atoms = max_atoms
-        self.max_actions = max_actions
         self.evaluations = 0
         self.cache = RunCache()
         self._memo: dict = {}
 
     def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
-        grounded = ground(
-            self.cache.link(domain, problem),
-            max_atoms=self.max_atoms,
-            max_actions=self.max_actions,
-            cache=self.cache,
-        )
-        return solve(grounded, self.limits)
+        return solve(ground(self.cache.link(domain, problem), cache=self.cache), self.limits)
 
     def evaluate(self, domain: DomainAst, text: str, provenance: Provenance) -> EditCandidate:
         """Score `domain`, whose canonical text is `text`."""

@@ -32,8 +32,8 @@ class SearchConfig:
             raise ValueError("target_length must be >= 0")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.mcts_exploration_c < 0:
-            raise ValueError("mcts_exploration_c must be >= 0")
+        if not 0 <= self.mcts_exploration_c < math.inf:
+            raise ValueError("mcts_exploration_c must be finite and >= 0")
         if not 0 <= self.ga_mutation_rate <= 1:
             raise ValueError("ga_mutation_rate must be within [0, 1]")
 

@@ -11,6 +11,8 @@ import pytest
 import axiomforge
 from axiomforge import cli, corpus, planner
 from axiomforge.cli import main
+from axiomforge.proposer import OracleClientConfig
+from axiomforge.search import ObjectiveWeights, SearchConfig
 
 B, R = "corpus:blocksworld", "corpus:blocksworld:restack"
 
@@ -314,6 +316,40 @@ def test_range_bounds_are_accepted():
     assert (args.alpha, args.lam, args.mcts_c, args.ga_mutation_rate) == (0.0, 0.0, 0.0, 1.0)
     assert (args.beam_width, args.max_depth, args.proposals, args.mcts_iterations) == (1, 1, 1, 1)
     assert args.samples == 1
+
+
+_LIMITS, _CONFIG = planner.SearchLimits(), SearchConfig(algorithm="beam", target_length=4)
+_WEIGHTS, _CLIENT = ObjectiveWeights(), OracleClientConfig()
+DEFAULTS = [
+    ("plan", "max_states", _LIMITS.max_expanded_states),
+    ("plan", "max_len", _LIMITS.max_plan_length),
+    ("plan", "budget_ms", _LIMITS.wall_budget_ms),
+    ("evolve", "max_states", _LIMITS.max_expanded_states),
+    ("evolve", "max_len", _LIMITS.max_plan_length),
+    ("evolve", "budget_ms", _LIMITS.wall_budget_ms),
+    ("evolve", "beam_width", _CONFIG.beam_width),
+    ("evolve", "seed", _CONFIG.seed),
+    ("evolve", "alpha", _WEIGHTS.alpha),
+    ("evolve", "lam", _WEIGHTS.lam),
+    ("evolve", "samples", _CLIENT.samples),
+    ("evolve", "max_depth", _CONFIG.max_depth),
+    ("evolve", "proposals", _CONFIG.proposals_per_expansion),
+    ("evolve", "mcts_iterations", _CONFIG.mcts_iterations),
+    ("evolve", "mcts_c", _CONFIG.mcts_exploration_c),
+    ("evolve", "ga_population", _CONFIG.ga_population),
+    ("evolve", "ga_generations", _CONFIG.ga_generations),
+    ("evolve", "ga_mutation_rate", _CONFIG.ga_mutation_rate),
+    ("rank", "samples", _CLIENT.samples),
+]
+_ARGV = {"plan": ["plan", "d", "p"], "evolve": ["evolve", "d", "p", "--target-len", "4"],
+         "rank": ["rank", "r", "c"]}
+
+
+@pytest.mark.parametrize("command, dest, default", DEFAULTS)
+def test_flag_defaults_to_its_dataclass_default(command, dest, default):
+    args = cli.build_parser().parse_args(_ARGV[command])
+    assert type(getattr(args, dest)) is type(default)
+    assert getattr(args, dest) == default
 
 
 def test_validate_takes_no_limit_flags(capsys, tmp_path):

@@ -12,6 +12,7 @@ from axiomforge.proposer import (
     builtin_script,
     extract_candidates,
 )
+from axiomforge.proposer.extract import fenced, fenced_blocks
 from axiomforge.search.common import propose_domains
 
 GOOD_DOMAIN = """\
@@ -65,6 +66,14 @@ def test_prompt_without_history_has_no_history_section(blocksworld, flagship):
 def test_prompt_states_unreachable_goal(blocksworld, flagship):
     prompt = build_prompt(_ctx(blocksworld, flagship, baseline=None))
     assert "unreachable" in prompt
+
+
+@pytest.mark.parametrize("text", ["(a)", "(a)\n", "(a)\n\n", "(a\n b)\n", "(a) \n", ""])
+def test_fenced_text_reads_back(text):
+    block = fenced(text)
+    assert block.startswith("```pddl\n") and block.endswith("\n```")
+    assert fenced_blocks(block) == [text.rstrip("\n") + "\n"]
+    assert fenced_blocks(f"{block}\n{block}") == [text.rstrip("\n") + "\n"] * 2
 
 
 def test_negative_target_rejected(blocksworld, flagship):

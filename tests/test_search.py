@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -200,10 +201,11 @@ def test_regression_ok_matches_solving_every_problem(
         assert cand.regression_ok is expected
 
 
-def test_grounding_explosion_becomes_infinite_score(blocksworld, flagship, blocksworld_regression):
-    evaluator = CandidateEvaluator(
-        blocksworld, flagship, blocksworld_regression, max_actions=5
-    )
+def test_grounding_explosion_becomes_infinite_score(
+    monkeypatch, blocksworld, flagship, blocksworld_regression
+):
+    monkeypatch.setattr(candidate_module, "ground", functools.partial(planner.ground, max_actions=5))
+    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
     cand = evaluator.evaluate(blocksworld, print_canonical(blocksworld), Provenance(None, 0, "boom"))
     assert math.isinf(cand.score)
     assert not isinstance(cand.plan_result, Plan)
@@ -456,6 +458,25 @@ def test_ga_population_minimum(zero_evaluator):
 def test_mutation_rate_validated():
     with pytest.raises(ValueError):
         SearchConfig(algorithm="genetic", target_length=4, ga_mutation_rate=2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", -1.0), ("alpha", NAN), ("alpha", INF),
+    ("lam", -1.0), ("lam", NAN), ("lam", INF),
+    ("unsolvable_penalty", 0.0), ("unsolvable_penalty", NAN), ("unsolvable_penalty", INF),
+])
+def test_weights_validated(field, value):
+    with pytest.raises(ValueError):
+        ObjectiveWeights(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, NAN, INF])
+def test_exploration_constant_validated(value):
+    with pytest.raises(ValueError):
+        SearchConfig(algorithm="mcts", target_length=4, mcts_exploration_c=value)
 
 
 def test_ga_deterministic(blocksworld, flagship, blocksworld_regression):
