@@ -7,7 +7,8 @@ a merge sort so n candidates cost at most n*ceil(log2 n) comparisons. Each
 uncached comparison collects all of its votes through one batched
 `_samples` call, which an HTTP oracle sends as a single request.
 `hybrid_rank` trims the field by Levenshtein first and lets the oracle
-order the survivors.
+order the survivors; `axiomforge rank` calls it. Beam search ranks with
+`semantic_rank` only inside groups of equal score (`search.beam.rank_pool`).
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 One compiled regex splits the text, and each match is an atom, `(`, `)`,
 a newline, or a run of blanks (space, tab, carriage return) or a `;`
-comment, which is skipped. Identifiers are lowercased here, and every node
-remembers the line/column it started on (both 1-based; a column counts
-characters, so a tab is one). Nodes are named tuples, which are cheaper to
-build than frozen dataclasses.
+comment, which is skipped. An atom may not hold a backtick. Identifiers
+are lowercased here, and every node remembers the line/column it started
+on (both 1-based; a column counts characters, so a tab is one). Nodes are
+named tuples, which are cheaper to build than frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def read_one(text: str) -> SNode:
     items: list | None = None  # the items of the innermost open list
     result: SNode | None = None
     line, line_start = 1, 0  # line_start: offset of the line's first character
+    # A backtick would let a printed name close the ``` fence that quotes
+    # a rule set to the model; most texts have none, so atoms skip the test.
+    ticks = "`" in text
     for m in _TOKEN.finditer(text):
         kind = m.lastindex
         if kind is None:
@@ -64,6 +67,8 @@ def read_one(text: str) -> SNode:
         if kind == 1:
             if items is None:
                 raise _error(f"expected '(' but found '{m[1].lower()}'", line, col)
+            if ticks and "`" in m[1]:
+                raise _error("backtick in a name", line, col + m[1].index("`"))
             items.append(SAtom(m[1].lower(), line, col))
         elif kind == 2:
             if len(stack) == MAX_DEPTH:

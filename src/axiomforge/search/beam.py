@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
-from ..distance import DistanceOracle, hybrid_rank
+from ..distance import DistanceOracle, semantic_rank
 from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator
+from .candidate import CandidateEvaluator, EditCandidate
 from .common import SearchRun, StepRecorder
 from .config import SearchConfig, SearchResult
+
+
+def rank_pool(pool: list[EditCandidate], keep: int, reference: str, oracle: DistanceOracle) -> None:
+    """Sort `pool` by score, then by semantic position within its score.
+
+    The `keep` candidates nearest `reference` by (edit distance, text)
+    survive a pre-filter. Within a group of equal scores the oracle orders
+    the group's survivors, when there are at least two, and the group's
+    other members follow in edit-distance order. Only score ties ask the
+    oracle, so a ranking makes at most `query_budget(keep)` queries.
+    """
+    by_lev = sorted(pool, key=lambda c: (c.lev_distance, c.canonical_text))
+    groups: dict[float, tuple[list, list]] = {}
+    for i, cand in enumerate(by_lev):
+        groups.setdefault(cand.score, ([], []))[i >= keep].append(cand)
+    for near, far in groups.values():
+        if len(near) > 1:
+            by_text = {c.canonical_text: c for c in near}
+            near = [by_text[t] for t in semantic_rank(reference, list(by_text), oracle).items]
+        for position, cand in enumerate(near + far):
+            cand.semantic_rank_position = position
+    pool.sort(key=lambda c: (c.score, c.semantic_rank_position))
 
 
 def beam_search(
@@ -19,10 +41,11 @@ def beam_search(
     recorder: StepRecorder | None = None,
     observer=None,
 ) -> SearchResult:
-    """Each iteration expands every beam member, ranks the pool by
-    (score, hybrid rank position vs. the original, canonical text), and keeps
-    the best beam_width candidates. The hybrid pre-filter keeps 2*beam_width
-    survivors, so oracle cost stays linear in the beam.
+    """Each iteration expands every beam member, ranks the pool with
+    `rank_pool` (score first; the distance oracle only breaks ties among the
+    2*beam_width candidates nearest the original), and keeps the best
+    beam_width candidates. Oracle cost stays linear in the beam, and is 0
+    when no two scores are equal.
 
     `observer(iteration, beam)` fires after each truncation."""
     run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
@@ -40,18 +63,7 @@ def beam_search(
                     seen.add(cand.canonical_text)
                     pool.append(cand)
 
-        keep = min(2 * cfg.beam_width, len(pool))
-        ranking = hybrid_rank(
-            evaluator.original_text,
-            [c.canonical_text for c in pool],
-            keep,
-            distance_oracle,
-        )
-        position = {text: i for i, text in enumerate(ranking.items)}
-        for cand in pool:
-            cand.semantic_rank_position = position[cand.canonical_text]
-        pool.sort(key=lambda c: (c.score, c.semantic_rank_position, c.canonical_text))
-
+        rank_pool(pool, min(2 * cfg.beam_width, len(pool)), evaluator.original_text, distance_oracle)
         for cand in pool:
             if run.reached(cand):
                 return run.result(cand)

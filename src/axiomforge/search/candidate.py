@@ -60,6 +60,8 @@ class EditCandidate:
     regression_ok: bool = False
     compactness: int = 0
     lev_distance: int = 0
+    # Set by beam: the position among candidates of equal score in its
+    # last ranked pool (0 for a score no other candidate had).
     semantic_rank_position: int | None = None
     score: float = math.inf
     step_id: int | None = None

@@ -66,7 +66,7 @@ def _tokens(text: str):
         while i < n and text[i] not in " \t\r\n;()":
             i += 1
             col += 1
-        yield text[start:i].lower(), line, start_col
+        yield text[start:i], line, start_col
 
 
 def read_one(text: str) -> SNode:
@@ -89,12 +89,12 @@ def read_one(text: str) -> SNode:
                 stack[-1][0].append(node)
             else:
                 result = node
+        elif not stack:
+            raise PddlError([Diagnostic(SYNTAX, f"expected '(' but found '{tok.lower()}'", line, col)])
+        elif "`" in tok:
+            raise PddlError([Diagnostic(SYNTAX, "backtick in a name", line, col + tok.index("`"))])
         else:
-            atom = SAtom(tok, line, col)
-            if stack:
-                stack[-1][0].append(atom)
-            else:
-                raise PddlError([Diagnostic(SYNTAX, f"expected '(' but found '{tok}'", line, col)])
+            stack[-1][0].append(SAtom(tok.lower(), line, col))
     if stack:
         _, l0, c0 = stack[-1]
         raise PddlError([Diagnostic(SYNTAX, "unclosed '('", l0, c0)])

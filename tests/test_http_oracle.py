@@ -1,12 +1,14 @@
 import http.client
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 import axiomforge.proposer.extract
 from axiomforge.corpus import variants
 from axiomforge.distance import Choice, OracleUnavailable
+from axiomforge.pddl import print_canonical
 from axiomforge.proposer import (
     AuthError,
     HttpChatClient,
@@ -16,6 +18,7 @@ from axiomforge.proposer import (
     OracleClientConfig,
     ProposalContext,
 )
+from axiomforge.proposer.prompts import SYSTEM_PROMPT
 from axiomforge.search import SearchConfig, run_search
 from axiomforge.search.common import propose_domains
 from conftest import StubChatServer
@@ -250,6 +253,36 @@ def test_genetic_children_are_parsed_once(
     assert oracle.calls == 11
     assert len(parsed) == 1  # crossover and mutation replies are read by the intake alone
     assert result.explored == 2 and result.best.plan_length == 6
+
+
+def _alias(domain, name):
+    """`domain` plus a copy of its pickup action under `name`: the plan
+    length stays 6, and aliases with names of equal length score the same."""
+    return print_canonical(replace(domain, actions=domain.actions + (replace(domain.action("pickup"), name=name),)))
+
+
+@pytest.mark.parametrize("fillers, comparisons", [(("pickup-again",), 0), (("pickup-again", "pickup-twice"), 1)])
+def test_beam_compares_only_candidates_of_equal_score(
+    api_key, blocksworld, flagship, blocksworld_regression, fillers, comparisons
+):
+    sent = []
+    blocks = [_alias(blocksworld, name) for name in fillers] + [variants.MID_EXTRACT]
+
+    def transport(url, headers, payload, timeout_s):
+        proposal = payload["messages"][0]["content"] == SYSTEM_PROMPT
+        sent.append("proposal" if proposal else "comparison")
+        if proposal:
+            return 200, _chat_body("".join(f"```pddl\n{block}```\n" for block in blocks))
+        return 200, _chat_body(*"A" * payload["n"])
+
+    cfg = SearchConfig(algorithm="beam", target_length=4, seed=1)
+    client_cfg = OracleClientConfig(samples=16)
+    result = run_search(
+        cfg, blocksworld, flagship, blocksworld_regression, HttpProposalOracle(client_cfg, transport),
+        distance_oracle=HttpDistanceOracle(client_cfg, transport),
+    )
+    assert result.success and result.best.plan_length == 4
+    assert sent == ["proposal"] + ["comparison"] * comparisons
 
 
 def test_distance_oracle_parses_choice(stub_server, api_key):

@@ -163,6 +163,23 @@ def test_syntax_error_position():
     assert (diag.line, diag.col) == (1, 1)  # the unclosed '('
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(define (domain x```y)\n  (:predicates (p)))", (1, 18)),
+        ("(define (domain x)\n  (:predicates (p`)))", (2, 18)),
+        ("(define (domain x) ; `quoted` names\n  (:predicates (`p)))", (2, 17)),
+    ],
+    ids=["domain-name", "predicate", "after-a-comment"],
+)
+def test_backtick_in_a_name_is_a_positioned_syntax_error(text, position):
+    with pytest.raises(PddlError) as err:
+        parse_domain(text)
+    (diag,) = err.value.diagnostics
+    assert diag.code == "syntax-error"
+    assert (diag.line, diag.col) == position  # the first backtick
+
+
 def _nested_precondition(levels: int) -> str:
     """A domain whose only precondition sits under `levels` nested nots;
     the whole text is levels + 3 lists deep."""

@@ -68,6 +68,12 @@ def test_prompt_states_unreachable_goal(blocksworld, flagship):
     assert "unreachable" in prompt
 
 
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_fenced_corpus_domain_reads_back_whole(name):
+    text = print_canonical(parse_domain(corpus.load(name).domain_text))
+    assert fenced_blocks(fenced(text)) == [text.rstrip("\n") + "\n"]
+
+
 @pytest.mark.parametrize("text", ["(a)", "(a)\n", "(a)\n\n", "(a\n b)\n", "(a) \n", ""])
 def test_fenced_text_reads_back(text):
     block = fenced(text)

@@ -6,7 +6,8 @@ texts, on seeded mutations of them and on the fuzz strategies of
 test_pddl_fuzz.py. The mutations insert what a character-level reader and
 a regex could disagree on: CRLF, tabs, form feeds and vertical tabs (atom
 characters, not blanks), letters whose lowercase changes length, comments,
-and nesting at and past the 64-level cap.
+backticks (rejected in atoms, skipped in comments), and nesting at and
+past the 64-level cap.
 """
 
 import random
@@ -46,7 +47,7 @@ def _nested(depth):
 # Inserted at random offsets; each may also replace a character.
 PIECES = [
     "\r\n", "\r", "\t", "\f", "\v", "İ", "ß", "ẞ", "ǅ", " ", "\x85", "\xa0",
-    "; a (comment\n", ";", ";(\r\n", "(", ")", " ", "\n", "Ab", "?X-y",
+    "; a (comment\n", ";", ";(\r\n", "(", ")", " ", "\n", "Ab", "?X-y", "`", "```", "; `\n",
     _nested(64), _nested(65), _nested(63) + ")",
 ]
 
@@ -92,6 +93,7 @@ def test_reader_matches_oracle_on_corpus_and_mutations(text):
         "", " \t\r\n", "; only a comment", "a", ")", "(", "(a))", "(a) b", "(a) ;tail\n",
         "(a\r\nb)", "(\fa\v)", "(İ ß)", "(a;(\n)", _nested(64), _nested(65),
         "(" * 64 + ")" * 64, "(" * 65 + ")" * 65, _nested(64) + ")", "\n\n  (x\n  (y))",
+        "(x```y)", "`a", "(a) `", "(İ`)", "(a ; `\n b)",
     ],
 )
 def test_reader_matches_oracle_on_edge_cases(text):
@@ -115,6 +117,6 @@ def test_reader_matches_oracle_on_fuzzed_corpus_texts(text):
 
 
 @FUZZ
-@given(st.text(alphabet="()ab ;\n\r\t\f\vİß?-", max_size=60))
+@given(st.text(alphabet="()ab ;\n\r\t\f\vİß?-`", max_size=60))
 def test_reader_matches_oracle_on_random_characters(text):
     assert_same_read(text)

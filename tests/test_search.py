@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiomforge import corpus, planner
 from axiomforge.corpus import variants
@@ -33,7 +35,9 @@ from axiomforge.search import (
 from axiomforge.search import candidate as candidate_module
 from axiomforge.search.candidate import EditCandidate, compactness
 from axiomforge.search.common import SearchRun
-from axiomforge.distance import LevenshteinMockOracle
+from axiomforge.distance import LevenshteinMockOracle, hybrid_rank, levenshtein, query_budget
+from axiomforge.search import beam as beam_module
+from axiomforge.search.beam import rank_pool
 
 ORIGINAL = corpus.load("blocksworld").domain_text
 
@@ -554,6 +558,109 @@ def test_beam_sets_semantic_rank_positions(zero_evaluator):
         evaluator=zero_evaluator,
     )
     assert result.best.semantic_rank_position is not None
+
+
+class CountingOracle(LevenshteinMockOracle):
+    """The mock oracle's answers, with every `_samples` call's pair kept."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+    def _samples(self, reference, a, b, n):
+        self.pairs.append({a, b})
+        return super()._samples(reference, a, b, n)
+
+
+def _beam_pools(monkeypatch, evaluator, script, distance_oracle, **kw):
+    """Run beam; return each iteration's ranked pool, keep and oracle pairs."""
+    pools = []
+
+    def spy(pool, keep, reference, oracle):
+        before = len(distance_oracle.pairs)
+        rank_pool(pool, keep, reference, oracle)
+        pools.append((list(pool), keep, distance_oracle.pairs[before:]))
+
+    monkeypatch.setattr(beam_module, "rank_pool", spy)
+    cfg = _cfg("beam", **kw)
+    beam_search(cfg, _ctx(evaluator, cfg.target_length), script, distance_oracle, evaluator=evaluator)
+    return pools
+
+
+def test_beam_with_distinct_scores_asks_the_distance_oracle_nothing(
+    monkeypatch, blocksworld, flagship, blocksworld_regression
+):
+    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
+    distance = CountingOracle()
+    pools = _beam_pools(
+        monkeypatch, evaluator, _oracle(WORSE, variants.MID_EXTRACT, variants.MULTI_LIFT), distance,
+        beam_width=2, max_depth=2, target_length=0,
+    )
+    assert len(pools) == 2
+    for pool, _, pairs in pools:
+        assert len(pool) > 1 and len({c.score for c in pool}) == len(pool)
+        assert pairs == []
+        assert all(c.semantic_rank_position == 0 for c in pool)
+
+
+def test_beam_tie_queries_stay_inside_the_tied_survivors(monkeypatch, zero_evaluator):
+    # Under zero weights the original and WORSE both score their plan length, 6.
+    distance = CountingOracle()
+    pools = _beam_pools(monkeypatch, zero_evaluator, _oracle(WORSE, variants.MID_EXTRACT), distance, beam_width=8)
+    [(pool, keep, pairs)] = pools
+    assert [c.score for c in pool] == [4.0, 6.0, 6.0]
+    tied = {zero_evaluator.original_text, print_canonical(parse_domain(WORSE))}
+    assert pairs and all(pair <= tied for pair in pairs)
+    assert len(pairs) <= query_budget(keep)
+    assert [c.semantic_rank_position for c in pool] == [0, 0, 1]
+
+
+def _pool(reference, texts, scores):
+    return [
+        EditCandidate(
+            domain=None, canonical_text=text, provenance=Provenance(None, 1, "test"),
+            lev_distance=levenshtein(reference, text), score=score,
+        )
+        for text, score in zip(texts, scores)
+    ]
+
+
+def test_rank_pool_queries_only_survivors_of_one_score():
+    reference = "(a b c d)"
+    texts = ["(a b c d e)", "(a b)", "(a b c)", "(x y z w v u)", "(a)", "(a b c d f g)", "(q)", "(a c d)"]
+    scores = [2.0, 1.0, 2.0, 2.0, 3.0, 2.0, 2.0, 4.0]
+    pool = _pool(reference, texts, scores)
+    keep = 4
+    by_lev = sorted(texts, key=lambda t: (levenshtein(reference, t), t))
+    survivors = set(by_lev[:keep])
+    tied_survivors = {t for t, s in zip(texts, scores) if s == 2.0} & survivors
+    assert len(tied_survivors) >= 2 and tied_survivors != survivors
+    oracle = CountingOracle()
+    rank_pool(pool, keep, reference, oracle)
+    assert oracle.pairs and all(pair <= tied_survivors for pair in oracle.pairs)
+    assert len(oracle.pairs) <= query_budget(keep)
+    assert [c.score for c in pool] == sorted(scores)
+
+
+_TEXTS = st.lists(st.text(alphabet="ab()", min_size=1, max_size=6), min_size=1, max_size=12, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS, st.data())
+def test_rank_pool_orders_like_sorting_by_score_then_hybrid_rank(texts, data):
+    reference = "(ab)(ba)"
+    scores = data.draw(st.lists(st.sampled_from([1.0, 2.0, math.inf]), min_size=len(texts), max_size=len(texts)))
+    keep = data.draw(st.integers(1, len(texts)))
+    pool = _pool(reference, texts, scores)
+    oracle = CountingOracle()
+    rank_pool(pool, keep, reference, oracle)
+    position = {t: i for i, t in enumerate(hybrid_rank(reference, texts, keep, LevenshteinMockOracle()).items)}
+    expected = sorted(zip(scores, texts), key=lambda pair: (pair[0], position[pair[1]], pair[1]))
+    assert [(c.score, c.canonical_text) for c in pool] == expected
+    assert len(oracle.pairs) <= query_budget(keep)
+    for value in set(scores):
+        group = [c.semantic_rank_position for c in pool if c.score == value]
+        assert group == list(range(len(group)))
 
 
 # -- cross-cutting -------------------------------------------------------------
