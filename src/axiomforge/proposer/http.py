@@ -69,7 +69,8 @@ class OracleClientConfig:
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float):
     """POST `payload` as JSON; (status, decoded body). An error status is a
-    reply like any other, and a body that is not JSON reads as {}."""
+    reply like any other, and a body that is not JSON, or nests too deeply
+    to decode, reads as {}."""
     import urllib.parse
     import urllib.request
     from urllib.error import HTTPError
@@ -92,7 +93,7 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float)
             status, raw = err.code, err.read()
     try:
         body = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):
         body = {}
     return status, body
 

@@ -8,7 +8,7 @@ from .. import __version__
 from ..distance import DistanceOracle, LevenshteinMockOracle
 from ..pddl import DomainAst, ProblemAst, print_canonical_problem
 from ..planner import SearchLimits
-from ..proposer import ProposalContext, ProposalOracle
+from ..proposer import ProposalOracle
 from ..trajectory import TrajectoryHeader, TrajectoryWriter, content_hash
 from .beam import beam_search
 from .bfs import bfs_search
@@ -20,7 +20,7 @@ from .candidate import (
     compactness,
     score,
 )
-from .common import StepRecorder
+from .common import SearchRun
 from .config import ALGORITHMS, SearchConfig, SearchResult
 from .genetic import genetic_search
 from .mcts import mcts_search, ucb1
@@ -37,16 +37,10 @@ def run_search(
     limits: SearchLimits | None = None,
     trajectory_path=None,
 ) -> SearchResult:
-    """Run the configured algorithm end to end, optionally recording a
-    trajectory file. The returned result carries the run id when recording."""
+    """Open a `SearchRun` on the task and let the configured algorithm steer
+    it, optionally recording a trajectory file. The returned result carries
+    the run id when recording."""
     evaluator = CandidateEvaluator(domain, problem, regression, limits=limits, weights=cfg.weights)
-    base_ctx = ProposalContext(
-        domain=domain,
-        problem=problem,
-        baseline_length=None,
-        target_length=cfg.target_length,
-    )
-
     writer = None
     run_id = None
     if trajectory_path is not None:
@@ -60,24 +54,17 @@ def run_search(
         )
         writer = TrajectoryWriter(trajectory_path, header)
         run_id = header.run_id
-    recorder = StepRecorder(writer)
+    run = SearchRun(cfg, oracle, evaluator, writer)
 
     try:
         if cfg.algorithm == "bfs":
-            result = bfs_search(cfg, base_ctx, oracle, evaluator=evaluator, recorder=recorder)
+            result = bfs_search(run)
         elif cfg.algorithm == "mcts":
-            result = mcts_search(cfg, base_ctx, oracle, evaluator=evaluator, recorder=recorder)
+            result = mcts_search(run)
         elif cfg.algorithm == "genetic":
-            result = genetic_search(cfg, base_ctx, oracle, evaluator=evaluator, recorder=recorder)
+            result = genetic_search(run)
         else:
-            result = beam_search(
-                cfg,
-                base_ctx,
-                oracle,
-                distance_oracle or LevenshteinMockOracle(),
-                evaluator=evaluator,
-                recorder=recorder,
-            )
+            result = beam_search(run, distance_oracle or LevenshteinMockOracle())
         if writer is not None:
             best = result.best
             writer.finalize(
@@ -104,7 +91,7 @@ __all__ = [
     "Provenance",
     "SearchConfig",
     "SearchResult",
-    "StepRecorder",
+    "SearchRun",
     "beam_search",
     "bfs_search",
     "compactness",

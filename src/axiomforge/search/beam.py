@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from ..distance import DistanceOracle, semantic_rank
-from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator, EditCandidate
-from .common import SearchRun, StepRecorder
-from .config import SearchConfig, SearchResult
+from .candidate import EditCandidate
+from .common import SearchRun
+from .config import SearchResult
 
 
 def rank_pool(pool: list[EditCandidate], keep: int, reference: str, oracle: DistanceOracle) -> None:
@@ -31,16 +30,7 @@ def rank_pool(pool: list[EditCandidate], keep: int, reference: str, oracle: Dist
     pool.sort(key=lambda c: (c.score, c.semantic_rank_position))
 
 
-def beam_search(
-    cfg: SearchConfig,
-    ctx: ProposalContext,
-    oracle: ProposalOracle,
-    distance_oracle: DistanceOracle,
-    *,
-    evaluator: CandidateEvaluator,
-    recorder: StepRecorder | None = None,
-    observer=None,
-) -> SearchResult:
+def beam_search(run: SearchRun, distance_oracle: DistanceOracle, observer=None) -> SearchResult:
     """Each iteration expands every beam member, ranks the pool with
     `rank_pool` (score first; the distance oracle only breaks ties among the
     2*beam_width candidates nearest the original), and keeps the best
@@ -48,7 +38,7 @@ def beam_search(
     when no two scores are equal.
 
     `observer(iteration, beam)` fires after each truncation."""
-    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
+    cfg = run.cfg
     root = run.root()
     if run.reached(root):
         return run.result(root)
@@ -63,7 +53,7 @@ def beam_search(
                     seen.add(cand.canonical_text)
                     pool.append(cand)
 
-        rank_pool(pool, min(2 * cfg.beam_width, len(pool)), evaluator.original_text, distance_oracle)
+        rank_pool(pool, min(2 * cfg.beam_width, len(pool)), run.evaluator.original_text, distance_oracle)
         for cand in pool:
             if run.reached(cand):
                 return run.result(cand)

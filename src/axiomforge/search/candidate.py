@@ -96,10 +96,12 @@ class CandidateEvaluator:
     returns the first EditCandidate untouched, so step records stay unique
     per distinct rule set. `evaluations` counts cache misses.
 
-    Links and grounding go through `cache`, a `RunCache` that a search run
-    replaces with its own, shared with its intake: a candidate's link to the
-    flagship is then the intake's verdict, and the compiles, bindings and
-    lowerings of the actions it shares with earlier candidates are reused.
+    Links and grounding go through `cache`, the evaluator's `RunCache`,
+    which the search run's intake reads oracle text through too: a
+    candidate's link to the flagship is then the intake's verdict, and the
+    compiles, bindings and lowerings of the actions it shares with earlier
+    candidates are reused. An evaluator serves one run, since its memoized
+    candidates carry that run's step ids.
     """
 
     def __init__(

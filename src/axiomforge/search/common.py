@@ -1,53 +1,21 @@
 """The driver every search algorithm shares: evaluate, record, track the best.
 
-An algorithm opens a `SearchRun`, evaluates the root through it, and then
-only decides which nodes to expand and which candidates to keep; every
-evaluated candidate passes through `admit`, which records it once and
-keeps the best score seen. Oracle text becomes a candidate only through
-the run's `Intake`, for proposals and genetic children alike.
+`run_search` opens a `SearchRun` and hands it to an algorithm, which
+evaluates the root through it and then only decides which nodes to expand
+and which candidates to keep; every evaluated candidate passes through
+`admit`, which records it once and keeps the best score seen. Oracle text
+becomes a candidate only through the run's `Intake`, for proposals and
+genetic children alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..planner import RunCache
 from ..proposer import Intake, NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .config import SearchConfig, SearchResult
 
 HISTORY_WINDOW = 8
-
-
-class StepRecorder:
-    """Assigns step ids in evaluation order and mirrors them to a writer."""
-
-    def __init__(self, writer: TrajectoryWriter | None = None):
-        self.writer = writer
-        self._next_id = 0
-
-    def record(self, cand: EditCandidate, phase: str) -> int:
-        step_id = self._next_id
-        self._next_id += 1
-        cand.step_id = step_id
-        if self.writer is not None:
-            self.writer.record(
-                TrajectoryStep(
-                    step_id=step_id,
-                    parent_id=cand.provenance.parent_id,
-                    algorithm_phase=phase,
-                    domain_text_hash=content_hash(cand.canonical_text),
-                    domain_text=cand.canonical_text,
-                    edit_description=cand.provenance.description,
-                    plan_length=cand.plan_length,
-                    regression_ok=cand.regression_ok,
-                    score=cand.score,
-                    lev_distance=cand.lev_distance,
-                    oracle_round=cand.provenance.oracle_round,
-                )
-            )
-        return step_id
 
 
 def summarize(cand: EditCandidate) -> str:
@@ -68,44 +36,53 @@ def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, intake
 
 
 class SearchRun:
-    """State of one search: the run's `RunCache`, shared by the intake that
-    reads oracle text and by the evaluator, the recorded steps, the best
-    candidate so far, and the oracle and evaluator counters at the start of
-    the run."""
+    """Everything one search run owns: its config, oracle and evaluator, the
+    intake that reads oracle text through the evaluator's `RunCache`, the
+    recorded steps (a step's id is its index in `steps`, and `writer`, when
+    given, gets each step as it is recorded), the best candidate so far,
+    and the oracle and evaluator counters at the start of the run."""
 
     def __init__(
         self,
         cfg: SearchConfig,
-        ctx: ProposalContext,
         oracle: ProposalOracle,
         evaluator: CandidateEvaluator,
-        recorder: StepRecorder | None = None,
+        writer: TrajectoryWriter | None = None,
     ):
         self.cfg = cfg
-        self.ctx = ctx
         self.oracle = oracle
         self.evaluator = evaluator
-        self.recorder = recorder or StepRecorder()
-        self.cache = RunCache()
-        self.intake = Intake(ctx.problem, self.cache)
-        evaluator.cache = self.cache
+        self.writer = writer
+        self.intake = Intake(evaluator.problem, evaluator.cache)
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
         self._calls0, self._evals0 = oracle.calls, evaluator.evaluations
 
     def root(self) -> EditCandidate:
-        root = self.evaluator.evaluate_root()
-        self.recorder.record(root, "root")
-        self.steps.append(root)
-        self.best = root
-        return root
+        return self.admit(self.evaluator.evaluate_root(), "root")
 
     def admit(self, cand: EditCandidate, phase: str) -> EditCandidate:
         """Record a candidate the first time it is seen; track the best."""
         if cand.step_id is None:
-            self.recorder.record(cand, phase)
+            cand.step_id = len(self.steps)
             self.steps.append(cand)
-        if cand.score < self.best.score:
+            if self.writer is not None:
+                self.writer.record(
+                    TrajectoryStep(
+                        step_id=cand.step_id,
+                        parent_id=cand.provenance.parent_id,
+                        algorithm_phase=phase,
+                        domain_text_hash=content_hash(cand.canonical_text),
+                        domain_text=cand.canonical_text,
+                        edit_description=cand.provenance.description,
+                        plan_length=cand.plan_length,
+                        regression_ok=cand.regression_ok,
+                        score=cand.score,
+                        lev_distance=cand.lev_distance,
+                        oracle_round=cand.provenance.oracle_round,
+                    )
+                )
+        if self.best is None or cand.score < self.best.score:
             self.best = cand
         return cand
 
@@ -115,17 +92,18 @@ class SearchRun:
     def context(self, node: EditCandidate) -> ProposalContext:
         """The proposal context for editing `node`, with recent history."""
         length = node.plan_length
-        target = self.ctx.target_length
+        target = self.cfg.target_length
         if length is None:
             failure = "the goal is unreachable under the current rules"
         elif length > target:
             failure = f"best plan is {length} steps, which misses the {target}-step target"
         else:
             failure = "regression scenarios fail under the current rules"
-        return replace(
-            self.ctx,
+        return ProposalContext(
             domain=node.domain,
+            problem=self.evaluator.problem,
             baseline_length=length,
+            target_length=target,
             failure_summary=failure,
             history=tuple(summarize(c) for c in self.steps[-HISTORY_WINDOW:]),
         )

@@ -32,6 +32,12 @@ class SearchConfig:
             raise ValueError("target_length must be >= 0")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.mcts_iterations < 1:
+            raise ValueError("mcts_iterations must be >= 1")
+        if self.ga_population < 2:
+            raise ValueError("ga_population must be >= 2")
         if not 0 <= self.mcts_exploration_c < math.inf:
             raise ValueError("mcts_exploration_c must be finite and >= 0")
         if not 0 <= self.ga_mutation_rate <= 1:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import random
 
-from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator, EditCandidate, Provenance
-from .common import SearchRun, StepRecorder
-from .config import SearchConfig, SearchResult
+from .candidate import EditCandidate, Provenance
+from .common import SearchRun
+from .config import SearchResult
 
 
 def _tournament(rng: random.Random, population: list) -> EditCandidate:
@@ -18,24 +17,14 @@ def _tournament(rng: random.Random, population: list) -> EditCandidate:
     return b if b.score < a.score else a
 
 
-def genetic_search(
-    cfg: SearchConfig,
-    ctx: ProposalContext,
-    oracle: ProposalOracle,
-    *,
-    evaluator: CandidateEvaluator,
-    recorder: StepRecorder | None = None,
-    observer=None,
-) -> SearchResult:
+def genetic_search(run: SearchRun, observer=None) -> SearchResult:
     """Tournament selection, oracle crossover, probabilistic oracle mutation,
     elitism of one. Children that fail to parse or link fall back to parent A,
     so the population size never drifts.
 
     `observer(generation, population)` fires after each survivor selection."""
-    if cfg.ga_population < 2:
-        raise ValueError("ga_population must be >= 2")
+    cfg, oracle = run.cfg, run.oracle
     rng = random.Random(cfg.seed)
-    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
     root = run.root()
     if run.reached(root):
         return run.result(root)

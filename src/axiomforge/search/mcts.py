@@ -6,10 +6,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from ..proposer import ProposalContext, ProposalOracle
-from .candidate import CandidateEvaluator, EditCandidate, Provenance
-from .common import SearchRun, StepRecorder
-from .config import SearchConfig, SearchResult
+from .candidate import EditCandidate, Provenance
+from .common import SearchRun
+from .config import SearchResult
 
 
 def ucb1(mean_reward: float, node_visits: int, parent_visits: int, c: float) -> float:
@@ -43,24 +42,14 @@ def _select_child(node: _Node, c: float) -> _Node:
     return best_child
 
 
-def mcts_search(
-    cfg: SearchConfig,
-    ctx: ProposalContext,
-    oracle: ProposalOracle,
-    *,
-    evaluator: CandidateEvaluator,
-    recorder: StepRecorder | None = None,
-    observer=None,
-) -> SearchResult:
+def mcts_search(run: SearchRun, observer=None) -> SearchResult:
     """Reward is the normalized plan-length improvement over the original,
     clamped to [0, 1]; unsolvable or regression-breaking candidates earn 0.
 
     `observer(iteration, root)` fires after each backpropagation, mainly so
     tests can check visit-count bookkeeping on the tree."""
-    if cfg.mcts_iterations < 1:
-        raise ValueError("mcts_iterations must be >= 1")
+    cfg = run.cfg
     rng = random.Random(cfg.seed)
-    run = SearchRun(cfg, ctx, oracle, evaluator, recorder)
     root_cand = run.root()
     if run.reached(root_cand):
         return run.result(root_cand)

@@ -140,12 +140,14 @@ def read_runs(path) -> list:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedTrajectory(path, lineno) from exc
             if not isinstance(record, dict) or "kind" not in record:
                 raise MalformedTrajectory(path, lineno, "record has no 'kind'")
             kind = record["kind"]
             if kind == "header":
+                if not isinstance(record.get("config", {}), dict):
+                    raise MalformedTrajectory(path, lineno, "header config is not an object")
                 flush()
                 header = record
             elif header is None:

@@ -35,6 +35,7 @@ from axiomforge.search import (
     CandidateEvaluator,
     ObjectiveWeights,
     SearchConfig,
+    SearchRun,
     bfs_search,
     genetic_search,
     mcts_search,
@@ -211,8 +212,6 @@ def test_criterion_7_algorithm_mechanics(capsys):
     def fresh_evaluator():
         return CandidateEvaluator(domain, problem, regression, weights=weights)
 
-    base_ctx = ProposalContext(domain, problem, None, 4)
-
     # BFS: staged script succeeds first at depth 2, and that is what returns.
     original_text = print_canonical(domain)
     worse_text = print_canonical(parse_domain(worse))
@@ -221,14 +220,14 @@ def test_criterion_7_algorithm_mechanics(capsys):
         ScriptEntry(lambda ctx: print_canonical(ctx.domain) == worse_text, (variants.MULTI_LIFT,)),
     ])
     cfg = SearchConfig(algorithm="bfs", target_length=4, max_depth=3, seed=1, weights=weights)
-    bfs_result = bfs_search(cfg, base_ctx, staged, evaluator=fresh_evaluator())
+    bfs_result = bfs_search(SearchRun(cfg, staged, fresh_evaluator()))
     assert bfs_result.success and bfs_result.best.provenance.oracle_round == 2
 
     # MCTS: visit counts sum to iterations on an all-unsolvable oracle.
     roots = []
     cfg = SearchConfig(algorithm="mcts", target_length=4, mcts_iterations=12, seed=3, weights=weights)
     stub = ScriptedOracle([ScriptEntry(lambda ctx: True, (unsolvable,))])
-    mcts_result = mcts_search(cfg, base_ctx, stub, evaluator=fresh_evaluator(),
+    mcts_result = mcts_search(SearchRun(cfg, stub, fresh_evaluator()),
                               observer=lambda it, root: roots.append(root))
     assert not mcts_result.success
     assert sum(child.visits for child in roots[-1].children) == 12
@@ -244,7 +243,7 @@ def test_criterion_7_algorithm_mechanics(capsys):
     cfg = SearchConfig(algorithm="genetic", target_length=4, ga_population=4,
                        ga_generations=4, ga_mutation_rate=0.5, seed=2, weights=weights)
     worse_oracle = ScriptedOracle([ScriptEntry(lambda ctx: True, (worse, unsolvable))])
-    ga_result = genetic_search(cfg, base_ctx, worse_oracle, evaluator=fresh_evaluator(),
+    ga_result = genetic_search(SearchRun(cfg, worse_oracle, fresh_evaluator()),
                                observer=lambda gen, pop: generations.append(pop))
     assert not ga_result.success
     assert all(len(pop) == 4 for pop in generations)
@@ -255,9 +254,8 @@ def test_criterion_7_algorithm_mechanics(capsys):
     beams = []
     cfg = SearchConfig(algorithm="beam", target_length=0, beam_width=2, max_depth=2,
                        seed=1, weights=weights)
-    beam_result = beam_search(cfg, ProposalContext(domain, problem, None, 0),
-                              builtin_script(), LevenshteinMockOracle(),
-                              evaluator=fresh_evaluator(),
+    beam_result = beam_search(SearchRun(cfg, builtin_script(), fresh_evaluator()),
+                              LevenshteinMockOracle(),
                               observer=lambda it, beam: beams.append(beam))
     assert not beam_result.success
     assert beams and all(len(beam) <= 2 for beam in beams)
@@ -265,10 +263,11 @@ def test_criterion_7_algorithm_mechanics(capsys):
     # Determinism across repeated seeded runs.
     def signature():
         result = mcts_search(
-            SearchConfig(algorithm="mcts", target_length=4, mcts_iterations=8, seed=11, weights=weights),
-            base_ctx,
-            ScriptedOracle([ScriptEntry(lambda ctx: True, (worse, unsolvable))]),
-            evaluator=fresh_evaluator(),
+            SearchRun(
+                SearchConfig(algorithm="mcts", target_length=4, mcts_iterations=8, seed=11, weights=weights),
+                ScriptedOracle([ScriptEntry(lambda ctx: True, (worse, unsolvable))]),
+                fresh_evaluator(),
+            )
         )
         return (result.success, result.explored, result.oracle_calls, result.best.canonical_text)
 

@@ -428,6 +428,10 @@ FAILURES = [
                  {}, 1, "{tmp}/early.jsonl:1: record before header",
                  {"status": "malformed", "error": "{tmp}/early.jsonl:1: record before header"},
                  id="malformed"),
+    pytest.param(["export", "{tmp}/listconfig.jsonl", "--format", "csv-summary", "--out", "{tmp}/s.csv"],
+                 {}, 1, "{tmp}/listconfig.jsonl:1: header config is not an object",
+                 {"status": "malformed", "error": "{tmp}/listconfig.jsonl:1: header config is not an object"},
+                 id="malformed-header-config"),
     pytest.param(["parse", "corpus:tetris"], {}, 2, "unknown corpus entry: tetris",
                  {"status": "unknown-corpus-entry", "error": "tetris"},
                  id="unknown-corpus-entry"),
@@ -452,6 +456,7 @@ def test_failure_outcome(capsys, tmp_path, monkeypatch, argv, env, code, first_e
         " (:action a :parameters () :precondition (q) :effect (p)))"
     )
     (tmp_path / "early.jsonl").write_text('{"kind": "step"}\n')
+    (tmp_path / "listconfig.jsonl").write_text('{"kind": "header", "config": []}\n')
     for name, value in env.items():
         if value is None:
             monkeypatch.delenv(name, raising=False)

@@ -208,6 +208,26 @@ def test_non_json_bodies_read_as_empty(stub_server, api_key, no_sleep):
     assert no_sleep == [0.5]
 
 
+DEEP = b"[" * 200000 + b"]" * 200000  # deeper than json.loads can recurse
+
+
+def test_deeply_nested_body_reads_as_empty(stub_server, api_key, no_sleep):
+    stub_server.push(200, DEEP)
+    assert HttpChatClient(_cfg(stub_server)).complete("sys", "user") == []
+    assert len(stub_server.requests) == 1
+    assert no_sleep == []
+
+
+def test_beam_run_survives_a_deeply_nested_reply(
+    stub_server, api_key, no_sleep, blocksworld, flagship, blocksworld_regression
+):
+    stub_server.push(200, DEEP)
+    cfg = SearchConfig(algorithm="beam", target_length=4, seed=1)
+    result = run_search(cfg, blocksworld, flagship, blocksworld_regression, HttpProposalOracle(_cfg(stub_server)))
+    assert not result.success and result.explored == 1
+    assert len(stub_server.requests) == cfg.max_depth  # the root is expanded once per iteration
+
+
 @pytest.mark.parametrize("base_url", ["file:///etc", "ftp://127.0.0.1/v1", "localhost:8080/v1"])
 def test_base_url_must_be_http(api_key, no_sleep, base_url):
     client = HttpChatClient(OracleClientConfig(base_url=base_url))

@@ -24,7 +24,7 @@ from axiomforge.proposer import NoScriptMatch, ProposalContext, ProposalOracle
 from axiomforge.search import (
     CandidateEvaluator,
     SearchConfig,
-    StepRecorder,
+    SearchRun,
     beam_search,
     bfs_search,
     genetic_search,
@@ -153,30 +153,29 @@ def _search(tmp_path, algo, target, seed):
         proposals_per_expansion=3,
         seed=seed,
     )
-    ctx = ProposalContext(domain, problem, None, target)
     oracle = ContextOracle()
     observed = []
     path = tmp_path / "run.jsonl"
     header = TrajectoryHeader.new(cfg.snapshot(), evaluator.original_text, "", "blocksworld", seed, "")
     with TrajectoryWriter(path, header) as writer:
-        kwargs = dict(evaluator=evaluator, recorder=StepRecorder(writer))
+        run = SearchRun(cfg, oracle, evaluator, writer)
         if algo == "bfs":
-            result = bfs_search(cfg, ctx, oracle, **kwargs)
+            result = bfs_search(run)
         elif algo == "mcts":
             def watch(iteration, root):
                 observed.append(
                     (iteration, root.visits,
                      tuple((c.cand.step_id, c.visits, c.total_reward) for c in root.children))
                 )
-            result = mcts_search(cfg, ctx, oracle, observer=watch, **kwargs)
+            result = mcts_search(run, observer=watch)
         elif algo == "genetic":
             def watch(generation, population):
                 observed.append((generation, tuple(c.step_id for c in population)))
-            result = genetic_search(cfg, ctx, oracle, observer=watch, **kwargs)
+            result = genetic_search(run, observer=watch)
         else:
             def watch(iteration, beam):
                 observed.append((iteration, tuple(c.step_id for c in beam)))
-            result = beam_search(cfg, ctx, oracle, LevenshteinMockOracle(), observer=watch, **kwargs)
+            result = beam_search(run, LevenshteinMockOracle(), observer=watch)
     return {
         "success": result.success,
         "best": result.best.step_id,

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, print_canonical
 from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
 from axiomforge.proposer import (
-    ProposalContext,
     ProposalOracle,
     ScriptEntry,
     ScriptedOracle,
@@ -94,10 +94,6 @@ def _cfg(algorithm, **kw):
     base = dict(target_length=4, seed=1)
     base.update(kw)
     return SearchConfig(algorithm=algorithm, **base)
-
-
-def _ctx(evaluator, target=4):
-    return ProposalContext(evaluator.original, evaluator.problem, None, target)
 
 
 ZERO = ObjectiveWeights(alpha=0.0, lam=0.0)
@@ -295,9 +291,7 @@ def test_ucb1_formula_value():
 
 
 def test_bfs_succeeds_at_depth_one(zero_evaluator):
-    result = bfs_search(
-        _cfg("bfs"), _ctx(zero_evaluator), builtin_script(), evaluator=zero_evaluator
-    )
+    result = bfs_search(SearchRun(_cfg("bfs"), builtin_script(), zero_evaluator))
     assert result.success
     assert result.best.plan_length == 2  # first scripted variant wins
     assert result.best.provenance.oracle_round == 1
@@ -318,40 +312,26 @@ def test_bfs_minimal_depth_on_staged_script(zero_evaluator):
             ),
         ]
     )
-    result = bfs_search(
-        _cfg("bfs", max_depth=3), _ctx(zero_evaluator), staged, evaluator=zero_evaluator
-    )
+    result = bfs_search(SearchRun(_cfg("bfs", max_depth=3), staged, zero_evaluator))
     assert result.success
     assert result.best.provenance.oracle_round == 2  # found at depth 2, not 3
     assert result.best.plan_length == 2
 
 
 def test_bfs_target_zero_fails(zero_evaluator):
-    result = bfs_search(
-        _cfg("bfs", target_length=0),
-        _ctx(zero_evaluator, target=0),
-        builtin_script(),
-        evaluator=zero_evaluator,
-    )
+    result = bfs_search(SearchRun(_cfg("bfs", target_length=0), builtin_script(), zero_evaluator))
     assert not result.success
 
 
 def test_bfs_empty_oracle_explores_root_only(zero_evaluator):
-    result = bfs_search(
-        _cfg("bfs", max_depth=1), _ctx(zero_evaluator), _oracle(), evaluator=zero_evaluator
-    )
+    result = bfs_search(SearchRun(_cfg("bfs", max_depth=1), _oracle(), zero_evaluator))
     assert not result.success
     assert result.explored == 1
 
 
 def test_bfs_root_success_when_target_met(blocksworld, flagship, blocksworld_regression):
     evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression, weights=ZERO)
-    result = bfs_search(
-        _cfg("bfs", target_length=6),
-        _ctx(evaluator, target=6),
-        builtin_script(),
-        evaluator=evaluator,
-    )
+    result = bfs_search(SearchRun(_cfg("bfs", target_length=6), builtin_script(), evaluator))
     assert result.success and result.explored == 1
     assert result.best.plan_length == 6
 
@@ -360,12 +340,7 @@ def test_bfs_root_success_when_target_met(blocksworld, flagship, blocksworld_reg
 
 
 def test_mcts_scripted_success(zero_evaluator):
-    result = mcts_search(
-        _cfg("mcts", mcts_iterations=10, seed=7),
-        _ctx(zero_evaluator),
-        builtin_script(),
-        evaluator=zero_evaluator,
-    )
+    result = mcts_search(SearchRun(_cfg("mcts", mcts_iterations=10, seed=7), builtin_script(), zero_evaluator))
     assert result.success
     assert result.best.plan_length == 2
 
@@ -373,10 +348,7 @@ def test_mcts_scripted_success(zero_evaluator):
 def test_mcts_zero_reward_visit_accounting(zero_evaluator):
     roots = []
     result = mcts_search(
-        _cfg("mcts", mcts_iterations=12, seed=3),
-        _ctx(zero_evaluator),
-        _oracle(UNSOLVABLE),
-        evaluator=zero_evaluator,
+        SearchRun(_cfg("mcts", mcts_iterations=12, seed=3), _oracle(UNSOLVABLE), zero_evaluator),
         observer=lambda it, root: roots.append(root),
     )
     assert not result.success
@@ -391,12 +363,8 @@ def test_mcts_deterministic(zero_evaluator, blocksworld, flagship, blocksworld_r
         evaluator = CandidateEvaluator(
             blocksworld, flagship, blocksworld_regression, weights=ZERO
         )
-        result = mcts_search(
-            _cfg("mcts", mcts_iterations=8, seed=11),
-            _ctx(evaluator),
-            _oracle(WORSE, UNSOLVABLE),
-            evaluator=evaluator,
-        )
+        cfg = _cfg("mcts", mcts_iterations=8, seed=11)
+        result = mcts_search(SearchRun(cfg, _oracle(WORSE, UNSOLVABLE), evaluator))
         return (result.success, result.explored, result.oracle_calls,
                 result.best.canonical_text)
 
@@ -425,10 +393,11 @@ def test_mcts_selection_breaks_ties_low_index():
 def test_ga_population_constant_and_elite_monotone(zero_evaluator):
     generations = []
     result = genetic_search(
-        _cfg("genetic", ga_population=4, ga_generations=5, ga_mutation_rate=0.5, seed=2),
-        _ctx(zero_evaluator),
-        _oracle(WORSE, UNSOLVABLE),
-        evaluator=zero_evaluator,
+        SearchRun(
+            _cfg("genetic", ga_population=4, ga_generations=5, ga_mutation_rate=0.5, seed=2),
+            _oracle(WORSE, UNSOLVABLE),
+            zero_evaluator,
+        ),
         observer=lambda gen, pop: generations.append(pop),
     )
     assert not result.success
@@ -440,10 +409,7 @@ def test_ga_population_constant_and_elite_monotone(zero_evaluator):
 
 def test_ga_scripted_success(zero_evaluator):
     result = genetic_search(
-        _cfg("genetic", ga_population=4, ga_generations=3, seed=1),
-        _ctx(zero_evaluator),
-        builtin_script(),
-        evaluator=zero_evaluator,
+        SearchRun(_cfg("genetic", ga_population=4, ga_generations=3, seed=1), builtin_script(), zero_evaluator)
     )
     assert result.success
     assert result.best.plan_length == 2
@@ -451,17 +417,19 @@ def test_ga_scripted_success(zero_evaluator):
 
 def test_ga_population_minimum(zero_evaluator):
     with pytest.raises(ValueError):
-        genetic_search(
-            _cfg("genetic", ga_population=1),
-            _ctx(zero_evaluator),
-            builtin_script(),
-            evaluator=zero_evaluator,
-        )
+        genetic_search(SearchRun(_cfg("genetic", ga_population=1), builtin_script(), zero_evaluator))
 
 
 def test_mutation_rate_validated():
     with pytest.raises(ValueError):
         SearchConfig(algorithm="genetic", target_length=4, ga_mutation_rate=2.0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("field, value", [("max_depth", 0), ("mcts_iterations", 0), ("ga_population", 1)])
+def test_config_rejects_caps_out_of_range(algorithm, field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(algorithm=algorithm, target_length=4, **{field: value})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -488,12 +456,8 @@ def test_ga_deterministic(blocksworld, flagship, blocksworld_regression):
         evaluator = CandidateEvaluator(
             blocksworld, flagship, blocksworld_regression, weights=ZERO
         )
-        result = genetic_search(
-            _cfg("genetic", ga_population=3, ga_generations=3, seed=13),
-            _ctx(evaluator),
-            _oracle(WORSE, UNSOLVABLE),
-            evaluator=evaluator,
-        )
+        cfg = _cfg("genetic", ga_population=3, ga_generations=3, seed=13)
+        result = genetic_search(SearchRun(cfg, _oracle(WORSE, UNSOLVABLE), evaluator))
         return (result.success, result.explored, result.best.canonical_text)
 
     assert run() == run()
@@ -504,11 +468,7 @@ def test_ga_deterministic(blocksworld, flagship, blocksworld_regression):
 
 def test_beam_scripted_success_iteration_one(zero_evaluator):
     result = beam_search(
-        _cfg("beam", beam_width=8, seed=1),
-        _ctx(zero_evaluator),
-        builtin_script(),
-        LevenshteinMockOracle(),
-        evaluator=zero_evaluator,
+        SearchRun(_cfg("beam", beam_width=8, seed=1), builtin_script(), zero_evaluator), LevenshteinMockOracle()
     )
     assert result.success
     assert result.best.plan_length == 2
@@ -523,11 +483,8 @@ def test_beam_width_one_keeps_original_against_worse(zero_evaluator, blocksworld
     )
     beams = []
     result = beam_search(
-        _cfg("beam", beam_width=1, max_depth=3),
-        _ctx(evaluator),
-        _oracle(WORSE),
+        SearchRun(_cfg("beam", beam_width=1, max_depth=3), _oracle(WORSE), evaluator),
         LevenshteinMockOracle(),
-        evaluator=evaluator,
         observer=lambda it, beam: beams.append(beam),
     )
     assert not result.success
@@ -538,11 +495,8 @@ def test_beam_width_one_keeps_original_against_worse(zero_evaluator, blocksworld
 def test_beam_never_exceeds_width(zero_evaluator):
     beams = []
     result = beam_search(
-        _cfg("beam", beam_width=2, max_depth=2, target_length=0),
-        _ctx(zero_evaluator, target=0),
-        builtin_script(),
+        SearchRun(_cfg("beam", beam_width=2, max_depth=2, target_length=0), builtin_script(), zero_evaluator),
         LevenshteinMockOracle(),
-        evaluator=zero_evaluator,
         observer=lambda it, beam: beams.append(beam),
     )
     assert not result.success
@@ -550,13 +504,8 @@ def test_beam_never_exceeds_width(zero_evaluator):
 
 
 def test_beam_sets_semantic_rank_positions(zero_evaluator):
-    result = beam_search(
-        _cfg("beam", beam_width=8),
-        _ctx(zero_evaluator),
-        builtin_script(),
-        LevenshteinMockOracle(),
-        evaluator=zero_evaluator,
-    )
+    run = SearchRun(_cfg("beam", beam_width=8), builtin_script(), zero_evaluator)
+    result = beam_search(run, LevenshteinMockOracle())
     assert result.best.semantic_rank_position is not None
 
 
@@ -582,8 +531,7 @@ def _beam_pools(monkeypatch, evaluator, script, distance_oracle, **kw):
         pools.append((list(pool), keep, distance_oracle.pairs[before:]))
 
     monkeypatch.setattr(beam_module, "rank_pool", spy)
-    cfg = _cfg("beam", **kw)
-    beam_search(cfg, _ctx(evaluator, cfg.target_length), script, distance_oracle, evaluator=evaluator)
+    beam_search(SearchRun(_cfg("beam", **kw), script, evaluator), distance_oracle)
     return pools
 
 
@@ -673,12 +621,12 @@ def test_success_implies_valid_fast_plan(algorithm, blocksworld, flagship, block
 
     evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression, weights=ZERO)
     cfg = _cfg(algorithm)
-    kwargs = {"evaluator": evaluator}
+    run = SearchRun(cfg, builtin_script(), evaluator)
     if algorithm == "beam":
-        result = beam_search(cfg, _ctx(evaluator), builtin_script(), LevenshteinMockOracle(), **kwargs)
+        result = beam_search(run, LevenshteinMockOracle())
     else:
         fn = {"bfs": bfs_search, "mcts": mcts_search, "genetic": genetic_search}[algorithm]
-        result = fn(cfg, _ctx(evaluator), builtin_script(), **kwargs)
+        result = fn(run)
     assert result.success
     assert result.best.plan_length <= cfg.target_length
     assert result.best.regression_ok
@@ -702,7 +650,7 @@ def test_evaluate_many_dedups_and_orders(zero_evaluator):
 
 def test_oracle_call_accounting(zero_evaluator):
     oracle = builtin_script()
-    result = bfs_search(_cfg("bfs"), _ctx(zero_evaluator), oracle, evaluator=zero_evaluator)
+    result = bfs_search(SearchRun(_cfg("bfs"), oracle, zero_evaluator))
     assert result.oracle_calls == oracle.calls
 
 
@@ -783,6 +731,37 @@ def test_run_parses_each_distinct_text_once(
     assert len(parsed) >= 3
 
 
+class _ContextLog(_RepeatingOracle):
+    """A repeating oracle that keeps the context of every call it answers."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.contexts: list = []
+
+    def propose(self, ctx, k: int) -> list:
+        self.contexts.append(("propose", ctx))
+        return super().propose(ctx, k)
+
+    def crossover(self, ctx, parent_a: str, parent_b: str) -> str:
+        self.contexts.append(("crossover", ctx))
+        return super().crossover(ctx, parent_a, parent_b)
+
+    def mutate(self, ctx, candidate: str) -> str:
+        self.contexts.append(("mutate", ctx))
+        return super().mutate(ctx, candidate)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_oracle_call_sees_the_run_task(algorithm, blocksworld, flagship, blocksworld_regression):
+    oracle = _ContextLog(seed=3)
+    cfg = replace(_unreachable_cfg(algorithm), target_length=1)
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, oracle)
+    kinds = {kind for kind, _ in oracle.contexts}
+    assert kinds == ({"propose", "crossover", "mutate"} if algorithm == "genetic" else {"propose"})
+    assert all(ctx.target_length == cfg.target_length for _, ctx in oracle.contexts)
+    assert all(ctx.problem is flagship for _, ctx in oracle.contexts)
+
+
 def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_regression):
     cfg = _unreachable_cfg("beam")
     run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
@@ -826,7 +805,7 @@ def test_a_second_run_links_and_grounds_again(monkeypatch, blocksworld, flagship
 
 def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
     oracle = _oracle(UNLINKABLE, WORSE, BROKEN, variants.MID_EXTRACT)
-    run = SearchRun(_cfg("beam"), _ctx(zero_evaluator), oracle, zero_evaluator)
+    run = SearchRun(_cfg("beam"), oracle, zero_evaluator)
     root = run.root()
     batches = [run.propose(root) for _ in range(3)]
     assert parsed.count(UNLINKABLE) == 1 and parsed.count(BROKEN) == 1
@@ -852,12 +831,8 @@ def test_rejected_child_falls_back_to_parent_a(child, blocksworld, flagship, blo
 
     evaluator = BatchLog(blocksworld, flagship, blocksworld_regression, weights=ZERO)
     oracle = Breeder([ScriptEntry(lambda ctx: True, (WORSE,))])
-    result = genetic_search(
-        _cfg("genetic", target_length=0, ga_population=4, ga_generations=3),
-        _ctx(evaluator, 0),
-        oracle,
-        evaluator=evaluator,
-    )
+    cfg = _cfg("genetic", target_length=0, ga_population=4, ga_generations=3)
+    result = genetic_search(SearchRun(cfg, oracle, evaluator))
     assert result.explored == 2  # the root and WORSE; no child is new
     assert any(a != b for a, b in parents)
     assert [text for batch in batches for text in batch] == [a for a, _ in parents]

@@ -186,3 +186,22 @@ def test_record_before_header_rejected(tmp_path):
     bad.write_text(json.dumps({"kind": "step"}) + "\n")
     with pytest.raises(MalformedTrajectory):
         read_runs(bad)
+
+
+def test_header_config_must_be_an_object(tmp_path):
+    path, _ = _beam_run(tmp_path)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({**json.loads(header), "config": []}) + "\n" + "".join(rest))
+    with pytest.raises(MalformedTrajectory, match="header config is not an object") as err:
+        read_runs(bad)
+    assert err.value.line == 1
+
+
+def test_deeply_nested_line_is_malformed(tmp_path):
+    path, _ = _beam_run(tmp_path)
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(path.read_text() + "[" * 200000 + "]" * 200000 + "\n")
+    with pytest.raises(MalformedTrajectory) as err:
+        read_runs(bad)
+    assert err.value.line == len(path.read_text().splitlines()) + 1
