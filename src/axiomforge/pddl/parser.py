@@ -12,6 +12,14 @@ Grammar notes enforced here:
   * effect leaves are literals (atoms or negated atoms);
   * every variable must be bound by the action parameters or an enclosing
     `forall`.
+
+A domain is read and parsed one top-level form at a time: the header
+(`(domain NAME)` and every section but `:action`) first, then each action
+against the header's predicates and constants. The same section and action
+code serves a text read whole, which is how a text whose outer shape the
+form split does not recognise is read. A caller that parses many texts
+sharing forms, such as a search run's intake, passes a dict that keeps the
+forms parsed without a diagnostic, so an unchanged form is read once.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .ast import (
     walk,
 )
 from .printer import _type_str
-from .reader import SAtom, SList, SNode, read_one
+from .reader import SAtom, SList, SNode, read_one, split_define
 
 SUPPORTED_REQUIREMENTS = frozenset(
     {
@@ -306,11 +314,95 @@ def _requirements(b: _Builder, section: SList) -> list[str]:
 # -- domains ------------------------------------------------------------------
 
 
-def parse_domain(text: str) -> DomainAst:
-    """Parse a domain; raises PddlError carrying all collected diagnostics."""
-    b = _Builder()
-    name, sections = _header(b, read_one(text), "domain")
+def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
+    """Parse a domain; raises PddlError carrying all collected diagnostics.
 
+    The text is read one top-level form at a time (`split_define`), and a
+    text of any other shape is read whole, so every syntax error keeps the
+    message and position a whole read gives. `forms`, when given, keeps
+    what earlier calls parsed without a diagnostic: the header (the
+    `(domain NAME)` form and every section but `:action`) under the tuple
+    of its form texts, and each action under (that tuple, its form text).
+    A form found there is neither read nor parsed again. The checks across
+    forms, duplicate predicates and duplicate actions, run on every call.
+    """
+    b = _Builder()
+    memo = forms if forms is not None else {}
+    found = split_define(text)
+    if found is None:
+        name, sections = _header(b, read_one(text), "domain")
+        header, action_nodes = _domain_header(b, name, sections)
+        actions = [(None, node, node) for node in action_nodes]
+    else:
+        header, actions = _read_forms(b, text, found, memo)
+
+    name, requirements, types, constants, predicates = header
+    pred_table: dict[str, PredicateDecl] = {}
+    for decl in predicates:
+        if decl.name in pred_table:
+            b.diag(E.DUPLICATE_NAME, f"duplicate predicate '{decl.name}'")
+        pred_table[decl.name] = decl
+
+    const_names = frozenset(c.name for c in constants)
+    parsed: list[ActionSchema] = []
+    action_names: set[str] = set()
+    # `where` is the action's node, or its unread form: both carry its position.
+    for action_key, node, where in actions:
+        act = memo.get(action_key)
+        if act is None:
+            dirty = len(b.diagnostics)
+            act = _parse_action(b, node, pred_table, const_names)
+            if act is None:
+                continue
+            if action_key is not None and len(b.diagnostics) == dirty:
+                memo[action_key] = act
+        if act.name in action_names:
+            b.diag(E.DUPLICATE_NAME, f"duplicate action '{act.name}'", where)
+        action_names.add(act.name)
+        parsed.append(act)
+
+    b.fail_if_dirty()
+    return DomainAst(
+        name=name,
+        requirements=requirements,
+        types=types,
+        constants=constants,
+        predicates=predicates,
+        actions=tuple(parsed),
+    )
+
+
+def _read_forms(b: _Builder, text: str, found: list, memo: dict) -> tuple:
+    """The header and the (memo key, node, form) of each action of a text
+    that `split_define` split into `found`. Only the forms `memo` lacks are
+    read, all of them before any is parsed, in document order; a header
+    parsed without a diagnostic goes into `memo`. The node of an action
+    found in `memo` is None."""
+    define, name_form, *rest = found
+    header_forms = [name_form] + [f for f in rest if f.head != ":action"]
+    key = tuple(text[f.start : f.end] for f in header_forms)
+    header = memo.get(key)
+    actions = [((key, text[f.start : f.end]), f) for f in rest if f.head == ":action"]
+    todo = [f for action_key, f in actions if action_key not in memo]
+    if header is None:
+        todo += header_forms
+    nodes = {f.start: read_one(text, f.start, f.end, f.line, f.col) for f in sorted(todo)}
+    if header is None:
+        # `_header` checks the `(define (domain NAME)` shape on the part of
+        # the tree it reads.
+        define_atom = SAtom("define", define.line, define.col + 1)
+        root = SList((define_atom, nodes[name_form.start]), define.line, define.col)
+        name, _ = _header(b, root, "domain")
+        header, _ = _domain_header(b, name, [nodes[f.start] for f in header_forms[1:]])
+        if not b.diagnostics:
+            memo[key] = header
+    return header, [(action_key, nodes.get(f.start), f) for action_key, f in actions]
+
+
+def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
+    """The header parsed from a domain's sections, as (name, requirements,
+    types, constants, predicates), and the `:action` sections among them,
+    which are parsed after the header, against its predicates."""
     requirements: list[str] = []
     types: tuple = ()
     constants: tuple = ()
@@ -341,33 +433,8 @@ def parse_domain(text: str) -> DomainAst:
         else:
             b.diag(E.UNSUPPORTED, f"section '{head}' is not supported", section)
 
-    pred_table: dict[str, PredicateDecl] = {}
-    for decl in predicates:
-        if decl.name in pred_table:
-            b.diag(E.DUPLICATE_NAME, f"duplicate predicate '{decl.name}'")
-        pred_table[decl.name] = decl
-
-    const_names = frozenset(c.name for c in constants)
-    actions: list[ActionSchema] = []
-    action_names: set[str] = set()
-    for node in action_nodes:
-        act = _parse_action(b, node, pred_table, const_names)
-        if act is None:
-            continue
-        if act.name in action_names:
-            b.diag(E.DUPLICATE_NAME, f"duplicate action '{act.name}'", node)
-        action_names.add(act.name)
-        actions.append(act)
-
-    b.fail_if_dirty()
-    return DomainAst(
-        name=name,
-        requirements=frozenset(requirements),
-        types=types,
-        constants=constants,
-        predicates=tuple(predicates),
-        actions=tuple(actions),
-    )
+    header = (name, frozenset(requirements), types, constants, tuple(predicates))
+    return header, action_nodes
 
 
 def _parse_action(

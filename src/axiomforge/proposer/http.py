@@ -33,6 +33,9 @@ DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
 API_KEY_ENV_VAR = "AXIOMFORGE_API_KEY"
 
 _BACKOFF_BASE_S = 0.5
+# Longest reply body read; a longer one reads as {}, like one that is not
+# JSON. An evolve-http reply is about 40 KB.
+_MAX_BODY_BYTES = 4 << 20
 _JUDGE_SYSTEM_PROMPT = (
     "You judge how close modified game rules stay to a reference."
     " Answer with the single letter A or B."
@@ -69,8 +72,8 @@ class OracleClientConfig:
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float):
     """POST `payload` as JSON; (status, decoded body). An error status is a
-    reply like any other, and a body that is not JSON, or nests too deeply
-    to decode, reads as {}."""
+    reply like any other, and a body that is not JSON, nests too deeply to
+    decode, or is longer than _MAX_BODY_BYTES, reads as {}."""
     import urllib.parse
     import urllib.request
     from urllib.error import HTTPError
@@ -87,10 +90,12 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float)
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as resp:
-            status, raw = resp.status, resp.read()
+            status, raw = resp.status, resp.read(_MAX_BODY_BYTES + 1)
     except HTTPError as err:
         with err:
-            status, raw = err.code, err.read()
+            status, raw = err.code, err.read(_MAX_BODY_BYTES + 1)
+    if len(raw) > _MAX_BODY_BYTES:
+        return status, {}
     try:
         body = json.loads(raw)
     except (ValueError, RecursionError):

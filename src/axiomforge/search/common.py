@@ -40,7 +40,9 @@ class SearchRun:
     intake that reads oracle text through the evaluator's `RunCache`, the
     recorded steps (a step's id is its index in `steps`, and `writer`, when
     given, gets each step as it is recorded), the best candidate so far,
-    and the oracle and evaluator counters at the start of the run."""
+    and the oracle's call count at the start of the run. The evaluator must
+    be fresh: it keeps each candidate with the step id a run gave it, so a
+    second run over it would record nothing."""
 
     def __init__(
         self,
@@ -49,14 +51,16 @@ class SearchRun:
         evaluator: CandidateEvaluator,
         writer: TrajectoryWriter | None = None,
     ):
+        if evaluator.evaluations:
+            raise ValueError("an evaluator serves one run")
         self.cfg = cfg
         self.oracle = oracle
         self.evaluator = evaluator
         self.writer = writer
-        self.intake = Intake(evaluator.problem, evaluator.cache)
+        self.intake = Intake(evaluator.problem, evaluator.original_text, evaluator.cache)
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
-        self._calls0, self._evals0 = oracle.calls, evaluator.evaluations
+        self._calls0 = oracle.calls
 
     def root(self) -> EditCandidate:
         return self.admit(self.evaluator.evaluate_root(), "root")
@@ -140,6 +144,6 @@ class SearchRun:
         return SearchResult(
             best=found if found is not None else self.best,
             success=found is not None,
-            explored=self.evaluator.evaluations - self._evals0,
+            explored=self.evaluator.evaluations,
             oracle_calls=self.oracle.calls - self._calls0,
         )

@@ -296,6 +296,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     domain = parse_domain(entry.domain_text)
     problem = parse_problem(entry.flagship.text)
     ctx = ProposalContext(domain, problem, 6, 4)
+    original = print_canonical(domain)
     cfg = OracleClientConfig(base_url=stub_server.base_url, samples=1, max_retries=2)
 
     # Extracts exactly the stub's valid fenced domains.
@@ -303,7 +304,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     stub_server.push(200, stub_server.chat_body(
         f"```pddl\n{GOOD_A}```\nbroken:\n```pddl\n(define (domain\n```\n```pddl\n{good_b}```"
     ))
-    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8, Intake(problem))
+    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8, Intake(problem, original))
     names = [a.name for d, _ in candidates for a in d.actions if a.name in ("hover", "drift")]
     assert names == ["hover", "drift"]
 
@@ -312,7 +313,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
         stub_server.push(500, {})
     requests_before = len(stub_server.requests)
     with pytest.raises(OracleUnavailable):
-        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem))
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem, original))
     assert len(stub_server.requests) - requests_before == 3
     assert sleeps == [0.5, 1.0]
 
@@ -328,7 +329,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     monkeypatch.setattr(socket.socket, "connect", refuse)
     monkeypatch.setattr(socket, "create_connection", refuse)
     with pytest.raises(OracleUnavailable):
-        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem))
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem, original))
     assert connects["n"] == 3
     connects["n"] = 0
     argv = [

@@ -1,4 +1,5 @@
 import http.client
+import json
 import sys
 import time
 from dataclasses import replace
@@ -18,6 +19,7 @@ from axiomforge.proposer import (
     OracleClientConfig,
     ProposalContext,
 )
+from axiomforge.proposer.http import _MAX_BODY_BYTES
 from axiomforge.proposer.prompts import SYSTEM_PROMPT
 from axiomforge.search import SearchConfig, run_search
 from axiomforge.search.common import propose_domains
@@ -59,7 +61,8 @@ def _cfg(state, **kw):
 
 def _propose(state, ctx, k, **kw):
     oracle = HttpProposalOracle(_cfg(state, **kw))
-    return [domain for domain, _ in propose_domains(oracle, ctx, k, Intake(ctx.problem))]
+    intake = Intake(ctx.problem, print_canonical(ctx.domain))
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, intake)]
 
 
 def test_propose_extracts_stub_domains(stub_server, api_key, blocksworld, flagship):
@@ -208,6 +211,15 @@ def test_non_json_bodies_read_as_empty(stub_server, api_key, no_sleep):
     assert no_sleep == [0.5]
 
 
+@pytest.mark.parametrize("size, expected", [(_MAX_BODY_BYTES, ["padded"]), (_MAX_BODY_BYTES + 1, [])])
+def test_reply_body_is_read_up_to_the_cap(stub_server, api_key, no_sleep, size, expected):
+    body = json.dumps(_chat_body("padded")).encode()
+    stub_server.push(200, body + b" " * (size - len(body)))  # valid JSON either way
+    assert HttpChatClient(_cfg(stub_server)).complete("sys", "user") == expected
+    assert len(stub_server.requests) == 1
+    assert no_sleep == []
+
+
 DEEP = b"[" * 200000 + b"]" * 200000  # deeper than json.loads can recurse
 
 
@@ -243,7 +255,9 @@ def test_repeated_block_is_parsed_once(
     parsed = []
     parse = axiomforge.proposer.extract.parse_domain
     monkeypatch.setattr(
-        axiomforge.proposer.extract, "parse_domain", lambda text: parsed.append(text) or parse(text)
+        axiomforge.proposer.extract,
+        "parse_domain",
+        lambda text, forms=None: parsed.append(text) or parse(text, forms),
     )
     block = f"```pddl\n{variants.MID_EXTRACT}```\n"
     stub_server.push(200, _chat_body(block * 2, block))
@@ -261,7 +275,9 @@ def test_genetic_children_are_parsed_once(
     parsed = []
     parse = axiomforge.proposer.extract.parse_domain
     monkeypatch.setattr(
-        axiomforge.proposer.extract, "parse_domain", lambda text: parsed.append(text) or parse(text)
+        axiomforge.proposer.extract,
+        "parse_domain",
+        lambda text, forms=None: parsed.append(text) or parse(text, forms),
     )
 
     def transport(url, headers, payload, timeout_s):

@@ -204,6 +204,27 @@ def test_nesting_past_the_cap_is_a_positioned_syntax_error():
     assert (diag.line, diag.col) == (2, 43 + 5 * (MAX_DEPTH - 2))
 
 
+def test_an_action_is_parsed_again_under_a_changed_header():
+    action = "(:action a :parameters (?x) :precondition (p ?x) :effect (not (p ?x)))"
+    forms: dict = {}
+    parse_domain(f"(define (domain d) (:predicates (p ?x))\n  {action})", forms)
+    with pytest.raises(PddlError) as err:
+        parse_domain(f"(define (domain d) (:predicates (p))\n  {action})", forms)
+    assert [(d.code, d.line, d.col) for d in err.value.diagnostics] == [
+        ("arity-mismatch", 2, 45),
+        ("arity-mismatch", 2, 65),
+    ]
+
+
+def test_a_remembered_action_repeated_is_a_positioned_duplicate():
+    action = "(:action a :parameters () :precondition (p) :effect (p))"
+    forms: dict = {}
+    parse_domain(f"(define (domain d) (:predicates (p))\n  {action})", forms)
+    with pytest.raises(PddlError) as err:
+        parse_domain(f"(define (domain d) (:predicates (p))\n  {action}\n  {action})", forms)
+    assert [(d.code, d.line, d.col) for d in err.value.diagnostics] == [("duplicate-name", 3, 3)]
+
+
 # -- problems -------------------------------------------------------------
 
 

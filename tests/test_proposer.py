@@ -138,7 +138,8 @@ def test_deeply_nested_block_is_dropped():
 
 
 def _propose(oracle, ctx, k):
-    return [domain for domain, _ in propose_domains(oracle, ctx, k, Intake(ctx.problem))]
+    intake = Intake(ctx.problem, print_canonical(ctx.domain))
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, intake)]
 
 
 def test_builtin_script_returns_both_variants(bw_ctx, evaluator):

@@ -11,14 +11,19 @@ from hypothesis import strategies as st
 from axiomforge import corpus, planner
 from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, print_canonical
+from axiomforge.pddl import parser as parser_module
+from axiomforge.pddl.reader import split_define
 from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
 from axiomforge.proposer import (
+    Intake,
     ProposalOracle,
     ScriptEntry,
     ScriptedOracle,
     builtin_script,
+    filter_linkable,
 )
 from axiomforge.proposer import extract as extract_module
+from axiomforge.proposer.extract import MAX_TEXT_FACTOR
 from axiomforge.search import (
     ALGORITHMS,
     CandidateEvaluator,
@@ -703,9 +708,9 @@ def parsed(monkeypatch):
     """Every raw text the intake parses, in order."""
     texts = []
 
-    def recording_parse(text):
+    def recording_parse(text, forms=None):
         texts.append(text)
-        return parse_domain(text)
+        return parse_domain(text, forms)
 
     monkeypatch.setattr(extract_module, "parse_domain", recording_parse)
     return texts
@@ -769,6 +774,50 @@ def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_re
     parsed.clear()
     run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
     assert first and parsed == first
+
+
+def test_a_second_run_reads_its_forms_again(monkeypatch, blocksworld, flagship):
+    """The form memo lives in the run's intake: within one intake the forms
+    that two texts share are read once, and a new intake reads them again."""
+    reads = []
+    read_one = parser_module.read_one
+
+    def recording_read(text, *window):
+        reads.append(text[window[0] : window[1]] if window else text)
+        return read_one(text, *window)
+
+    monkeypatch.setattr(parser_module, "read_one", recording_read)
+
+    def run():
+        reads.clear()
+        intake = Intake(flagship, print_canonical(blocksworld))
+        assert all(intake(text) is not None for text in (ORIGINAL, variants.MID_EXTRACT))
+        return list(reads)
+
+    first = run()
+    # MID_EXTRACT shares its header and four actions with the original, so
+    # only its two new actions are read.
+    assert len(first) == len(split_define(ORIGINAL)) - 1 + 2
+    assert run() == first
+
+
+def test_over_long_block_is_dropped_unread(parsed, blocksworld, flagship):
+    original = print_canonical(blocksworld)
+    noops = "".join(
+        f"\n  (:action noop-{i}\n    :parameters ()\n    :precondition (and)\n    :effect (and))"
+        for i in range(5000)
+    )
+    long_block = ORIGINAL[: ORIGINAL.rindex(")")] + noops + ")"
+    assert len(long_block) > MAX_TEXT_FACTOR * len(original)
+    kept = filter_linkable([long_block, variants.MID_EXTRACT], Intake(flagship, original), 2)
+    assert parsed == [variants.MID_EXTRACT]
+    assert [text for _, text in kept] == [print_canonical(parse_domain(variants.MID_EXTRACT))]
+
+
+def test_an_evaluator_serves_one_run(zero_evaluator):
+    bfs_search(SearchRun(_cfg("bfs"), builtin_script(), zero_evaluator))
+    with pytest.raises(ValueError, match="an evaluator serves one run"):
+        bfs_search(SearchRun(_cfg("bfs"), builtin_script(), zero_evaluator))
 
 
 def _record_links_and_compiles(monkeypatch):
