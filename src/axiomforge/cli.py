@@ -157,7 +157,6 @@ def _cmd_validate(args) -> tuple[int, dict]:
 def _cmd_evolve(args) -> tuple[int, dict]:
     domain = parse_domain(_read_text(args.domain, "domain"))
     problem = parse_problem(_read_text(args.problem, "problem"))
-    link(domain, problem)
 
     weights = ObjectiveWeights(alpha=args.alpha, lam=args.lam)
     cfg = SearchConfig(

@@ -18,7 +18,7 @@ A domain is read and parsed one top-level form at a time: the header
 against the header's predicates and constants. The same section and action
 code serves a text read whole, which is how a text whose outer shape the
 form split does not recognise is read. A caller that parses many texts
-sharing forms, such as a search run's intake, passes a dict that keeps the
+sharing forms, such as a search run's evaluator, passes a dict that keeps the
 forms parsed without a diagnostic, so an unchanged form is read once.
 """
 

@@ -400,8 +400,8 @@ class _Work:
 class RunCache:
     """The link and grounding work that one search run's candidates share.
 
-    A run makes one and hands it to its intake and its evaluator; nothing
-    outlives the run. Each layer is keyed on exactly what it reads, so a hit
+    A run's evaluator makes one, reads oracle text and scores candidates
+    through it; nothing outlives the run. Each layer is keyed on exactly what it reads, so a hit
     returns what doing the work again would:
       * `link` verdicts, by the problem and the domain's name, types,
         constants, predicates and the set of types its action parameters

@@ -1,7 +1,7 @@
 """Candidate rule-edit generation: prompts, HTTP client, scripted replay."""
 
 from .context import ProposalContext
-from .extract import ExtractionResult, Intake, extract_candidates, filter_linkable
+from .extract import ExtractionResult, extract_candidates, filter_linkable
 from .http import (
     API_KEY_ENV_VAR,
     AuthError,
@@ -26,7 +26,6 @@ __all__ = [
     "HttpChatClient",
     "HttpDistanceOracle",
     "HttpProposalOracle",
-    "Intake",
     "NoScriptMatch",
     "OracleClientConfig",
     "ProposalContext",

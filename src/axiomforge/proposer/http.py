@@ -59,6 +59,8 @@ class OracleClientConfig:
             raise ValueError("samples must be >= 1")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
     @classmethod
     def from_env(cls, **overrides) -> "OracleClientConfig":
@@ -186,8 +188,8 @@ class HttpProposalOracle(ProposalOracle):
 
     def propose(self, ctx: ProposalContext, k: int) -> list:
         """The raw text of every decode's fenced blocks, pooled and
-        deduplicated in order. Nothing is parsed here: the run's intake reads
-        each distinct block once, and the cut to k happens after link
+        deduplicated in order. Nothing is parsed here: the run's evaluator
+        reads each distinct block once, and the cut to k happens after link
         filtering, so duplicates and unlinkable blocks cannot crowd out
         valid ones."""
         self.calls += 1
@@ -196,7 +198,7 @@ class HttpProposalOracle(ProposalOracle):
 
     def _one_block(self, prompt: str, fallback: str) -> str:
         """The raw text of the reply's first fenced block, or `fallback`
-        when there is none. Unparsed: the run's intake reads it, and a
+        when there is none. Unparsed: the run's evaluator reads it, and a
         block that does not parse or link falls back to parent A there."""
         contents = self.client.complete(SYSTEM_PROMPT, prompt, n=1)
         return next((block for content in contents for block in fenced_blocks(content)), fallback)

@@ -28,7 +28,7 @@ class ProposalOracle(ABC):
     def propose(self, ctx: ProposalContext, k: int) -> list:
         """Candidate domain texts, best guesses first, for a caller that
         keeps k. An oracle may return more, and texts that do not parse or
-        link: the run's intake reads each distinct text once and
+        link: the run's evaluator reads each distinct text once and
         `filter_linkable` keeps the first k distinct ones that link."""
 
     @abstractmethod

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..distance import levenshtein
-from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, print_canonical, walk
+from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, parse_domain, print_canonical, walk
 from ..planner import (
     GroundingExplosion,
     Plan,
@@ -88,20 +88,27 @@ def score(candidate: EditCandidate, weights: ObjectiveWeights) -> float:
     return weights.unsolvable_penalty
 
 
-class CandidateEvaluator:
-    """Grounds, solves, and scores candidate domains against one task.
+# An oracle text longer than this many times the run's original canonical
+# text is dropped unread, which bounds what one hostile block costs. An edit
+# changes a few axioms: 8 times the smallest corpus domain (hanoi, 342
+# characters printed) is still more than the largest (maze, 1861).
+MAX_TEXT_FACTOR = 8
 
-    Evaluations are memoized by the canonical text the caller passes in
-    (the run's intake printed it once): proposing the same edit twice
-    returns the first EditCandidate untouched, so step records stay unique
-    per distinct rule set. `evaluations` counts cache misses.
+
+class CandidateEvaluator:
+    """Reads, grounds, solves, and scores candidate domains against one task.
+
+    `read` turns oracle text into a linked domain and its canonical text.
+    Evaluations are memoized by that canonical text: proposing the same
+    edit twice returns the first EditCandidate untouched, so step records
+    stay unique per distinct rule set. `evaluations` counts cache misses.
 
     Links and grounding go through `cache`, the evaluator's `RunCache`,
-    which the search run's intake reads oracle text through too: a
-    candidate's link to the flagship is then the intake's verdict, and the
-    compiles, bindings and lowerings of the actions it shares with earlier
-    candidates are reused. An evaluator serves one run, since its memoized
-    candidates carry that run's step ids.
+    which holds the original's link first (a task that does not link
+    raises `PddlError` here): a candidate's link to the flagship is then
+    the verdict `read` reached, and the compiles, bindings and lowerings of
+    the actions it shares with earlier candidates are reused. An evaluator
+    serves one run, since its memoized candidates carry that run's step ids.
     """
 
     def __init__(
@@ -120,7 +127,29 @@ class CandidateEvaluator:
         self.weights = weights or ObjectiveWeights()
         self.evaluations = 0
         self.cache = RunCache()
+        self.cache.link(original, problem)
+        self._max_len = MAX_TEXT_FACTOR * len(self.original_text)
+        self._read: dict = {}  # oracle text -> read's answer
+        self._forms: dict = {}  # parse_domain's memo of forms, for this run only
         self._memo: dict = {}
+
+    def read(self, text: str) -> tuple | None:
+        """The linked domain in oracle `text` and its canonical text, or None
+        when it does not parse or link, or is more than MAX_TEXT_FACTOR times
+        as long as the original (then it is not read at all). Each distinct
+        text is read once, form by form through the run's form memo, so a
+        declaration or action an earlier text held unchanged is neither read
+        nor parsed again."""
+        if len(text) > self._max_len:
+            return None
+        if text not in self._read:
+            try:
+                domain = parse_domain(text, self._forms)
+                self.cache.link(domain, self.problem)
+                self._read[text] = (domain, print_canonical(domain))
+            except PddlError:
+                self._read[text] = None
+        return self._read[text]
 
     def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
         return solve(ground(self.cache.link(domain, problem), cache=self.cache), self.limits)

@@ -4,13 +4,13 @@
 evaluates the root through it and then only decides which nodes to expand
 and which candidates to keep; every evaluated candidate passes through
 `admit`, which records it once and keeps the best score seen. Oracle text
-becomes a candidate only through the run's `Intake`, for proposals and
+becomes a candidate only through the evaluator's `read`, for proposals and
 genetic children alike.
 """
 
 from __future__ import annotations
 
-from ..proposer import Intake, NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
+from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .config import SearchConfig, SearchResult
@@ -26,23 +26,23 @@ def summarize(cand: EditCandidate) -> str:
     return f"{cand.provenance.description}: {outcome}, score {cand.score:g}"
 
 
-def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, intake: Intake) -> list:
-    """Ask the oracle for k edits, read through `intake`; unlinkable ones drop."""
+def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, read) -> list:
+    """Ask the oracle for k edits, read by an evaluator's `read`; unlinkable ones drop."""
     try:
         texts = oracle.propose(ctx, k)
     except NoScriptMatch:
         return []
-    return filter_linkable(texts, intake, k)
+    return filter_linkable(texts, read, k)
 
 
 class SearchRun:
-    """Everything one search run owns: its config, oracle and evaluator, the
-    intake that reads oracle text through the evaluator's `RunCache`, the
-    recorded steps (a step's id is its index in `steps`, and `writer`, when
-    given, gets each step as it is recorded), the best candidate so far,
-    and the oracle's call count at the start of the run. The evaluator must
-    be fresh: it keeps each candidate with the step id a run gave it, so a
-    second run over it would record nothing."""
+    """Everything one search run owns: its config, oracle and evaluator
+    (which reads oracle text as well as scoring it), the recorded steps (a
+    step's id is its index in `steps`, and `writer`, when given, gets each
+    step as it is recorded), the best candidate so far, and the oracle's
+    call count at the start of the run. The evaluator must be fresh: it
+    keeps each candidate with the step id a run gave it, so a second run
+    over it would record nothing."""
 
     def __init__(
         self,
@@ -57,7 +57,6 @@ class SearchRun:
         self.oracle = oracle
         self.evaluator = evaluator
         self.writer = writer
-        self.intake = Intake(evaluator.problem, evaluator.original_text, evaluator.cache)
         self.steps: list = []  # recorded candidates, in step order
         self.best: EditCandidate | None = None
         self._calls0 = oracle.calls
@@ -117,7 +116,7 @@ class SearchRun:
         as (domain, canonical text) pairs."""
         if k is None:
             k = self.cfg.proposals_per_expansion
-        return propose_domains(self.oracle, self.context(node), k, self.intake)
+        return propose_domains(self.oracle, self.context(node), k, self.evaluator.read)
 
     def evaluate(self, domain, text: str, provenance: Provenance, phase: str) -> EditCandidate:
         return self.admit(self.evaluator.evaluate(domain, text, provenance), phase)

@@ -38,6 +38,10 @@ class SearchConfig:
             raise ValueError("mcts_iterations must be >= 1")
         if self.ga_population < 2:
             raise ValueError("ga_population must be >= 2")
+        if self.ga_generations < 0:
+            raise ValueError("ga_generations must be >= 0")
+        if self.proposals_per_expansion < 1:
+            raise ValueError("proposals_per_expansion must be >= 1")
         if not 0 <= self.mcts_exploration_c < math.inf:
             raise ValueError("mcts_exploration_c must be finite and >= 0")
         if not 0 <= self.ga_mutation_rate <= 1:

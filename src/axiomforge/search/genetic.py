@@ -53,7 +53,7 @@ def genetic_search(run: SearchRun, observer=None) -> SearchResult:
             )
             if rng.random() < cfg.ga_mutation_rate:
                 child_text = oracle.mutate(parent_ctx, child_text)
-            domain, text = run.intake(child_text) or (parent_a.domain, parent_a.canonical_text)
+            domain, text = run.evaluator.read(child_text) or (parent_a.domain, parent_a.canonical_text)
             batch.append(
                 (
                     domain,

@@ -28,7 +28,6 @@ from axiomforge.proposer import (
     ScriptedOracle,
     builtin_script,
     HttpProposalOracle,
-    Intake,
     OracleClientConfig,
 )
 from axiomforge.search import (
@@ -296,7 +295,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     domain = parse_domain(entry.domain_text)
     problem = parse_problem(entry.flagship.text)
     ctx = ProposalContext(domain, problem, 6, 4)
-    original = print_canonical(domain)
+    read = CandidateEvaluator(domain, problem, []).read
     cfg = OracleClientConfig(base_url=stub_server.base_url, samples=1, max_retries=2)
 
     # Extracts exactly the stub's valid fenced domains.
@@ -304,7 +303,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     stub_server.push(200, stub_server.chat_body(
         f"```pddl\n{GOOD_A}```\nbroken:\n```pddl\n(define (domain\n```\n```pddl\n{good_b}```"
     ))
-    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8, Intake(problem, original))
+    candidates = propose_domains(HttpProposalOracle(cfg), ctx, 8, read)
     names = [a.name for d, _ in candidates for a in d.actions if a.name in ("hover", "drift")]
     assert names == ["hover", "drift"]
 
@@ -313,7 +312,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
         stub_server.push(500, {})
     requests_before = len(stub_server.requests)
     with pytest.raises(OracleUnavailable):
-        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem, original))
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, read)
     assert len(stub_server.requests) - requests_before == 3
     assert sleeps == [0.5, 1.0]
 
@@ -329,7 +328,7 @@ def test_criterion_8_http_oracle_contract(capsys, stub_server, monkeypatch, tmp_
     monkeypatch.setattr(socket.socket, "connect", refuse)
     monkeypatch.setattr(socket, "create_connection", refuse)
     with pytest.raises(OracleUnavailable):
-        propose_domains(HttpProposalOracle(cfg), ctx, 2, Intake(problem, original))
+        propose_domains(HttpProposalOracle(cfg), ctx, 2, read)
     assert connects["n"] == 3
     connects["n"] = 0
     argv = [

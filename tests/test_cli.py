@@ -404,6 +404,7 @@ def test_wide_action_is_a_grounding_explosion(capsys, tmp_path, wide_blocksworld
 NO_FILE = "[Errno 2] No such file or directory"
 URL_REFUSED = "oracle URL must start with http:// or https://: 'ftp://nowhere/chat/completions'"
 NO_KEY = "set AXIOMFORGE_API_KEY before using the HTTP oracle"
+HANOI_FOR_BLOCKSWORLD = "problem names domain 'hanoi', expected 'blocksworld'"
 UNDECLARED = {"code": "undeclared-predicate", "message": "predicate 'q' is not declared",
               "line": 1, "col": 102}
 
@@ -416,6 +417,11 @@ FAILURES = [
     pytest.param(["parse", "{tmp}/undeclared.pddl"], {}, 1,
                  "1:102: undeclared-predicate: predicate 'q' is not declared",
                  {"status": "error", "diagnostics": [UNDECLARED]}, id="diagnostics"),
+    pytest.param(["evolve", B, "corpus:hanoi:three-discs", "--oracle", "scripted", "--target-len", "4"],
+                 {}, 1, f"0:0: domain-name-mismatch: {HANOI_FOR_BLOCKSWORLD}",
+                 {"status": "error", "diagnostics": [{"code": "domain-name-mismatch", "line": 0, "col": 0,
+                                                     "message": HANOI_FOR_BLOCKSWORLD}]},
+                 id="unlinkable-task"),
     pytest.param(["evolve", B, R, "--oracle", "http", "--target-len", "4"],
                  {"AXIOMFORGE_API_KEY": "x", "AXIOMFORGE_BASE_URL": "ftp://nowhere"}, 3,
                  f"oracle failure: {URL_REFUSED}",
@@ -476,12 +482,23 @@ def test_failure_outcome(capsys, tmp_path, monkeypatch, argv, env, code, first_e
     assert json.loads(out.splitlines()[-1]) == json.loads(json.dumps(payload).replace("{tmp}", tmp))
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy", "urllib.request", "http.client", "ssl"])
-def test_cli_import_leaves_module_unloaded(module):
+def _loads(importing: str, module: str) -> bool:
+    """Whether a fresh interpreter that imports `importing` has `module` loaded."""
     paths = [str(Path(axiomforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    probe = f"import sys, axiomforge.cli; print({module!r} in sys.modules)"
+    probe = f"import sys, {importing}; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("module", ["requests", "numpy", "urllib.request", "http.client", "ssl"])
+def test_cli_import_leaves_module_unloaded(module):
+    assert not _loads("axiomforge.cli", module)
+
+
+def test_proposer_import_leaves_planner_unloaded():
+    """The proposer is prompts, transport and the fence format; reading
+    oracle text into a linked domain belongs to the search evaluator."""
+    assert not _loads("axiomforge.proposer", "axiomforge.planner")

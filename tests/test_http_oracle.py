@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-import axiomforge.proposer.extract
+import axiomforge.search.candidate
 from axiomforge.corpus import variants
 from axiomforge.distance import Choice, OracleUnavailable
 from axiomforge.pddl import print_canonical
@@ -15,13 +15,12 @@ from axiomforge.proposer import (
     HttpChatClient,
     HttpDistanceOracle,
     HttpProposalOracle,
-    Intake,
     OracleClientConfig,
     ProposalContext,
 )
 from axiomforge.proposer.http import _MAX_BODY_BYTES
 from axiomforge.proposer.prompts import SYSTEM_PROMPT
-from axiomforge.search import SearchConfig, run_search
+from axiomforge.search import CandidateEvaluator, SearchConfig, run_search
 from axiomforge.search.common import propose_domains
 from conftest import StubChatServer
 
@@ -61,8 +60,8 @@ def _cfg(state, **kw):
 
 def _propose(state, ctx, k, **kw):
     oracle = HttpProposalOracle(_cfg(state, **kw))
-    intake = Intake(ctx.problem, print_canonical(ctx.domain))
-    return [domain for domain, _ in propose_domains(oracle, ctx, k, intake)]
+    read = CandidateEvaluator(ctx.domain, ctx.problem, []).read
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, read)]
 
 
 def test_propose_extracts_stub_domains(stub_server, api_key, blocksworld, flagship):
@@ -179,6 +178,24 @@ def test_transport_exception_retries(monkeypatch, api_key, no_sleep):
     assert client.transport_calls == 2
 
 
+def test_negative_max_retries_is_rejected():
+    with pytest.raises(ValueError, match="max_retries"):
+        OracleClientConfig(max_retries=-1)
+
+
+def test_zero_max_retries_makes_one_attempt(api_key, no_sleep):
+    calls = []
+
+    def failing_transport(url, headers, payload, timeout):
+        calls.append(url)
+        raise ConnectionError("refused")
+
+    client = HttpChatClient(OracleClientConfig(max_retries=0), transport=failing_transport)
+    with pytest.raises(OracleUnavailable):
+        client.complete("sys", "user")
+    assert len(calls) == 1 and no_sleep == []
+
+
 def test_truncated_reply_is_retried(api_key, no_sleep):
     replies = [http.client.IncompleteRead(b"{\"choi"), (200, _chat_body("B"))]
 
@@ -253,9 +270,9 @@ def test_repeated_block_is_parsed_once(
     stub_server, api_key, monkeypatch, blocksworld, flagship, blocksworld_regression
 ):
     parsed = []
-    parse = axiomforge.proposer.extract.parse_domain
+    parse = axiomforge.search.candidate.parse_domain
     monkeypatch.setattr(
-        axiomforge.proposer.extract,
+        axiomforge.search.candidate,
         "parse_domain",
         lambda text, forms=None: parsed.append(text) or parse(text, forms),
     )
@@ -273,9 +290,9 @@ def test_genetic_children_are_parsed_once(
     api_key, monkeypatch, blocksworld, flagship, blocksworld_regression
 ):
     parsed = []
-    parse = axiomforge.proposer.extract.parse_domain
+    parse = axiomforge.search.candidate.parse_domain
     monkeypatch.setattr(
-        axiomforge.proposer.extract,
+        axiomforge.search.candidate,
         "parse_domain",
         lambda text, forms=None: parsed.append(text) or parse(text, forms),
     )
@@ -287,7 +304,7 @@ def test_genetic_children_are_parsed_once(
     oracle = HttpProposalOracle(OracleClientConfig(samples=1), transport)
     result = run_search(cfg, blocksworld, flagship, blocksworld_regression, oracle)
     assert oracle.calls == 11
-    assert len(parsed) == 1  # crossover and mutation replies are read by the intake alone
+    assert len(parsed) == 1  # crossover and mutation replies are read by the evaluator alone
     assert result.explored == 2 and result.best.plan_length == 6
 
 

@@ -3,7 +3,6 @@ import pytest
 from axiomforge import corpus
 from axiomforge.pddl import parse_domain, print_canonical
 from axiomforge.proposer import (
-    Intake,
     NoScriptMatch,
     ProposalContext,
     ScriptEntry,
@@ -13,6 +12,7 @@ from axiomforge.proposer import (
     extract_candidates,
 )
 from axiomforge.proposer.extract import fenced, fenced_blocks
+from axiomforge.search import CandidateEvaluator
 from axiomforge.search.common import propose_domains
 
 GOOD_DOMAIN = """\
@@ -138,8 +138,8 @@ def test_deeply_nested_block_is_dropped():
 
 
 def _propose(oracle, ctx, k):
-    intake = Intake(ctx.problem, print_canonical(ctx.domain))
-    return [domain for domain, _ in propose_domains(oracle, ctx, k, intake)]
+    read = CandidateEvaluator(ctx.domain, ctx.problem, []).read
+    return [domain for domain, _ in propose_domains(oracle, ctx, k, read)]
 
 
 def test_builtin_script_returns_both_variants(bw_ctx, evaluator):

@@ -10,20 +10,17 @@ from hypothesis import strategies as st
 
 from axiomforge import corpus, planner
 from axiomforge.corpus import variants
-from axiomforge.pddl import link, parse_domain, print_canonical
+from axiomforge.pddl import PddlError, link, parse_domain, parse_problem, print_canonical
 from axiomforge.pddl import parser as parser_module
 from axiomforge.pddl.reader import split_define
 from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
 from axiomforge.proposer import (
-    Intake,
     ProposalOracle,
     ScriptEntry,
     ScriptedOracle,
     builtin_script,
     filter_linkable,
 )
-from axiomforge.proposer import extract as extract_module
-from axiomforge.proposer.extract import MAX_TEXT_FACTOR
 from axiomforge.search import (
     ALGORITHMS,
     CandidateEvaluator,
@@ -38,7 +35,7 @@ from axiomforge.search import (
     ucb1,
 )
 from axiomforge.search import candidate as candidate_module
-from axiomforge.search.candidate import EditCandidate, compactness
+from axiomforge.search.candidate import MAX_TEXT_FACTOR, EditCandidate, compactness
 from axiomforge.search.common import SearchRun
 from axiomforge.distance import LevenshteinMockOracle, hybrid_rank, levenshtein, query_budget
 from axiomforge.search import beam as beam_module
@@ -85,8 +82,8 @@ NO_PUTDOWN = ORIGINAL.replace(
 )
 
 
-# Texts the intake rejects: one links against no blocksworld problem, one
-# does not parse.
+# Texts an evaluator's `read` rejects: one links against no blocksworld
+# problem, one does not parse.
 UNLINKABLE = ORIGINAL.replace("(domain blocksworld)", "(domain renamed)")
 BROKEN = "(define (domain blocksworld) (:action"
 
@@ -115,7 +112,7 @@ def zero_evaluator(blocksworld, flagship, blocksworld_regression):
 
 
 def _read(text):
-    """A domain and its canonical text, as the run's intake hands them on."""
+    """A domain and its canonical text, as an evaluator's `read` hands them on."""
     domain = parse_domain(text)
     return domain, print_canonical(domain)
 
@@ -431,7 +428,10 @@ def test_mutation_rate_validated():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("field, value", [("max_depth", 0), ("mcts_iterations", 0), ("ga_population", 1)])
+@pytest.mark.parametrize("field, value", [
+    ("max_depth", 0), ("mcts_iterations", 0), ("ga_population", 1),
+    ("proposals_per_expansion", 0), ("ga_generations", -1),
+])
 def test_config_rejects_caps_out_of_range(algorithm, field, value):
     with pytest.raises(ValueError, match=field):
         SearchConfig(algorithm=algorithm, target_length=4, **{field: value})
@@ -667,7 +667,7 @@ def test_run_search_dispatch(blocksworld, flagship, blocksworld_regression):
     assert result.success and result.trajectory_id is None
 
 
-# -- intake -------------------------------------------------------------------
+# -- reading oracle text ------------------------------------------------------
 
 
 class _RepeatingOracle(ProposalOracle):
@@ -705,14 +705,14 @@ class _RepeatingOracle(ProposalOracle):
 
 @pytest.fixture()
 def parsed(monkeypatch):
-    """Every raw text the intake parses, in order."""
+    """Every raw text the run's evaluator parses, in order."""
     texts = []
 
     def recording_parse(text, forms=None):
         texts.append(text)
         return parse_domain(text, forms)
 
-    monkeypatch.setattr(extract_module, "parse_domain", recording_parse)
+    monkeypatch.setattr(candidate_module, "parse_domain", recording_parse)
     return texts
 
 
@@ -777,8 +777,8 @@ def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_re
 
 
 def test_a_second_run_reads_its_forms_again(monkeypatch, blocksworld, flagship):
-    """The form memo lives in the run's intake: within one intake the forms
-    that two texts share are read once, and a new intake reads them again."""
+    """The form memo lives in the run's evaluator: within one evaluator the
+    forms that two texts share are read once, and a new one reads them again."""
     reads = []
     read_one = parser_module.read_one
 
@@ -790,8 +790,8 @@ def test_a_second_run_reads_its_forms_again(monkeypatch, blocksworld, flagship):
 
     def run():
         reads.clear()
-        intake = Intake(flagship, print_canonical(blocksworld))
-        assert all(intake(text) is not None for text in (ORIGINAL, variants.MID_EXTRACT))
+        read = CandidateEvaluator(blocksworld, flagship, []).read
+        assert all(read(text) is not None for text in (ORIGINAL, variants.MID_EXTRACT))
         return list(reads)
 
     first = run()
@@ -809,9 +809,19 @@ def test_over_long_block_is_dropped_unread(parsed, blocksworld, flagship):
     )
     long_block = ORIGINAL[: ORIGINAL.rindex(")")] + noops + ")"
     assert len(long_block) > MAX_TEXT_FACTOR * len(original)
-    kept = filter_linkable([long_block, variants.MID_EXTRACT], Intake(flagship, original), 2)
+    read = CandidateEvaluator(blocksworld, flagship, []).read
+    kept = filter_linkable([long_block, variants.MID_EXTRACT], read, 2)
     assert parsed == [variants.MID_EXTRACT]
     assert [text for _, text in kept] == [print_canonical(parse_domain(variants.MID_EXTRACT))]
+
+
+def test_unlinkable_task_fails_before_any_oracle_call(blocksworld):
+    hanoi = parse_problem(corpus.load("hanoi").flagship.text)
+    oracle = builtin_script()
+    with pytest.raises(PddlError) as err:
+        run_search(SearchConfig("bfs", 4), blocksworld, hanoi, [], oracle)
+    assert [d.code for d in err.value.diagnostics] == ["domain-name-mismatch"]
+    assert oracle.calls == 0
 
 
 def test_an_evaluator_serves_one_run(zero_evaluator):
@@ -858,7 +868,7 @@ def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
     root = run.root()
     batches = [run.propose(root) for _ in range(3)]
     assert parsed.count(UNLINKABLE) == 1 and parsed.count(BROKEN) == 1
-    assert run.intake(UNLINKABLE) is None and run.intake(BROKEN) is None
+    assert run.evaluator.read(UNLINKABLE) is None and run.evaluator.read(BROKEN) is None
     expected = [_read(WORSE)[1], _read(variants.MID_EXTRACT)[1]]
     assert all([text for _, text in batch] == expected for batch in batches)
 
@@ -892,8 +902,8 @@ def test_each_candidate_is_linked_to_the_flagship_and_compiled_once(
     algorithm, monkeypatch, blocksworld, flagship, blocksworld_regression
 ):
     """Within one run, each distinct action schema is compiled once, and
-    `link` runs once per distinct link key and problem: the intake's link
-    to the flagship serves the evaluator, and an edit that keeps what link
+    `link` runs once per distinct link key and problem: the link `read`
+    makes to the flagship serves the evaluation, and an edit that keeps what link
     reads of the domain is not linked again."""
     links, compiled = _record_links_and_compiles(monkeypatch)
     result = run_search(
