@@ -1,6 +1,11 @@
 """Distances between rule sets: cheap textual and oracle-ranked semantic.
 
 `levenshtein` works on canonical domain text in one bit-parallel pass.
+Most rule edits only add or only remove text, so before that pass it
+tests whether the shorter text is a subsequence of the longer one; then
+the distance is the length difference, exactly. Every edit changes the
+length by at most one, so no script is shorter, and deleting the extra
+characters is a script of that length.
 `semantic_rank` orders candidates by proximity to a reference using only
 pairwise "which of these two is closer?" oracle answers, threaded through
 a merge sort so n candidates cost at most n*ceil(log2 n) comparisons. Each
@@ -47,6 +52,41 @@ def _levenshtein_bits(a: str, b: str) -> int:
     return dist
 
 
+def _run(a: str, i: int, b: str, j: int) -> int:
+    """The length of the longest common prefix of a[i:] and b[j:]: a bound
+    doubled from 1 while the slices up to it are equal, then a binary search
+    below it, so a short run costs short slices."""
+    limit = min(len(a) - i, len(b) - j)
+    lo, hi = 0, 1
+    while hi <= limit and a[i + lo : i + hi] == b[j + lo : j + hi]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi - 1, limit)
+    while lo < hi:  # a[i:i+lo] == b[j:j+lo]; no common prefix is longer than hi
+        mid = (lo + hi + 1) // 2
+        if a[i + lo : i + mid] == b[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _is_subsequence(short: str, long: str) -> bool:
+    # Greedy: each character of `short` takes its first occurrence in `long`
+    # after the previous one's, found by `str.find`, and a match extends to
+    # the whole run the two texts then share.
+    i, at = 0, 0
+    while i < len(short):
+        if len(long) - at < len(short) - i:
+            return False
+        at = long.find(short[i], at)
+        if at < 0:
+            return False
+        step = 1 + _run(short, i + 1, long, at + 1)
+        i += step
+        at += step
+    return True
+
+
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance (insert, delete, substitute)."""
     if a == b:
@@ -54,17 +94,10 @@ def levenshtein(a: str, b: str) -> int:
     # Shared prefix/suffix never changes the distance; stripping it makes
     # comparisons between near-identical rule sets close to free. Both are
     # found by binary search over slice equality, which compares in C.
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:  # a[:lo] == b[:lo]; no common prefix is longer than hi
-        mid = (lo + hi + 1) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    prefix = lo
+    prefix = _run(a, 0, b, 0)
     lo, hi = 0, min(len(a), len(b)) - prefix
     end_a, end_b = len(a), len(b)
-    while lo < hi:  # the same search for the suffix, within what is left
+    while lo < hi:  # a binary search for the suffix, within what is left
         mid = (lo + hi + 1) // 2
         if a[end_a - mid : end_a - lo] == b[end_b - mid : end_b - lo]:
             lo = mid
@@ -77,6 +110,8 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
+    if _is_subsequence(b, a):  # an edit that only inserts or only deletes
+        return len(a) - len(b)
     return _levenshtein_bits(a, b)
 
 

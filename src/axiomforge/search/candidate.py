@@ -122,7 +122,9 @@ class CandidateEvaluator:
         self.original = original
         self.original_text = print_canonical(original)
         self.problem = problem
-        self.regression = list(regression)
+        # The suite usually holds the flagship too, whose result each
+        # evaluation reuses; None stands for it, decided here once.
+        self._suite = [None if prob == problem else prob for prob in regression]
         self.limits = limits or SearchLimits()
         self.weights = weights or ObjectiveWeights()
         self.evaluations = 0
@@ -131,6 +133,7 @@ class CandidateEvaluator:
         self._max_len = MAX_TEXT_FACTOR * len(self.original_text)
         self._read: dict = {}  # oracle text -> read's answer
         self._forms: dict = {}  # parse_domain's memo of forms, for this run only
+        self._actions: dict = {}  # print_canonical's memo of action texts, likewise
         self._memo: dict = {}
 
     def read(self, text: str) -> tuple | None:
@@ -139,14 +142,15 @@ class CandidateEvaluator:
         as long as the original (then it is not read at all). Each distinct
         text is read once, form by form through the run's form memo, so a
         declaration or action an earlier text held unchanged is neither read
-        nor parsed again."""
+        nor parsed again, nor printed again: the form memo hands back the
+        same action object, whose text the run's action memo keeps."""
         if len(text) > self._max_len:
             return None
         if text not in self._read:
             try:
                 domain = parse_domain(text, self._forms)
                 self.cache.link(domain, self.problem)
-                self._read[text] = (domain, print_canonical(domain))
+                self._read[text] = (domain, print_canonical(domain, self._actions))
             except PddlError:
                 self._read[text] = None
         return self._read[text]
@@ -168,10 +172,9 @@ class CandidateEvaluator:
         )
         try:
             cand.plan_result = self._solve(domain, self.problem)
-            # The suite usually holds the flagship too; reuse its result.
             cand.regression_ok = all(
-                isinstance(cand.plan_result if prob == self.problem else self._solve(domain, prob), Plan)
-                for prob in self.regression
+                isinstance(cand.plan_result if prob is None else self._solve(domain, prob), Plan)
+                for prob in self._suite
             )
             cand.score = score(cand, self.weights)
         except (GroundingExplosion, PddlError) as exc:

@@ -40,9 +40,11 @@ class SearchRun:
     (which reads oracle text as well as scoring it), the recorded steps (a
     step's id is its index in `steps`, and `writer`, when given, gets each
     step as it is recorded), the best candidate so far, and the oracle's
-    call count at the start of the run. The evaluator must be fresh: it
-    keeps each candidate with the step id a run gave it, so a second run
-    over it would record nothing."""
+    call count at the start of the run. Each step's `summarize` line is
+    formatted once, when the step is recorded, for the history of every
+    later proposal context. The evaluator must be fresh: it keeps each
+    candidate with the step id a run gave it, so a second run over it
+    would record nothing."""
 
     def __init__(
         self,
@@ -58,6 +60,7 @@ class SearchRun:
         self.evaluator = evaluator
         self.writer = writer
         self.steps: list = []  # recorded candidates, in step order
+        self._summaries: list = []  # summarize(step), in step order
         self.best: EditCandidate | None = None
         self._calls0 = oracle.calls
 
@@ -69,6 +72,7 @@ class SearchRun:
         if cand.step_id is None:
             cand.step_id = len(self.steps)
             self.steps.append(cand)
+            self._summaries.append(summarize(cand))
             if self.writer is not None:
                 self.writer.record(
                     TrajectoryStep(
@@ -108,7 +112,7 @@ class SearchRun:
             baseline_length=length,
             target_length=target,
             failure_summary=failure,
-            history=tuple(summarize(c) for c in self.steps[-HISTORY_WINDOW:]),
+            history=tuple(self._summaries[-HISTORY_WINDOW:]),
         )
 
     def propose(self, node: EditCandidate, k: int | None = None) -> list:

@@ -13,7 +13,7 @@ import csv
 import json
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 
@@ -75,7 +75,9 @@ class TrajectoryWriter:
         self.header = header
         self._last_step_id: int | None = None
         self._fh = self.path.open("w", encoding="utf-8")
-        self._write({"kind": "header", **asdict(header)})
+        # `vars`, as in `record`: the config is a fresh plain dict (a
+        # `SearchConfig.snapshot`), which `asdict` would copy deeply again.
+        self._write({"kind": "header", **vars(header)})
 
     def _write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiomforge import corpus
+from axiomforge import distance as distance_module
 from axiomforge.distance import (
     Choice,
     LevenshteinMockOracle,
@@ -79,6 +80,53 @@ def test_metric_axioms(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
     assert levenshtein(a, b) <= max(len(a), len(b))
+
+
+# Texts from which the edited pairs below are built: short ones over a small
+# alphabet, so that runs of equal characters and repeats are common, and
+# slices of a canonical corpus domain.
+_CANONICAL = print_canonical(parse_domain(corpus.load("blocksworld").domain_text))
+_SOURCES = st.one_of(
+    st.text(alphabet="ab() ", max_size=60),
+    st.integers(0, len(_CANONICAL) - 1).map(lambda at: _CANONICAL[at : at + 200]),
+)
+
+
+@st.composite
+def _edited_pairs(draw):
+    """A text and an edit of it that only inserts, only deletes, or inserts
+    and deletes and then overwrites one to three characters."""
+    text = draw(_SOURCES)
+    kind = draw(st.sampled_from(["insert", "delete", "mixed"]))
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(chars)))
+        if kind == "insert" or (kind == "mixed" and draw(st.booleans())):
+            chars[at:at] = draw(st.text(alphabet="ab() x", min_size=1, max_size=8))
+        elif chars:
+            del chars[at : at + draw(st.integers(1, 8))]
+    if kind == "mixed" and chars:
+        for at in draw(st.lists(st.integers(0, len(chars) - 1), min_size=1, max_size=3)):
+            chars[at] = draw(st.sampled_from("ab() xy"))
+    edited = "".join(chars)
+    return (text, edited) if draw(st.booleans()) else (edited, text)
+
+
+@settings(max_examples=200)
+@given(_edited_pairs())
+def test_edited_pairs_match_reference_dp(pair):
+    a, b = pair
+    assert levenshtein(a, b) == _reference_levenshtein(a, b)
+
+
+@pytest.mark.parametrize("name", ["MULTI_LIFT", "MID_EXTRACT"])
+def test_an_insert_only_variant_skips_the_bit_parallel_pass(monkeypatch, name):
+    # Each variant only adds text to the canonical original, so its distance
+    # is the length difference and the bit-parallel pass never runs.
+    variant = print_canonical(parse_domain(getattr(corpus.variants, name)))
+    monkeypatch.setattr(distance_module, "_levenshtein_bits", None)
+    assert levenshtein(_CANONICAL, variant) == len(variant) - len(_CANONICAL)
+    assert levenshtein(variant, _CANONICAL) == len(variant) - len(_CANONICAL)
 
 
 # -- semantic ranking -------------------------------------------------------

@@ -13,7 +13,7 @@ from axiomforge.corpus import variants
 from axiomforge.pddl import PddlError, link, parse_domain, parse_problem, print_canonical
 from axiomforge.pddl import parser as parser_module
 from axiomforge.pddl.reader import split_define
-from axiomforge.planner import Plan, ResourceExceeded, Unsolvable, ground, solve
+from axiomforge.planner import GroundingExplosion, Plan, ResourceExceeded, Unsolvable, ground, solve
 from axiomforge.proposer import (
     ProposalOracle,
     ScriptEntry,
@@ -36,10 +36,12 @@ from axiomforge.search import (
 )
 from axiomforge.search import candidate as candidate_module
 from axiomforge.search.candidate import MAX_TEXT_FACTOR, EditCandidate, compactness
-from axiomforge.search.common import SearchRun
+from axiomforge.search import common as common_module
+from axiomforge.search.common import SearchRun, summarize
 from axiomforge.distance import LevenshteinMockOracle, hybrid_rank, levenshtein, query_budget
 from axiomforge.search import beam as beam_module
 from axiomforge.search.beam import rank_pool
+from axiomforge.trajectory import read_runs
 
 ORIGINAL = corpus.load("blocksworld").domain_text
 
@@ -201,6 +203,32 @@ def test_regression_ok_matches_solving_every_problem(
         )
         cand = evaluator.evaluate(domain, print_canonical(domain), Provenance(None, 1, "check"))
         assert cand.regression_ok is expected
+
+
+@pytest.mark.parametrize("flagship_first", [True, False])
+def test_regression_stops_at_the_first_failing_problem(
+    monkeypatch, flagship_first, blocksworld, flagship, blocksworld_regression
+):
+    # NO_PUTDOWN fails the flagship. The other suite problem would explode
+    # in grounding: after the flagship it is never grounded, and before it
+    # its explosion ends the evaluation.
+    (other,) = [p for p in blocksworld_regression if p != flagship]
+
+    def exploding_ground(task, **kwargs):
+        if task.problem is other:
+            raise GroundingExplosion("too many actions")
+        return ground(task, **kwargs)
+
+    monkeypatch.setattr(candidate_module, "ground", exploding_ground)
+    regression = [flagship, other] if flagship_first else [other, flagship]
+    evaluator = CandidateEvaluator(blocksworld, flagship, regression)
+    cand = evaluator.evaluate(*_read(NO_PUTDOWN), Provenance(None, 1, "no putdown"))
+    assert not cand.regression_ok
+    if flagship_first:
+        assert isinstance(cand.plan_result, Unsolvable)
+        assert cand.score == evaluator.weights.unsolvable_penalty
+    else:
+        assert isinstance(cand.plan_result, ResourceExceeded) and math.isinf(cand.score)
 
 
 def test_grounding_explosion_becomes_infinite_score(
@@ -765,6 +793,38 @@ def test_every_oracle_call_sees_the_run_task(algorithm, blocksworld, flagship, b
     assert kinds == ({"propose", "crossover", "mutate"} if algorithm == "genetic" else {"propose"})
     assert all(ctx.target_length == cfg.target_length for _, ctx in oracle.contexts)
     assert all(ctx.problem is flagship for _, ctx in oracle.contexts)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_each_step_is_summarized_once_for_every_later_history(
+    algorithm, monkeypatch, tmp_path, blocksworld, flagship, blocksworld_regression
+):
+    summarized, histories = [], []
+    context = SearchRun.context
+
+    def counting_summarize(cand):
+        summarized.append(cand.step_id)
+        return summarize(cand)
+
+    def checked_context(run, node):
+        ctx = context(run, node)
+        assert ctx.history == tuple(summarize(c) for c in run.steps[-3:])
+        histories.append(ctx.history)
+        return ctx
+
+    # A window shorter than these runs' step counts, so that it slides.
+    monkeypatch.setattr(common_module, "HISTORY_WINDOW", 3)
+    monkeypatch.setattr(common_module, "summarize", counting_summarize)
+    monkeypatch.setattr(SearchRun, "context", checked_context)
+    path = tmp_path / "run.jsonl"
+    run_search(
+        _unreachable_cfg(algorithm), blocksworld, flagship, blocksworld_regression,
+        _RepeatingOracle(seed=3), trajectory_path=path,
+    )
+    (recorded,) = read_runs(path)
+    assert summarized == list(range(len(recorded.steps)))
+    assert sum(len(history) for history in histories) > len(recorded.steps)
+    assert max(len(history) for history in histories) == 3
 
 
 def test_a_second_run_parses_again(parsed, blocksworld, flagship, blocksworld_regression):

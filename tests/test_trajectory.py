@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_beam_run_file_contents(tmp_path):
     assert len(run.steps) >= 3
     assert run.result["success"] is True
     assert run.header["run_id"] == result.trajectory_id
+
+
+def test_header_line_is_what_asdict_writes(tmp_path):
+    # The writer writes a header from its __dict__, as it writes a step;
+    # for a run's config snapshot, whose weights nest a dict, the line must
+    # be the one `asdict` gives.
+    cfg = SearchConfig(algorithm="beam", target_length=4, seed=1, weights=ObjectiveWeights(alpha=0.0))
+    header = replace(_header(), config=cfg.snapshot())
+    path = tmp_path / "h.jsonl"
+    TrajectoryWriter(path, header).close()
+    expected = json.dumps({"kind": "header", **asdict(header)}, sort_keys=True, separators=(",", ":"))
+    assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
 def test_best_matches_recorded_step(tmp_path):
