@@ -71,6 +71,15 @@ EXIT_USAGE = 2
 EXIT_EXTERNAL = 3
 
 
+def _read_file(path: str) -> str:
+    """The text of a UTF-8 file; one that does not decode is unreadable,
+    as a missing one is."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise OSError(f"{path}: not valid UTF-8") from None
+
+
 def _read_text(spec: str, kind: str) -> str:
     if spec.startswith("corpus:"):
         parts = spec.split(":")
@@ -79,7 +88,7 @@ def _read_text(spec: str, kind: str) -> str:
             return entry.domain_text
         name = parts[2] if len(parts) > 2 else entry.flagship.name
         return entry.problem(name).text
-    return Path(spec).read_text(encoding="utf-8")
+    return _read_file(spec)
 
 
 def _limits(args) -> SearchLimits:
@@ -137,7 +146,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
     task = _load_task(args)
     by_key = {(a.name, *a.args): a for a in task.actions}
     steps = []
-    for raw in Path(args.plan).read_text(encoding="utf-8").splitlines():
+    for raw in _read_file(args.plan).splitlines():
         line = raw.strip()
         if not line or line.startswith(";") or line.startswith("length:"):
             continue

@@ -52,18 +52,12 @@ def _levenshtein_bits(a: str, b: str) -> int:
     return dist
 
 
-def _run(a: str, i: int, b: str, j: int) -> int:
-    """The length of the longest common prefix of a[i:] and b[j:]: a bound
-    doubled from 1 while the slices up to it are equal, then a binary search
-    below it, so a short run costs short slices."""
-    limit = min(len(a) - i, len(b) - j)
-    lo, hi = 0, 1
-    while hi <= limit and a[i + lo : i + hi] == b[j + lo : j + hi]:
-        lo, hi = hi, 2 * hi
-    hi = min(hi - 1, limit)
-    while lo < hi:  # a[i:i+lo] == b[j:j+lo]; no common prefix is longer than hi
+def _common_prefix(a: str, b: str) -> int:
+    # A binary search over slice equality, which compares in C.
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:  # a[:lo] == b[:lo]; no common prefix is longer than hi
         mid = (lo + hi + 1) // 2
-        if a[i + lo : i + mid] == b[j + lo : j + mid]:
+        if a[lo:mid] == b[lo:mid]:
             lo = mid
         else:
             hi = mid - 1
@@ -72,18 +66,12 @@ def _run(a: str, i: int, b: str, j: int) -> int:
 
 def _is_subsequence(short: str, long: str) -> bool:
     # Greedy: each character of `short` takes its first occurrence in `long`
-    # after the previous one's, found by `str.find`, and a match extends to
-    # the whole run the two texts then share.
-    i, at = 0, 0
-    while i < len(short):
-        if len(long) - at < len(short) - i:
+    # after the previous one's, found by `str.find`.
+    at = 0
+    for ch in short:
+        at = long.find(ch, at) + 1
+        if not at:
             return False
-        at = long.find(short[i], at)
-        if at < 0:
-            return False
-        step = 1 + _run(short, i + 1, long, at + 1)
-        i += step
-        at += step
     return True
 
 
@@ -92,22 +80,12 @@ def levenshtein(a: str, b: str) -> int:
     if a == b:
         return 0
     # Shared prefix/suffix never changes the distance; stripping it makes
-    # comparisons between near-identical rule sets close to free. Both are
-    # found by binary search over slice equality, which compares in C.
-    prefix = _run(a, 0, b, 0)
-    lo, hi = 0, min(len(a), len(b)) - prefix
-    end_a, end_b = len(a), len(b)
-    while lo < hi:  # a binary search for the suffix, within what is left
-        mid = (lo + hi + 1) // 2
-        if a[end_a - mid : end_a - lo] == b[end_b - mid : end_b - lo]:
-            lo = mid
-        else:
-            hi = mid - 1
-    a, b = a[prefix : end_a - lo], b[prefix : end_b - lo]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    # comparisons between near-identical rule sets close to free. The
+    # suffix is the common prefix of what is left, reversed.
+    prefix = _common_prefix(a, b)
+    a, b = a[prefix:], b[prefix:]
+    suffix = _common_prefix(a[::-1], b[::-1])
+    a, b = a[: len(a) - suffix], b[: len(b) - suffix]
     if len(a) < len(b):
         a, b = b, a
     if _is_subsequence(b, a):  # an edit that only inserts or only deletes

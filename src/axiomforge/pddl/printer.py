@@ -6,11 +6,6 @@ formula per line inside actions. Declaration and conjunct order are
 preserved; only the requirement set and problem init (both sets) are sorted.
 ``parse(print_canonical(d))`` is structurally equal to ``d`` and printing is
 byte-idempotent.
-
-A caller that prints many domains sharing action objects, such as a search
-run's evaluator (whose form memo hands back one `ActionSchema` for every
-action an edit left alone), passes `print_canonical` an `actions` dict of
-its own, so each of those actions is formatted once.
 """
 
 from __future__ import annotations
@@ -70,20 +65,7 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _action_block(action) -> str:
-    return (
-        f"  (:action {action.name}\n"
-        f"    :parameters ({_typed_list(action.params)})\n"
-        f"    :precondition {format_formula(action.precondition)}\n"
-        f"    :effect {format_formula(action.effect)})"
-    )
-
-
-def print_canonical(domain: DomainAst, actions: dict | None = None) -> str:
-    """The canonical text of `domain`. `actions`, when given, keeps the
-    text of every action printed with it, under the action's id, with the
-    action itself so that no other object takes that id meanwhile: an
-    action object printed before is not formatted again."""
+def print_canonical(domain: DomainAst) -> str:
     lines = [f"(define (domain {domain.name})"]
     if domain.requirements:
         lines.append("  (:requirements " + " ".join(sorted(domain.requirements)) + ")")
@@ -97,12 +79,11 @@ def print_canonical(domain: DomainAst, actions: dict | None = None) -> str:
             body = pred.name if not pred.params else f"{pred.name} {_typed_list(pred.params)}"
             suffix = ")" if i + 1 == len(domain.predicates) else ""
             lines.append(f"    ({body}){suffix}")
-    memo = actions if actions is not None else {}
     for action in domain.actions:
-        seen = memo.get(id(action))
-        if seen is None:
-            seen = memo[id(action)] = (action, _action_block(action))
-        lines.append(seen[1])
+        lines.append(f"  (:action {action.name}")
+        lines.append(f"    :parameters ({_typed_list(action.params)})")
+        lines.append(f"    :precondition {format_formula(action.precondition)}")
+        lines.append(f"    :effect {format_formula(action.effect)})")
     lines[-1] += ")"
     return "\n".join(lines) + "\n"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 
@@ -240,12 +241,15 @@ class HttpDistanceOracle(DistanceOracle):
         return votes
 
 
+# A capital A or B with no letter on either side.
+_LONE_CHOICE = re.compile(r"(?<![^\W\d_])[AB](?![^\W\d_])")
+
+
 def _vote(content: str) -> Choice:
-    """The first A or B in a reply; an unparseable reply counts as "A",
-    and voting smooths it."""
-    for ch in content.upper():
-        if ch == "A":
-            return Choice.A
-        if ch == "B":
-            return Choice.B
-    return Choice.A
+    """The first capital A or B that stands alone in a reply ("Answer: B"),
+    or its only letter, in either case ("b.", "(a)"). Any other reply counts
+    as "A", and voting smooths it."""
+    if sum(ch.isalpha() for ch in content) == 1:
+        content = content.upper()
+    found = _LONE_CHOICE.search(content)
+    return Choice.B if found and found.group() == "B" else Choice.A

@@ -133,7 +133,6 @@ class CandidateEvaluator:
         self._max_len = MAX_TEXT_FACTOR * len(self.original_text)
         self._read: dict = {}  # oracle text -> read's answer
         self._forms: dict = {}  # parse_domain's memo of forms, for this run only
-        self._actions: dict = {}  # print_canonical's memo of action texts, likewise
         self._memo: dict = {}
 
     def read(self, text: str) -> tuple | None:
@@ -142,15 +141,14 @@ class CandidateEvaluator:
         as long as the original (then it is not read at all). Each distinct
         text is read once, form by form through the run's form memo, so a
         declaration or action an earlier text held unchanged is neither read
-        nor parsed again, nor printed again: the form memo hands back the
-        same action object, whose text the run's action memo keeps."""
+        nor parsed again."""
         if len(text) > self._max_len:
             return None
         if text not in self._read:
             try:
                 domain = parse_domain(text, self._forms)
                 self.cache.link(domain, self.problem)
-                self._read[text] = (domain, print_canonical(domain, self._actions))
+                self._read[text] = (domain, print_canonical(domain))
             except PddlError:
                 self._read[text] = None
         return self._read[text]

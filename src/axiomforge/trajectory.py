@@ -136,8 +136,12 @@ def read_runs(path) -> list:
             runs.append(TrajectoryRun(header, tuple(steps), result))
         header, steps, result = None, [], None
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedTrajectory(path, lineno, "not valid UTF-8") from None
             if not line.strip():
                 continue
             try:

@@ -452,6 +452,17 @@ FAILURES = [
     pytest.param(["plan", "/nonexistent", R], {}, 3, f"io failure: {NO_FILE}: '/nonexistent'",
                  {"status": "io-failure", "error": f"{NO_FILE}: '/nonexistent'"},
                  id="io-failure-plan"),
+    pytest.param(["parse", "{tmp}/latin1.pddl"], {}, 3, "io failure: {tmp}/latin1.pddl: not valid UTF-8",
+                 {"status": "io-failure", "error": "{tmp}/latin1.pddl: not valid UTF-8"},
+                 id="io-failure-not-utf8"),
+    pytest.param(["validate", B, R, "{tmp}/latin1.plan"], {}, 3,
+                 "io failure: {tmp}/latin1.plan: not valid UTF-8",
+                 {"status": "io-failure", "error": "{tmp}/latin1.plan: not valid UTF-8"},
+                 id="io-failure-plan-not-utf8"),
+    pytest.param(["export", "{tmp}/latin1.jsonl", "--format", "jsonl", "--out", "{tmp}/out.jsonl"],
+                 {}, 1, "{tmp}/latin1.jsonl:2: not valid UTF-8",
+                 {"status": "malformed", "error": "{tmp}/latin1.jsonl:2: not valid UTF-8"},
+                 id="malformed-not-utf8"),
 ]
 
 
@@ -463,6 +474,10 @@ def test_failure_outcome(capsys, tmp_path, monkeypatch, argv, env, code, first_e
     )
     (tmp_path / "early.jsonl").write_text('{"kind": "step"}\n')
     (tmp_path / "listconfig.jsonl").write_text('{"kind": "header", "config": []}\n')
+    # One Latin-1 byte each: in a comment, in a plan line, in a step line.
+    (tmp_path / "latin1.pddl").write_bytes(b"; caf\xe9\n(define (domain d))\n")
+    (tmp_path / "latin1.plan").write_bytes(b"(unstack a b) ; caf\xe9\n")
+    (tmp_path / "latin1.jsonl").write_bytes(b'{"kind": "header", "config": {}}\n{"kind": "step", "x": "\xe9"}\n')
     for name, value in env.items():
         if value is None:
             monkeypatch.delenv(name, raising=False)

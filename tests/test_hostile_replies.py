@@ -1,0 +1,129 @@
+"""Whole search runs over hostile oracle replies, drawn by hypothesis.
+
+Every algorithm runs through `HttpProposalOracle` and `HttpDistanceOracle`
+over an injected transport that answers from a drawn script of replies:
+bodies that are not chat JSON, fences that never close or are too long to
+read, backticks and non-ASCII letters in names, texts that parse but do not
+link, and 429, 5xx and 401 statuses. A run must return a `SearchResult` or
+raise `OracleUnavailable` or `AuthError`, and every step it records must be
+the original's canonical text or the canonical print of a block some reply
+held, and must parse back to itself.
+"""
+
+import itertools
+import os
+import tempfile
+import time
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axiomforge import corpus
+from axiomforge.corpus import variants
+from axiomforge.distance import OracleUnavailable
+from axiomforge.pddl import PddlError, parse_domain, parse_problem, print_canonical
+from axiomforge.proposer import AuthError, HttpDistanceOracle, HttpProposalOracle, OracleClientConfig
+from axiomforge.proposer.extract import fenced_blocks
+from axiomforge.proposer.http import API_KEY_ENV_VAR
+from axiomforge.search import ALGORITHMS, SearchConfig, SearchResult, run_search
+from axiomforge.search.candidate import MAX_TEXT_FACTOR
+from axiomforge.trajectory import read_runs
+from conftest import StubChatServer
+
+ENTRY = corpus.load("blocksworld")
+ORIGINAL = parse_domain(ENTRY.domain_text)
+FLAGSHIP = parse_problem(ENTRY.flagship.text)
+REGRESSION = corpus.regression_suite("blocksworld")
+ORIGINAL_TEXT = print_canonical(ORIGINAL)
+
+BLOCKS = [
+    variants.MID_EXTRACT,
+    variants.MULTI_LIFT,
+    ENTRY.domain_text,
+    variants.MID_EXTRACT.replace("(domain blocksworld)", "(domain renamed)"),  # parses, does not link
+    variants.MID_EXTRACT.replace("pickup", "pick`up"),
+    variants.MID_EXTRACT.replace("pickup", "pick```up"),  # closes its fence early
+    variants.MID_EXTRACT.replace("pickup", "pické"),
+    variants.MID_EXTRACT + ";" + "x" * (MAX_TEXT_FACTOR * len(ORIGINAL_TEXT)) + "\n",  # too long to read
+    "(define (domain blocksworld) (:action",
+]
+FENCED = st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}```")
+CONTENT_PIECES = st.one_of(
+    FENCED,
+    FENCED,
+    st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}"),  # never closed
+    st.sampled_from(["A", "B", "Answer: B", "(a)", "é", "", "```", "no idea"]),
+)
+CONTENTS = st.lists(CONTENT_PIECES, min_size=1, max_size=3).map("\n".join)
+CHAT_BODIES = st.lists(CONTENTS, min_size=1, max_size=3).map(lambda contents: StubChatServer.chat_body(*contents))
+BODIES = st.one_of(
+    CHAT_BODIES,
+    CHAT_BODIES,
+    # What the default transport makes of a body that is not JSON, then
+    # JSON of the wrong shape.
+    st.sampled_from([{}, [], "not json", {"choices": "x"}, {"choices": [None, {"message": 7}, {}]}]),
+)
+STATUSES = st.sampled_from([200] * 12 + [429, 500, 503, 401])
+SCRIPTS = st.lists(st.tuples(STATUSES, BODIES), min_size=1, max_size=6)
+
+CONFIGS = {
+    "bfs": dict(max_depth=2, proposals_per_expansion=2),
+    "mcts": dict(mcts_iterations=4, max_depth=2, proposals_per_expansion=2),
+    "genetic": dict(ga_population=3, ga_generations=2),
+    "beam": dict(beam_width=2, max_depth=2, proposals_per_expansion=2),
+}
+
+
+def _blocks(body):
+    """The fenced blocks of every choice's content in a reply body."""
+    choices = body.get("choices") if isinstance(body, dict) else None
+    for choice in choices if isinstance(choices, list) else ():
+        message = choice.get("message") if isinstance(choice, dict) else None
+        content = message.get("content") if isinstance(message, dict) else None
+        if isinstance(content, str):
+            yield from fenced_blocks(content)
+
+
+def _canonical(block: str) -> str | None:
+    try:
+        return print_canonical(parse_domain(block))
+    except PddlError:
+        return None
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=20, deadline=None)
+@given(script=SCRIPTS)
+def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
+    replies = itertools.cycle(script)
+    served = []
+
+    def transport(url, headers, payload, timeout_s):
+        status, body = next(replies)
+        if status == 200:
+            served.append(body)
+        return status, body
+
+    client_cfg = OracleClientConfig(samples=2, max_retries=1)
+    cfg = SearchConfig(algorithm=algorithm, target_length=4, seed=1, **CONFIGS[algorithm])
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(time, "sleep"), \
+            mock.patch.dict(os.environ, {API_KEY_ENV_VAR: "test-key"}):
+        path = Path(tmp) / "run.jsonl"
+        try:
+            result = run_search(
+                cfg, ORIGINAL, FLAGSHIP, REGRESSION, HttpProposalOracle(client_cfg, transport),
+                distance_oracle=HttpDistanceOracle(client_cfg, transport), trajectory_path=path,
+            )
+            assert isinstance(result, SearchResult)
+        except (OracleUnavailable, AuthError):
+            pass
+        (run,) = read_runs(path)
+    held = {_canonical(block) for body in served for block in _blocks(body)}
+    for step in run.steps:
+        text = step["domain_text"]
+        assert text == ORIGINAL_TEXT or text in held
+        assert print_canonical(parse_domain(text)) == text

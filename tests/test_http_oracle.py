@@ -384,6 +384,29 @@ def test_distance_empty_reply_votes_a(stub_server, api_key):
     assert len(stub_server.requests) == 1
 
 
+@pytest.mark.parametrize(
+    "reply, expected",
+    [
+        ("B", Choice.B),
+        ("Candidate B", Choice.B),
+        ("Answer: B", Choice.B),
+        ("The answer is B", Choice.B),
+        ("Based on the rules, A", Choice.A),
+        ("B is closer than A", Choice.B),
+        ("b.", Choice.B),
+        ("(a)", Choice.A),
+        ("**B**", Choice.B),
+        ("I pick b", Choice.A),
+        ("AB", Choice.A),
+        ("Neither", Choice.A),
+        ("", Choice.A),
+    ],
+)
+def test_distance_vote_reads_a_lone_choice(api_key, reply, expected):
+    oracle = HttpDistanceOracle(OracleClientConfig(), lambda *request: (200, _chat_body(reply)))
+    assert oracle._samples("ref", "x", "y", 1) == [expected]
+
+
 def test_distance_batch_retries_server_error(stub_server, api_key, no_sleep):
     stub_server.push(503, {})
     stub_server.push(200, _chat_body(*"B" * 16))

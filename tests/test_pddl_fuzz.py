@@ -5,9 +5,7 @@ exception; and whatever parses must survive print -> parse unchanged. The
 rule-edit generator below makes the two kinds of edit that the benchmark's
 edit pool (perfbench/edits.py) replays: drop one precondition part, or drop
 an action's last parameter. Reading a domain form by form, with or without
-a memo of forms shared across texts, must give what reading it whole gives,
-and printing with a memo of actions shared across texts what printing
-without one gives.
+a memo of forms shared across texts, must give what reading it whole gives.
 """
 
 import re
@@ -278,19 +276,6 @@ def test_a_shared_form_memo_changes_no_outcome(texts):
         expected = _whole_outcome(text)
         assert _outcome(text) == expected
         assert _outcome(text, forms) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(_text_runs())
-def test_a_shared_action_memo_changes_no_print(texts):
-    # The form memo hands back one action object for every text that holds
-    # the action unchanged, so the action memo is hit across texts.
-    forms: dict = {}
-    actions: dict = {}
-    for text in texts:
-        domain = _outcome(text, forms)
-        if not isinstance(domain, list):
-            assert print_canonical(domain, actions) == print_canonical(domain)
 
 
 @FUZZ

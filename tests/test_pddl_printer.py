@@ -1,6 +1,3 @@
-import gc
-from dataclasses import replace
-
 import pytest
 
 from axiomforge import corpus
@@ -63,30 +60,3 @@ def test_typed_lists_keep_declared_types():
     text = print_canonical(parse_domain(corpus.load("logistics").domain_text))
     assert "(either vehicle package)" in text
     assert "truck - vehicle" in text
-
-
-# -- the per-run action memo ----------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "text", ["(define (domain d))", "(define (domain d) (:requirements :strips) (:predicates (p)))"]
-)
-def test_a_domain_without_actions_prints_alike_with_an_action_memo(text):
-    domain = parse_domain(text)
-    actions: dict = {}
-    assert print_canonical(domain, actions) == print_canonical(domain)
-    assert actions == {}
-
-
-def test_an_action_memo_keeps_each_action_alive_so_no_other_takes_its_id():
-    # Every action below is a fresh object, dropped once printed. Were the
-    # memo to keep only the text, a later action would soon take a dropped
-    # one's id and print as it.
-    domain = parse_domain(corpus.load("blocksworld").domain_text)
-    actions: dict = {}
-    for i in range(200):
-        edit = replace(domain, actions=(replace(domain.actions[i % len(domain.actions)], name=f"a{i}"),))
-        assert print_canonical(edit, actions) == print_canonical(edit)
-        del edit
-        gc.collect()
-    assert len(actions) == 200
