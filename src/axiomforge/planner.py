@@ -10,6 +10,14 @@ to the bitset of actions they admit, and a state ANDs its chunks' entries.
 Successors are still generated in action-index order, so the plan is the
 one a scan over all actions would return.
 
+Where the goal is a literal conjunction, each layer first looks for the
+plan's last step, trying only states that miss few enough goal literals
+and only actions that can make the lowest missing one true, so the final
+layer is never expanded. The plan is the one a full expansion returns, and
+the expansion cap and the clock still count and read once for every state
+a full expansion reaches, so expanded-state counts and a fake clock's
+reads mean what they did before the lookahead.
+
 Grounding joins each action schema against the initial state on its
 static preconditions (Helmert, "Concise finite-domain representations for
 PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
@@ -881,6 +889,17 @@ def apply(state: int, action: GroundAction) -> int:
 _CHUNK_BITS = 12
 
 
+def _plan(parent: dict, actions: tuple, state: int) -> Plan:
+    """The plan that `parent` links from the initial state to `state`."""
+    steps = []
+    link = parent[state]
+    while link is not None:
+        state, index = link
+        steps.append(actions[index])
+        link = parent[state]
+    return Plan(tuple(reversed(steps)))
+
+
 def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult:
     """Breadth-first search; any returned plan is optimal in step count.
 
@@ -897,6 +916,20 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     precondition is checked on the state, and conditional effects fire on
     the pre-state. Every other successor is `state & ~del_mask | add_mask`.
 
+    A goal that is a literal conjunction is not tested on each successor.
+    Instead, each layer first looks for the plan's last step: the first
+    state of the layer, in expansion order, with a successor that meets the
+    goal, and that state's lowest-index action reaching it. That is the
+    step a full expansion of the layer would meet first, so the plan is the
+    same. Only *near* states can have such a successor: those that miss at
+    most as many goal literals as one action can make true, conditional
+    effects included. A near state tries only the actions that can make its
+    lowest missing goal literal true. When the lookahead finds the step, the
+    layer is not expanded; the cap check and the clock read still run for
+    each state a full expansion would have reached, so `max_expanded_states`
+    and `wall_budget_ms` trip on the same state as they would without the
+    lookahead. Any other goal is tested on each new successor.
+
     A goal that grounding folded to false is unsolvable before any state is
     expanded. A frontier whose successors would pass `max_plan_length` ends
     the search before any of its states counts as expanded.
@@ -910,10 +943,16 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         return Plan(())
 
     actions = task.actions
+    goal_masks = _literal_masks(task.goal)
+    goal_pos, goal_neg = goal_masks or (0, 0)
     # need_on[i] and need_off[i] are the actions whose masks need bit i on
     # and off; `hard` holds the actions that take the formula path.
+    # setters[b] are the actions that can make the goal literal on bit b
+    # true, and `most` is the most goal literals one action can make true.
     need_on: dict[int, int] = {}
     need_off: dict[int, int] = {}
+    setters: dict[int, int] = {}
+    most = 0
     hard = 0
     effects = []
     for index, action in enumerate(actions):
@@ -933,9 +972,21 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 i = low.bit_length() - 1
                 need_off[i] = need_off.get(i, 0) | bit
                 neg ^= low
+        add, dele = action.add_mask, action.del_mask
+        sets = add & goal_pos | dele & goal_neg
         if action.conditional:
             hard |= bit
-        effects.append((~action.del_mask, action.add_mask))
+            for _, c_add, c_del in action.conditional:
+                sets |= c_add & goal_pos | c_del & goal_neg
+        if sets:
+            count = sets.bit_count()
+            if count > most:
+                most = count
+            while sets:
+                low = sets & -sets
+                setters[low] = setters.get(low, 0) | bit
+                sets ^= low
+        effects.append((~dele, add))
     everything = (1 << len(actions)) - 1
 
     # One table per chunk that a literal reads: (shift, mask of the read
@@ -950,18 +1001,41 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         table[1] |= 1 << offset
         table[2].append((offset, need_on.get(i, 0), need_off.get(i, 0)))
     tables = list(chunks.values())
-    goal_masks = _literal_masks(task.goal)
-    goal_pos, goal_neg = goal_masks or (0, 0)
 
     parent: dict[int, tuple[int, int] | None] = {task.init: None}
     frontier = [task.init]
+    # The frontier's near states in order; the initial state is tried
+    # whether it is near or not.
+    near = [] if goal_masks is None else [task.init]
     layer = 0
     expanded = 0
 
     while frontier:
         if layer >= limits.max_plan_length:
             return ResourceExceeded("max-plan-length")
+        for state in near:
+            missing = state & goal_pos ^ goal_pos | state & goal_neg
+            todo = setters.get(missing & -missing, 0)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                index = low.bit_length() - 1
+                action = actions[index]
+                if not action.applicable(state):
+                    continue
+                succ = apply(state, action)
+                if succ & goal_pos != goal_pos or succ & goal_neg:
+                    continue
+                for _ in range(frontier.index(state) + 1):
+                    expanded += 1
+                    if expanded > limits.max_expanded_states:
+                        return ResourceExceeded("max-expanded-states")
+                    if time.monotonic() > deadline:
+                        return ResourceExceeded("wall-budget")
+                parent[succ] = (state, index)
+                return _plan(parent, actions, succ)
         next_frontier: list[int] = []
+        near = []
         for state in frontier:
             expanded += 1
             if expanded > limits.max_expanded_states:
@@ -995,17 +1069,10 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                     continue
                 parent[succ] = (state, index)
                 if goal_masks is None:
-                    reached = task.goal.holds(succ)
-                else:
-                    reached = succ & goal_pos == goal_pos and not succ & goal_neg
-                if reached:
-                    steps = []
-                    cur = succ
-                    while cur != task.init:
-                        prev, aidx = parent[cur]
-                        steps.append(actions[aidx])
-                        cur = prev
-                    return Plan(tuple(reversed(steps)))
+                    if task.goal.holds(succ):
+                        return _plan(parent, actions, succ)
+                elif (succ & goal_pos ^ goal_pos | succ & goal_neg).bit_count() <= most:
+                    near.append(succ)
                 next_frontier.append(succ)
         frontier = next_frontier
         layer += 1

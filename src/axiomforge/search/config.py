@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .candidate import EditCandidate, ObjectiveWeights
 
@@ -48,7 +48,9 @@ class SearchConfig:
             raise ValueError("ga_mutation_rate must be within [0, 1]")
 
     def snapshot(self) -> dict:
-        return asdict(self)
+        """The fields as `dataclasses.asdict` gives them, without its deep
+        copy; the weights are copied, so the dict is the caller's own."""
+        return dict(vars(self), weights=dict(vars(self.weights)))
 
 
 @dataclass(frozen=True)

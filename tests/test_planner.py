@@ -1,5 +1,7 @@
 import time
 from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from axiomforge.planner import (
 )
 
 from oracle_bfs import oracle_plan, oracle_plan_length
+from oracle_solve import oracle_solve
 from test_pinned_plans import tower_reversal
+from test_solve_oracle import _spread
 
 
 def _task(domain_text, problem_text):
@@ -386,14 +390,45 @@ def test_solve_matches_oracle_on_random_tasks(task):
 def _assert_matches_oracle(task):
     expected = oracle_plan(task)
     # 2^8 states bound every plan, so the length cap never truncates.
-    result = solve(task, SearchLimits(max_plan_length=1 << MAX_ATOMS))
+    limits = SearchLimits(max_plan_length=1 << MAX_ATOMS)
+    result = solve(task, limits)
     if expected is None:
         assert isinstance(result, Unsolvable)
-        return
-    assert isinstance(result, Plan) and result.length == len(expected)
-    # The first shortest plan of a scan in action-index order, step for step.
-    assert result.steps == tuple(task.actions[i] for i in expected)
-    assert validate_plan(task, result) == (True, None)
+    else:
+        assert isinstance(result, Plan) and result.length == len(expected)
+        # The first shortest plan of a scan in action-index order, step for step.
+        assert result.steps == tuple(task.actions[i] for i in expected)
+        assert validate_plan(task, result) == (True, None)
+    _assert_limits_match_oracle_solve(task, limits)
+
+
+def _assert_limits_match_oracle_solve(task, limits):
+    """`solve` equals `oracle_solve` under the expansion caps `_spread`
+    picks, and under a clock that passes the deadline at each of its reads.
+    The clock is patched inside the test body, as `monkeypatch` would not
+    be undone between the examples of one `@given` test."""
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0
+
+    with mock.patch.object(time, "monotonic", clock):
+        solve(task, limits)
+    # One read sets the deadline; each expanded state reads once more.
+    expanded = reads - 1
+    for cap in _spread(expanded):
+        capped = replace(limits, max_expanded_states=cap)
+        assert solve(task, capped) == oracle_solve(task, capped), cap
+    timed = replace(limits, wall_budget_ms=10)
+    for k in _spread(expanded + 1):
+        results = []
+        for search in (solve, oracle_solve):
+            ticks = iter([0.0] * k + [100.0] * (expanded + 2))
+            with mock.patch.object(time, "monotonic", lambda: next(ticks)):
+                results.append(search(task, timed))
+        assert results[0] == results[1], k
 
 
 # The same tasks with their atoms moved to scattered bits of a universe of
@@ -487,9 +522,45 @@ EDGE_TASKS = {
             GroundAction("a2", (), GAtom(1), 0b100, 0, pre_masks=(0b010, 0)),
         ),
     ),
+    # a2 and a3 make the layer-1 states {p1} and {p2}, in that order, and
+    # both reach p3. {p2} does it with a0, the lower index, yet the plan is
+    # a2 a1: the first state of the layer with a goal successor wins.
+    "earlier-state-wins": GroundedTask(
+        atoms=_atoms(4),
+        init=0,
+        goal=GAtom(3),
+        actions=(
+            GroundAction("a0", (), GAtom(2), 0b1000, 0, pre_masks=(0b0100, 0)),
+            GroundAction("a1", (), GAtom(1), 0b1000, 0, pre_masks=(0b0010, 0)),
+            GroundAction("a2", (), GTrue(), 0b0010, 0, pre_masks=(0, 0)),
+            GroundAction("a3", (), GTrue(), 0b0100, 0, pre_masks=(0, 0)),
+        ),
+    ),
+    # Only a0's conditional effect deletes p0, and only where p3 holds. Of
+    # the layer-1 states {p0 p1}, {p0 p2} and {p0 p3}, the last is the
+    # goal's only predecessor, so the plan is a3 a0.
+    "conditional-delete-goal": GroundedTask(
+        atoms=_atoms(4),
+        init=0b0001,
+        goal=GNot(GAtom(0)),
+        actions=(
+            GroundAction("a0", (), GTrue(), 0, 0, ((GAtom(3), 0, 0b0001),), pre_masks=(0, 0)),
+            GroundAction("a1", (), GTrue(), 0b0010, 0, pre_masks=(0, 0)),
+            GroundAction("a2", (), GTrue(), 0b0100, 0, pre_masks=(0, 0)),
+            GroundAction("a3", (), GTrue(), 0b1000, 0, pre_masks=(0, 0)),
+        ),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", EDGE_TASKS)
 def test_solve_matches_oracle_on_edge_tasks(name):
     _assert_matches_oracle(EDGE_TASKS[name])
+
+
+@pytest.mark.parametrize("name, names", [
+    ("earlier-state-wins", ("a2", "a1")),
+    ("conditional-delete-goal", ("a3", "a0")),
+])
+def test_edge_task_plans(name, names):
+    assert tuple(step.name for step in solve(EDGE_TASKS[name]).steps) == names

@@ -2,7 +2,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -482,6 +482,32 @@ def test_weights_validated(field, value):
 def test_exploration_constant_validated(value):
     with pytest.raises(ValueError):
         SearchConfig(algorithm="mcts", target_length=4, mcts_exploration_c=value)
+
+
+SNAPSHOT_CONFIGS = [
+    SearchConfig(algorithm="bfs", target_length=4),
+    SearchConfig(algorithm="genetic", target_length=2, beam_width=3, mcts_exploration_c=0.5,
+                 ga_mutation_rate=1.0, max_depth=5, seed=9,
+                 weights=ObjectiveWeights(alpha=0.5, lam=0.0, unsolvable_penalty=7.0)),
+]
+
+
+@pytest.mark.parametrize("cfg", SNAPSHOT_CONFIGS)
+def test_snapshot_equals_asdict(cfg):
+    snap = cfg.snapshot()
+    assert snap == asdict(cfg)
+    assert list(snap) == list(asdict(cfg))
+
+
+@pytest.mark.parametrize("cfg", SNAPSHOT_CONFIGS)
+def test_snapshot_is_the_callers_own(cfg):
+    before = asdict(cfg)
+    snap = cfg.snapshot()
+    snap["seed"] = -1
+    snap["weights"]["alpha"] = 99.0
+    snap["weights"]["extra"] = 1
+    assert asdict(cfg) == before
+    assert cfg.snapshot() == before
 
 
 def test_ga_deterministic(blocksworld, flagship, blocksworld_regression):
