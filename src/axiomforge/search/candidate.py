@@ -10,7 +10,6 @@ from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, parse_domain, pri
 from ..planner import (
     GroundingExplosion,
     Plan,
-    ResourceExceeded,
     RunCache,
     SearchLimits,
     SolveResult,
@@ -21,7 +20,7 @@ from ..planner import (
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """alpha weighs distance to the original rules, lam weighs rule size."""
+    """alpha weighs distance to the original, lam rule size; a failure costs the penalty."""
 
     alpha: float = 0.01
     lam: float = 0.01
@@ -78,7 +77,9 @@ class EditCandidate:
 
 
 def score(candidate: EditCandidate, weights: ObjectiveWeights) -> float:
-    """Lower is better; infeasible candidates cost the unsolvable penalty."""
+    """Lower is better. A candidate with no flagship plan, or one that breaks
+    a suite problem, costs `unsolvable_penalty`, whatever the failure:
+    no plan, a resource limit, a grounding explosion or a failed link."""
     if isinstance(candidate.plan_result, Plan) and candidate.regression_ok:
         return (
             candidate.plan_result.length
@@ -157,7 +158,8 @@ class CandidateEvaluator:
         return solve(ground(self.cache.link(domain, problem), cache=self.cache), self.limits)
 
     def evaluate(self, domain: DomainAst, text: str, provenance: Provenance) -> EditCandidate:
-        """Score `domain`, whose canonical text is `text`."""
+        """Score `domain`, whose canonical text is `text`: the flagship first, then
+        the suite. A grounding explosion or a failed link stops the evaluation."""
         hit = self._memo.get(text)
         if hit is not None:
             return hit
@@ -174,11 +176,9 @@ class CandidateEvaluator:
                 isinstance(cand.plan_result if prob is None else self._solve(domain, prob), Plan)
                 for prob in self._suite
             )
-            cand.score = score(cand, self.weights)
-        except (GroundingExplosion, PddlError) as exc:
-            cand.plan_result = ResourceExceeded(f"grounding failed: {exc.__class__.__name__}")
-            cand.regression_ok = False
-            cand.score = math.inf
+        except (GroundingExplosion, PddlError):
+            pass
+        cand.score = score(cand, self.weights)
         self.evaluations += 1
         self._memo[text] = cand
         return cand

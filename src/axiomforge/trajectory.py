@@ -80,7 +80,7 @@ class TrajectoryWriter:
         self._write({"kind": "header", **vars(header)})
 
     def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        self._fh.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
         self._fh.flush()
 
     def record(self, step: TrajectoryStep) -> None:
@@ -90,10 +90,10 @@ class TrajectoryWriter:
             )
         if step.parent_id is not None and step.parent_id >= step.step_id:
             raise ValueError("parent_id must be smaller than step_id")
-        self._last_step_id = step.step_id
         # A step's fields are all str, int, float, bool or None, so its
         # __dict__ writes what `asdict` would, without a deep copy.
         self._write({"kind": "step", **vars(step)})
+        self._last_step_id = step.step_id
 
     def finalize(self, result: dict) -> None:
         self._write({"kind": "result", **result})

@@ -13,6 +13,7 @@ from axiomforge import cli, corpus, planner
 from axiomforge.cli import main
 from axiomforge.proposer import OracleClientConfig
 from axiomforge.search import ObjectiveWeights, SearchConfig
+from conftest import WIDE_ACTIONS
 
 B, R = "corpus:blocksworld", "corpus:blocksworld:restack"
 
@@ -171,6 +172,30 @@ def test_evolve_scripted_makes_no_network_calls(capsys, monkeypatch):
     )
     assert code == 0 and "success: true" in out
     assert connects == []
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_evolve_from_an_exploding_original_writes_strict_json(capsys, tmp_path):
+    # The original's wide action explodes in grounding, so the root fails;
+    # the scripted MULTI_LIFT text drops that action and plans in 2 steps.
+    domain = tmp_path / "wide.pddl"
+    domain.write_text(corpus.load("blocksworld").domain_text.rstrip()[:-1]
+                      + WIDE_ACTIONS["false-last-precondition"] + ")\n")
+    traj = tmp_path / "run.jsonl"
+    code, out, _ = run_cli(
+        capsys, "evolve", str(domain), R, "--oracle", "scripted", "--algo", "bfs",
+        "--target-len", "4", "--json", "--trajectory", str(traj),
+    )
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1], parse_constant=_refuse)
+    assert payload["best_length"] == 2
+    records = [json.loads(line, parse_constant=_refuse) for line in traj.read_text().splitlines()]
+    root = records[1]
+    assert root["algorithm_phase"] == "root"
+    assert (root["plan_length"], root["regression_ok"], root["score"]) == (None, False, 1e6)
 
 
 def test_rank_by_levenshtein(capsys, tmp_path):

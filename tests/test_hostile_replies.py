@@ -4,13 +4,16 @@ Every algorithm runs through `HttpProposalOracle` and `HttpDistanceOracle`
 over an injected transport that answers from a drawn script of replies:
 bodies that are not chat JSON, fences that never close or are too long to
 read, backticks and non-ASCII letters in names, texts that parse but do not
-link, and 429, 5xx and 401 statuses. A run must return a `SearchResult` or
-raise `OracleUnavailable` or `AuthError`, and every step it records must be
-the original's canonical text or the canonical print of a block some reply
-held, and must parse back to itself.
+link or explode in grounding, and 429, 5xx and 401 statuses. A run must
+return a `SearchResult` or raise `OracleUnavailable` or `AuthError`, and
+every step it records must be the original's canonical text or the
+canonical print of a block some reply held, must parse back to itself and
+must carry a finite score. Every line of the trajectory must be strict JSON.
 """
 
 import itertools
+import json
+import math
 import os
 import tempfile
 import time
@@ -31,7 +34,7 @@ from axiomforge.proposer.http import API_KEY_ENV_VAR
 from axiomforge.search import ALGORITHMS, SearchConfig, SearchResult, run_search
 from axiomforge.search.candidate import MAX_TEXT_FACTOR
 from axiomforge.trajectory import read_runs
-from conftest import StubChatServer
+from conftest import WIDE_ACTIONS, StubChatServer
 
 ENTRY = corpus.load("blocksworld")
 ORIGINAL = parse_domain(ENTRY.domain_text)
@@ -49,6 +52,8 @@ BLOCKS = [
     variants.MID_EXTRACT.replace("pickup", "pické"),
     variants.MID_EXTRACT + ";" + "x" * (MAX_TEXT_FACTOR * len(ORIGINAL_TEXT)) + "\n",  # too long to read
     "(define (domain blocksworld) (:action",
+    # links, but its 16-parameter action explodes in grounding
+    ENTRY.domain_text.rstrip()[:-1] + WIDE_ACTIONS["false-last-precondition"] + ")\n",
 ]
 FENCED = st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}```")
 CONTENT_PIECES = st.one_of(
@@ -94,6 +99,10 @@ def _canonical(block: str) -> str | None:
         return None
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @settings(max_examples=20, deadline=None)
 @given(script=SCRIPTS)
@@ -122,8 +131,12 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
         except (OracleUnavailable, AuthError):
             pass
         (run,) = read_runs(path)
+        lines = path.read_text().splitlines()
+    for line in lines:
+        json.loads(line, parse_constant=_refuse)
     held = {_canonical(block) for body in served for block in _blocks(body)}
     for step in run.steps:
         text = step["domain_text"]
         assert text == ORIGINAL_TEXT or text in held
         assert print_canonical(parse_domain(text)) == text
+        assert math.isfinite(step["score"])

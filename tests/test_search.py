@@ -13,7 +13,7 @@ from axiomforge.corpus import variants
 from axiomforge.pddl import PddlError, link, parse_domain, parse_problem, print_canonical
 from axiomforge.pddl import parser as parser_module
 from axiomforge.pddl.reader import split_define
-from axiomforge.planner import GroundingExplosion, Plan, ResourceExceeded, Unsolvable, ground, solve
+from axiomforge.planner import GroundingExplosion, Plan, Unsolvable, ground, solve
 from axiomforge.proposer import (
     ProposalOracle,
     ScriptEntry,
@@ -205,40 +205,70 @@ def test_regression_ok_matches_solving_every_problem(
         assert cand.regression_ok is expected
 
 
-@pytest.mark.parametrize("flagship_first", [True, False])
-def test_regression_stops_at_the_first_failing_problem(
-    monkeypatch, flagship_first, blocksworld, flagship, blocksworld_regression
-):
-    # NO_PUTDOWN fails the flagship. The other suite problem would explode
-    # in grounding: after the flagship it is never grounded, and before it
-    # its explosion ends the evaluation.
-    (other,) = [p for p in blocksworld_regression if p != flagship]
-
+def _explode_on(monkeypatch, problem):
+    """Make the evaluator's grounding against `problem` explode."""
     def exploding_ground(task, **kwargs):
-        if task.problem is other:
+        if task.problem is problem:
             raise GroundingExplosion("too many actions")
         return ground(task, **kwargs)
 
     monkeypatch.setattr(candidate_module, "ground", exploding_ground)
+
+
+@pytest.mark.parametrize("flagship_first", [True, False])
+def test_regression_stops_at_the_first_failing_problem(
+    monkeypatch, flagship_first, blocksworld, flagship, blocksworld_regression
+):
+    # NO_PUTDOWN fails the flagship, which is solved before the suite. The
+    # other suite problem would explode in grounding: after the flagship it
+    # is never grounded, and before it its explosion ends the evaluation.
+    # Either way the flagship's verdict stands and the penalty prices it.
+    (other,) = [p for p in blocksworld_regression if p != flagship]
+    _explode_on(monkeypatch, other)
     regression = [flagship, other] if flagship_first else [other, flagship]
     evaluator = CandidateEvaluator(blocksworld, flagship, regression)
     cand = evaluator.evaluate(*_read(NO_PUTDOWN), Provenance(None, 1, "no putdown"))
     assert not cand.regression_ok
-    if flagship_first:
-        assert isinstance(cand.plan_result, Unsolvable)
-        assert cand.score == evaluator.weights.unsolvable_penalty
+    assert isinstance(cand.plan_result, Unsolvable)
+    assert cand.score == evaluator.weights.unsolvable_penalty
+
+
+# A suite problem whose goal names a predicate no blocksworld variant declares.
+STRAY = parse_problem(
+    "(define (problem stray) (:domain blocksworld) (:objects a)"
+    " (:init (on-table a) (clear a) (arm-empty)) (:goal (and (glued a))))"
+)
+
+
+@pytest.mark.parametrize("flagship_first", [True, False])
+@pytest.mark.parametrize("failure", ["explodes", "does-not-link"])
+def test_a_broken_suite_problem_keeps_the_flagship_plan(
+    monkeypatch, failure, flagship_first, blocksworld, flagship, blocksworld_regression
+):
+    # MULTI_LIFT plans the flagship in 2 steps; a suite problem that then
+    # fails leaves that plan recorded and costs the penalty, in either order.
+    (other,) = [p for p in blocksworld_regression if p != flagship]
+    if failure == "explodes":
+        _explode_on(monkeypatch, other)
     else:
-        assert isinstance(cand.plan_result, ResourceExceeded) and math.isinf(cand.score)
+        other = STRAY
+    regression = [flagship, other] if flagship_first else [other, flagship]
+    evaluator = CandidateEvaluator(blocksworld, flagship, regression)
+    cand = evaluator.evaluate(*_read(variants.MULTI_LIFT), Provenance(None, 1, "multi lift"))
+    assert cand.plan_length == 2
+    assert not cand.regression_ok
+    assert cand.score == evaluator.weights.unsolvable_penalty
 
 
-def test_grounding_explosion_becomes_infinite_score(
+def test_grounding_explosion_scores_the_penalty(
     monkeypatch, blocksworld, flagship, blocksworld_regression
 ):
     monkeypatch.setattr(candidate_module, "ground", functools.partial(planner.ground, max_actions=5))
-    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
-    cand = evaluator.evaluate(blocksworld, print_canonical(blocksworld), Provenance(None, 0, "boom"))
-    assert math.isinf(cand.score)
-    assert not isinstance(cand.plan_result, Plan)
+    for regression in (blocksworld_regression, blocksworld_regression[::-1]):
+        evaluator = CandidateEvaluator(blocksworld, flagship, regression)
+        cand = evaluator.evaluate(blocksworld, print_canonical(blocksworld), Provenance(None, 0, "boom"))
+        assert cand.score == evaluator.weights.unsolvable_penalty
+        assert cand.plan_result is None and not cand.regression_ok
 
 
 def test_wide_rule_edit_ends_as_grounding_explosion(
@@ -251,8 +281,8 @@ def test_wide_rule_edit_ends_as_grounding_explosion(
     started = time.monotonic()
     cand = evaluator.evaluate(domain, text, Provenance(None, 1, "wide"))
     assert time.monotonic() - started < 1.0
-    assert math.isinf(cand.score)
-    assert cand.plan_result == ResourceExceeded("grounding failed: GroundingExplosion")
+    assert cand.score == evaluator.weights.unsolvable_penalty
+    assert cand.plan_length is None and not cand.regression_ok
 
 
 def test_zero_weights_order_equals_plan_length_order(zero_evaluator):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict, replace
 
 import pytest
@@ -112,6 +113,28 @@ def test_out_of_order_step_rejected(tmp_path):
     with pytest.raises(ValueError):
         writer.record(_step(1))
     writer.close()
+
+
+def test_a_step_that_is_not_finite_json_is_refused(tmp_path):
+    writer = TrajectoryWriter(tmp_path / "t.jsonl", _header())
+    with pytest.raises(ValueError):
+        writer.record(replace(_step(0), score=math.inf))
+    writer.record(_step(0))  # a refused step leaves its id free
+    writer.close()
+    assert "Infinity" not in (tmp_path / "t.jsonl").read_text()
+
+
+def test_an_infinite_score_written_before_the_check_still_exports(tmp_path):
+    # Earlier writers recorded a grounding explosion's score as `Infinity`.
+    path = tmp_path / "old.jsonl"
+    records = [{"kind": "header", **vars(_header())}, {"kind": "step", **vars(replace(_step(0), score=math.inf))}]
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records))
+    assert '"score":Infinity' in path.read_text()
+    (run,) = read_runs(path)
+    assert run.steps[0]["score"] == math.inf
+    out = tmp_path / "out.jsonl"
+    assert export([path], out, "jsonl") == 1
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_parent_must_precede_child(tmp_path):
