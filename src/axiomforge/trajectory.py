@@ -9,13 +9,14 @@ per-run csv summary.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-import uuid
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from pathlib import Path
+
+# hashlib takes blake2b from this same builtin module, but importing hashlib
+# also loads OpenSSL (`_hashlib`), several MB that only the HTTP oracle uses.
+from _blake2 import blake2b
 
 
 class MalformedTrajectory(Exception):
@@ -26,7 +27,12 @@ class MalformedTrajectory(Exception):
 
 
 def content_hash(text: str) -> str:
-    """64-bit content hash of a domain text, as 16 hex characters."""
+    """64-bit content hash of a domain text, as 16 hex characters.
+
+    The hash is blake2b with an 8-byte digest. blake2b is taken from
+    `_blake2`, the module `hashlib.blake2b` itself comes from, to keep
+    OpenSSL unloaded.
+    """
     return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -43,6 +49,8 @@ class TrajectoryHeader:
     @classmethod
     def new(cls, config: dict, original_domain_text: str, problem_text: str,
             corpus_domain_name: str, seed: int, engine_version: str) -> "TrajectoryHeader":
+        import uuid
+
         return cls(uuid.uuid4().hex, config, original_domain_text,
                    problem_text, corpus_domain_name, seed, engine_version)
 
@@ -185,6 +193,8 @@ def export(paths, out, format: str) -> int:
                 for record in (run.header, *run.steps, *((run.result,) if run.result else ())):
                     fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     elif format == "csv-summary":
+        import csv
+
         with out.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run_id", "algorithm", "success", "best_length", "steps", "oracle_calls"])

@@ -13,6 +13,7 @@ from axiomforge import cli, corpus, planner
 from axiomforge.cli import main
 from axiomforge.proposer import OracleClientConfig
 from axiomforge.search import ObjectiveWeights, SearchConfig
+from axiomforge.trajectory import read_runs
 from conftest import WIDE_ACTIONS
 
 B, R = "corpus:blocksworld", "corpus:blocksworld:restack"
@@ -522,20 +523,58 @@ def test_failure_outcome(capsys, tmp_path, monkeypatch, argv, env, code, first_e
     assert json.loads(out.splitlines()[-1]) == json.loads(json.dumps(payload).replace("{tmp}", tmp))
 
 
-def _loads(importing: str, module: str) -> bool:
-    """Whether a fresh interpreter that imports `importing` has `module` loaded."""
+def _fresh(probe: str, *args: str) -> str:
+    """The last line `probe` prints when run in a fresh interpreter."""
     paths = [str(Path(axiomforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    probe = f"import sys, {importing}; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy", "urllib.request", "http.client", "ssl"])
+def _loads(importing: str, module: str) -> bool:
+    """Whether a fresh interpreter that imports `importing` has `module` loaded."""
+    return _fresh(f"import sys, {importing}; print({module!r} in sys.modules)") == "True"
+
+
+@pytest.mark.parametrize(
+    "module", ["requests", "numpy", "urllib.request", "http.client", "ssl", "_hashlib", "uuid", "csv"]
+)
 def test_cli_import_leaves_module_unloaded(module):
     assert not _loads("axiomforge.cli", module)
+
+
+# Scripted evolve runs, a summary export and a plan, all in one interpreter;
+# prints the exit codes and which of OpenSSL's modules they loaded.
+_RUN_WITHOUT_OPENSSL = """
+import json, sys
+from axiomforge.cli import main
+runs = [f"{sys.argv[1]}/run-{algo}.jsonl" for algo in ("bfs", "beam")]
+codes = [
+    main(["evolve", "corpus:blocksworld", "corpus:blocksworld:restack", "--oracle", "scripted",
+          "--algo", algo, "--target-len", "4", "--seed", "1", "--trajectory", run])
+    for algo, run in zip(("bfs", "beam"), runs)
+]
+codes.append(main(["export", *runs, "--format", "csv-summary", "--out", f"{sys.argv[1]}/s.csv"]))
+codes.append(main(["plan", "corpus:hanoi", "corpus:hanoi:three-discs"]))
+print(json.dumps([codes, [name for name in ("_hashlib", "ssl") if name in sys.modules]]))
+"""
+
+
+def test_evolve_export_and_plan_load_no_openssl(tmp_path):
+    codes, loaded = json.loads(_fresh(_RUN_WITHOUT_OPENSSL, str(tmp_path)))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+    import hashlib  # the reference, imported only once the run above is checked
+
+    steps = [
+        step for algo in ("bfs", "beam") for run in read_runs(tmp_path / f"run-{algo}.jsonl") for step in run.steps
+    ]
+    assert steps
+    for step in steps:
+        want = hashlib.blake2b(step["domain_text"].encode(), digest_size=8).hexdigest()
+        assert step["domain_text_hash"] == want
 
 
 def test_proposer_import_leaves_planner_unloaded():

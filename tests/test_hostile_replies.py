@@ -4,11 +4,12 @@ Every algorithm runs through `HttpProposalOracle` and `HttpDistanceOracle`
 over an injected transport that answers from a drawn script of replies:
 bodies that are not chat JSON, fences that never close or are too long to
 read, backticks and non-ASCII letters in names, texts that parse but do not
-link or explode in grounding, and 429, 5xx and 401 statuses. A run must
-return a `SearchResult` or raise `OracleUnavailable` or `AuthError`, and
-every step it records must be the original's canonical text or the
-canonical print of a block some reply held, must parse back to itself and
-must carry a finite score. Every line of the trajectory must be strict JSON.
+link or explode in grounding, texts nested deeper than the reader reads,
+and 429, 5xx and 401 statuses. A run must return a `SearchResult` or raise
+`OracleUnavailable` or `AuthError`, and every step it records must be the
+original's canonical text or the canonical print of a block some reply
+held, must parse back to itself and must carry a finite score. Every line
+of the trajectory must be strict JSON.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from axiomforge import corpus
 from axiomforge.corpus import variants
 from axiomforge.distance import OracleUnavailable
 from axiomforge.pddl import PddlError, parse_domain, parse_problem, print_canonical
+from axiomforge.pddl.reader import MAX_DEPTH
 from axiomforge.proposer import AuthError, HttpDistanceOracle, HttpProposalOracle, OracleClientConfig
 from axiomforge.proposer.extract import fenced_blocks
 from axiomforge.proposer.http import API_KEY_ENV_VAR
@@ -41,6 +43,14 @@ ORIGINAL = parse_domain(ENTRY.domain_text)
 FLAGSHIP = parse_problem(ENTRY.flagship.text)
 REGRESSION = corpus.regression_suite("blocksworld")
 ORIGINAL_TEXT = print_canonical(ORIGINAL)
+# A whole action whose precondition nests MAX_DEPTH `and`s inside it: a
+# syntax error, whether the text is read whole or form by form.
+DEEP = (
+    ENTRY.domain_text.rstrip()[:-1]
+    + "(:action deep :parameters () :precondition "
+    + "(and " * MAX_DEPTH + "(arm-empty)" + ")" * MAX_DEPTH
+    + " :effect (arm-empty)))\n"
+)
 
 BLOCKS = [
     variants.MID_EXTRACT,
@@ -54,6 +64,7 @@ BLOCKS = [
     "(define (domain blocksworld) (:action",
     # links, but its 16-parameter action explodes in grounding
     ENTRY.domain_text.rstrip()[:-1] + WIDE_ACTIONS["false-last-precondition"] + ")\n",
+    DEEP,
 ]
 FENCED = st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}```")
 CONTENT_PIECES = st.one_of(
@@ -103,10 +114,9 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@settings(max_examples=20, deadline=None)
-@given(script=SCRIPTS)
-def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
+def _run(algorithm, script, path):
+    """Run `algorithm` with both oracles answering from `script` in turn,
+    writing its trajectory to `path`; the bodies served with status 200."""
     replies = itertools.cycle(script)
     served = []
 
@@ -118,10 +128,7 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
 
     client_cfg = OracleClientConfig(samples=2, max_retries=1)
     cfg = SearchConfig(algorithm=algorithm, target_length=4, seed=1, **CONFIGS[algorithm])
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(time, "sleep"), \
-            mock.patch.dict(os.environ, {API_KEY_ENV_VAR: "test-key"}):
-        path = Path(tmp) / "run.jsonl"
+    with mock.patch.object(time, "sleep"), mock.patch.dict(os.environ, {API_KEY_ENV_VAR: "test-key"}):
         try:
             result = run_search(
                 cfg, ORIGINAL, FLAGSHIP, REGRESSION, HttpProposalOracle(client_cfg, transport),
@@ -130,6 +137,16 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
             assert isinstance(result, SearchResult)
         except (OracleUnavailable, AuthError):
             pass
+    return served
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=20, deadline=None)
+@given(script=SCRIPTS)
+def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        served = _run(algorithm, script, path)
         (run,) = read_runs(path)
         lines = path.read_text().splitlines()
     for line in lines:
@@ -140,3 +157,13 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
         assert text == ORIGINAL_TEXT or text in held
         assert print_canonical(parse_domain(text)) == text
         assert math.isfinite(step["score"])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_block_nested_too_deep_is_dropped_as_a_syntax_error(algorithm, tmp_path):
+    with pytest.raises(PddlError, match=f"syntax-error: nesting deeper than {MAX_DEPTH} levels"):
+        parse_domain(DEEP)
+    path = tmp_path / "run.jsonl"
+    _run(algorithm, [(200, StubChatServer.chat_body(f"```pddl\n{DEEP}```"))], path)
+    (run,) = read_runs(path)
+    assert [step["domain_text"] for step in run.steps] == [ORIGINAL_TEXT]
