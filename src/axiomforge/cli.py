@@ -28,16 +28,8 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import __version__, corpus
-from .distance import (
-    LevenshteinMockOracle,
-    OracleUnavailable,
-    hybrid_rank,
-    levenshtein,
-    semantic_rank,
-)
 from .pddl import (
     PddlError,
     link,
@@ -55,15 +47,10 @@ from .planner import (
     solve,
     validate_plan,
 )
-from .proposer import (
-    AuthError,
-    HttpDistanceOracle,
-    HttpProposalOracle,
-    OracleClientConfig,
-    builtin_script,
-)
-from .search import ALGORITHMS, ObjectiveWeights, SearchConfig, run_search
-from .trajectory import MalformedTrajectory, export as export_runs
+
+# Only what every command needs is imported here. A command imports the
+# rest of what it runs, so `parse`, `plan`, `validate` and `corpus` load
+# neither search, the proposer, distances nor trajectories.
 
 EXIT_OK = 0
 EXIT_LOGIC = 1
@@ -74,6 +61,8 @@ EXIT_EXTERNAL = 3
 def _read_file(path: str) -> str:
     """The text of a UTF-8 file; one that does not decode is unreadable,
     as a missing one is."""
+    from pathlib import Path
+
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -164,6 +153,9 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_evolve(args) -> tuple[int, dict]:
+    from .distance import LevenshteinMockOracle
+    from .search import ObjectiveWeights, SearchConfig, run_search
+
     domain = parse_domain(_read_text(args.domain, "domain"))
     problem = parse_problem(_read_text(args.problem, "problem"))
 
@@ -183,9 +175,13 @@ def _cmd_evolve(args) -> tuple[int, dict]:
         weights=weights,
     )
     if args.oracle == "scripted":
+        from .proposer import builtin_script
+
         oracle = builtin_script()
         distance_oracle = LevenshteinMockOracle()
     else:
+        from .proposer import HttpDistanceOracle, HttpProposalOracle, OracleClientConfig
+
         cfg_http = OracleClientConfig.from_env(samples=args.samples)
         oracle = HttpProposalOracle(cfg_http)
         distance_oracle = HttpDistanceOracle(cfg_http)
@@ -231,6 +227,8 @@ def _canonical_of(spec: str) -> str:
 
 
 def _cmd_rank(args) -> tuple[int, dict]:
+    from .distance import LevenshteinMockOracle, hybrid_rank, levenshtein, semantic_rank
+
     reference = _canonical_of(args.reference)
     texts = {path: _canonical_of(path) for path in args.candidates}
 
@@ -241,6 +239,8 @@ def _cmd_rank(args) -> tuple[int, dict]:
         if args.oracle == "mock":
             oracle = LevenshteinMockOracle()
         else:
+            from .proposer import HttpDistanceOracle, OracleClientConfig
+
             oracle = HttpDistanceOracle(OracleClientConfig.from_env(samples=args.samples))
         by_text: dict = {}
         for path in args.candidates:  # first path wins for duplicate texts
@@ -264,6 +264,8 @@ def _cmd_corpus(args) -> tuple[int, dict]:
         for name in corpus.CORPUS_NAMES:
             print(name)
         return EXIT_OK, {"status": "ok", "names": list(corpus.CORPUS_NAMES)}
+    from pathlib import Path
+
     entry = corpus.load(args.name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,6 +283,8 @@ def _cmd_corpus(args) -> tuple[int, dict]:
 
 
 def _cmd_export(args) -> tuple[int, dict]:
+    from .trajectory import export as export_runs
+
     count = export_runs(args.runs, args.out, args.format)
     print(f"exported: {count}")
     return EXIT_OK, {"status": "ok", "runs": count, "out": args.out}
@@ -316,34 +320,28 @@ def _add_limit_flags(p: argparse.ArgumentParser) -> None:
                    help="wall budget per solve")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="axiomforge",
-        description="Evolve PDDL game rules with planner-verified search.",
-    )
-    parser.add_argument("--version", action="version", version=f"axiomforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """A subcommand parser that can add its arguments when it first parses.
 
-    p = sub.add_parser("parse", help="parse a domain and print its canonical text")
-    p.add_argument("domain")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_parse)
+    `evolve` and `rank` read their flag defaults from search and proposer
+    dataclasses, so they add their arguments only once they are the chosen
+    command, and no other command loads those packages."""
 
-    p = sub.add_parser("plan", help="solve a task and print the optimal plan")
-    p.add_argument("domain")
-    p.add_argument("problem")
-    _add_limit_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_plan)
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
 
-    p = sub.add_parser("validate", help="check a plan file against a task")
-    p.add_argument("domain")
-    p.add_argument("problem")
-    p.add_argument("plan", help="file with one ground action per line")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_validate)
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
-    p = sub.add_parser("evolve", help="search for rule edits reaching a target length")
+
+def _add_evolve_arguments(p: argparse.ArgumentParser) -> None:
+    from .proposer import OracleClientConfig
+    from .search import ALGORITHMS, ObjectiveWeights, SearchConfig
+
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--algo", choices=ALGORITHMS, default="beam")
@@ -369,9 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=SearchConfig.ga_mutation_rate)
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_evolve)
 
-    p = sub.add_parser("rank", help="order candidate domains by closeness to a reference")
+
+def _add_rank_arguments(p: argparse.ArgumentParser) -> None:
+    from .proposer import OracleClientConfig
+
     p.add_argument("reference")
     p.add_argument("candidates", nargs="+")
     p.add_argument("--metric", choices=("lev", "semantic", "hybrid"), default="lev")
@@ -382,6 +382,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle votes per comparison, asked for in one request",
     )
     p.add_argument("--json", action="store_true")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="axiomforge",
+        description="Evolve PDDL game rules with planner-verified search.",
+    )
+    parser.add_argument("--version", action="version", version=f"axiomforge {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p = sub.add_parser("parse", help="parse a domain and print its canonical text")
+    p.add_argument("domain")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_parse)
+
+    p = sub.add_parser("plan", help="solve a task and print the optimal plan")
+    p.add_argument("domain")
+    p.add_argument("problem")
+    _add_limit_flags(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_plan)
+
+    p = sub.add_parser("validate", help="check a plan file against a task")
+    p.add_argument("domain")
+    p.add_argument("problem")
+    p.add_argument("plan", help="file with one ground action per line")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_validate)
+
+    p = sub.add_parser("evolve", help="search for rule edits reaching a target length",
+                       add_arguments=_add_evolve_arguments)
+    p.set_defaults(fn=_cmd_evolve)
+
+    p = sub.add_parser("rank", help="order candidate domains by closeness to a reference",
+                       add_arguments=_add_rank_arguments)
     p.set_defaults(fn=_cmd_rank)
 
     p = sub.add_parser("corpus", help="inspect or dump the embedded game corpus")
@@ -405,6 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _raised(module: str, name: str) -> tuple:
+    """The exception class `name` of this package's `module`, as a 1-tuple,
+    or () while that module is not loaded: then nothing has raised it, and
+    `main` need not load it to catch it."""
+    cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+    return () if cls is None else (cls,)
+
+
 def main(argv=None) -> int:
     """Run one command. A failure it raises is reported here: a stderr line,
     an exit code and a payload; with --json the payload ends stdout."""
@@ -421,10 +464,10 @@ def main(argv=None) -> int:
     except GroundingExplosion as err:
         print(f"grounding-explosion: {err}", file=sys.stderr)
         code, payload = EXIT_LOGIC, {"status": "grounding-explosion"}
-    except (OracleUnavailable, AuthError) as err:
+    except (*_raised("distance", "OracleUnavailable"), *_raised("proposer.http", "AuthError")) as err:
         print(f"oracle failure: {err}", file=sys.stderr)
         code, payload = EXIT_EXTERNAL, {"status": "oracle-failure", "error": str(err)}
-    except MalformedTrajectory as err:
+    except _raised("trajectory", "MalformedTrajectory") as err:
         print(err, file=sys.stderr)
         code, payload = EXIT_LOGIC, {"status": "malformed", "error": str(err)}
     except corpus.UnknownDomain as err:

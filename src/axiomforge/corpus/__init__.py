@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..pddl import ProblemAst, parse_problem
 from .domains import DOMAIN_TEXTS
 from .problems import PROBLEM_TEXTS
@@ -22,18 +20,22 @@ class UnknownDomain(KeyError):
         return str(self.args[0])
 
 
-@dataclass(frozen=True)
 class CorpusProblem:
-    name: str
-    text: str
-    optimal_length: int
+    """An authored problem instance and its optimal plan length."""
+
+    def __init__(self, name: str, text: str, optimal_length: int):
+        self.name = name
+        self.text = text
+        self.optimal_length = optimal_length
 
 
-@dataclass(frozen=True)
 class CorpusEntry:
-    name: str
-    domain_text: str
-    problems: tuple
+    """A domain's text and its problems, the flagship first."""
+
+    def __init__(self, name: str, domain_text: str, problems: tuple):
+        self.name = name
+        self.domain_text = domain_text
+        self.problems = problems
 
     def problem(self, name: str) -> CorpusProblem:
         for p in self.problems:

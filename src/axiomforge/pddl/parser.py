@@ -24,7 +24,7 @@ forms parsed without a diagnostic, so an unchanged form is read once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import errors as E
 from .ast import (
@@ -61,9 +61,11 @@ SUPPORTED_REQUIREMENTS = frozenset(
 )
 
 
-@dataclass
 class _Builder:
-    diagnostics: list = field(default_factory=list)
+    """The diagnostics one parse collects."""
+
+    def __init__(self) -> None:
+        self.diagnostics: list = []
 
     def diag(self, code: str, message: str, node: SNode | None = None) -> None:
         line = node.line if node is not None else 0

@@ -15,9 +15,9 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
 
 from ..distance import Choice, DistanceOracle, OracleUnavailable
+from .config import OracleClientConfig
 from .context import ProposalContext
 from .extract import fenced_blocks
 from .oracles import ProposalOracle
@@ -29,8 +29,6 @@ from .prompts import (
     mutation_prompt,
 )
 
-DEFAULT_BASE_URL = "https://api.openai.com/v1"
-DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
 API_KEY_ENV_VAR = "AXIOMFORGE_API_KEY"
 
 _BACKOFF_BASE_S = 0.5
@@ -45,32 +43,6 @@ _JUDGE_SYSTEM_PROMPT = (
 
 class AuthError(Exception):
     """Missing or rejected API credentials."""
-
-
-@dataclass(frozen=True)
-class OracleClientConfig:
-    base_url: str = DEFAULT_BASE_URL
-    model: str = DEFAULT_MODEL
-    samples: int = 16
-    timeout_ms: int = 30_000
-    max_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "OracleClientConfig":
-        env = {
-            "base_url": os.environ.get("AXIOMFORGE_BASE_URL", DEFAULT_BASE_URL),
-            "model": os.environ.get("AXIOMFORGE_MODEL", DEFAULT_MODEL),
-        }
-        env.update(overrides)
-        return cls(**env)
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout_s: float):

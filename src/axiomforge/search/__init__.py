@@ -1,29 +1,53 @@
-"""Search strategies over the space of rule edits, plus the run orchestrator."""
+"""Search strategies over the space of rule edits, plus the run orchestrator.
+
+Importing the package loads none of its submodules. Each re-exported name
+is looked up in the submodule that defines it on first use (PEP 562), and
+`run_search` imports what it runs, so a command that plans or parses pays
+nothing for search, the proposer, distances or trajectories.
+"""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .. import __version__
-from ..distance import DistanceOracle, LevenshteinMockOracle
-from ..pddl import DomainAst, ProblemAst, print_canonical_problem
-from ..planner import SearchLimits
-from ..proposer import ProposalOracle
-from ..trajectory import TrajectoryHeader, TrajectoryWriter, content_hash
-from .beam import beam_search
-from .bfs import bfs_search
-from .candidate import (
-    CandidateEvaluator,
-    EditCandidate,
-    ObjectiveWeights,
-    Provenance,
-    compactness,
-    score,
-)
-from .common import SearchRun
-from .config import ALGORITHMS, SearchConfig, SearchResult
-from .genetic import genetic_search
-from .mcts import mcts_search, ucb1
+if TYPE_CHECKING:
+    from ..distance import DistanceOracle
+    from ..pddl import DomainAst, ProblemAst
+    from ..planner import SearchLimits
+    from ..proposer import ProposalOracle
+    from .config import SearchConfig, SearchResult
+
+# re-exported name -> the submodule that defines it
+_EXPORTS = {
+    "ALGORITHMS": "config",
+    "CandidateEvaluator": "candidate",
+    "EditCandidate": "candidate",
+    "ObjectiveWeights": "candidate",
+    "Provenance": "candidate",
+    "SearchConfig": "config",
+    "SearchResult": "config",
+    "SearchRun": "common",
+    "beam_search": "beam",
+    "bfs_search": "bfs",
+    "compactness": "candidate",
+    "genetic_search": "genetic",
+    "mcts_search": "mcts",
+    "score": "candidate",
+    "ucb1": "mcts",
+}
+
+
+def __getattr__(name: str):
+    # Not cached in the package: the submodule's attribute is the one
+    # object, so a wrapper put there and taken away again leaves no trace.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS})
 
 
 def run_search(
@@ -40,6 +64,19 @@ def run_search(
     """Open a `SearchRun` on the task and let the configured algorithm steer
     it, optionally recording a trajectory file. The returned result carries
     the run id when recording."""
+    from dataclasses import replace
+
+    from .. import __version__
+    from ..distance import LevenshteinMockOracle
+    from ..pddl import print_canonical_problem
+    from ..trajectory import TrajectoryHeader, TrajectoryWriter, content_hash
+    from .beam import beam_search
+    from .bfs import bfs_search
+    from .candidate import CandidateEvaluator
+    from .common import SearchRun
+    from .genetic import genetic_search
+    from .mcts import mcts_search
+
     evaluator = CandidateEvaluator(domain, problem, regression, limits=limits, weights=cfg.weights)
     writer = None
     run_id = None
@@ -83,21 +120,4 @@ def run_search(
             writer.close()
 
 
-__all__ = [
-    "ALGORITHMS",
-    "CandidateEvaluator",
-    "EditCandidate",
-    "ObjectiveWeights",
-    "Provenance",
-    "SearchConfig",
-    "SearchResult",
-    "SearchRun",
-    "beam_search",
-    "bfs_search",
-    "compactness",
-    "genetic_search",
-    "mcts_search",
-    "run_search",
-    "score",
-    "ucb1",
-]
+__all__ = sorted([*_EXPORTS, "run_search"])

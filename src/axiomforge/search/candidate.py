@@ -172,8 +172,11 @@ class CandidateEvaluator:
         )
         try:
             cand.plan_result = self._solve(domain, self.problem)
-            cand.regression_ok = all(
-                isinstance(cand.plan_result if prob is None else self._solve(domain, prob), Plan)
+            solved = isinstance(cand.plan_result, Plan)
+            # A suite that holds the flagship fails with it, whatever the
+            # rest of the suite would give.
+            cand.regression_ok = (solved or None not in self._suite) and all(
+                solved if prob is None else isinstance(self._solve(domain, prob), Plan)
                 for prob in self._suite
             )
         except (GroundingExplosion, PddlError):

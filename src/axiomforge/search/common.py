@@ -10,7 +10,7 @@ genetic children alike.
 
 from __future__ import annotations
 
-from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, filter_linkable
+from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, extract
 from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .config import SearchConfig, SearchResult
@@ -32,7 +32,10 @@ def propose_domains(oracle: ProposalOracle, ctx: ProposalContext, k: int, read) 
         texts = oracle.propose(ctx, k)
     except NoScriptMatch:
         return []
-    return filter_linkable(texts, read, k)
+    # Looked up in `extract` at each call: this module first loads inside a
+    # run, and a name bound then would keep for good any wrapper a tracer
+    # had put on the function (perfbench/tracing.py wraps this one).
+    return extract.filter_linkable(texts, read, k)
 
 
 class SearchRun:

@@ -539,7 +539,8 @@ def _loads(importing: str, module: str) -> bool:
 
 
 @pytest.mark.parametrize(
-    "module", ["requests", "numpy", "urllib.request", "http.client", "ssl", "_hashlib", "uuid", "csv"]
+    "module", ["requests", "numpy", "urllib.request", "http.client", "ssl", "_hashlib", "uuid", "csv",
+               "axiomforge.search", "axiomforge.proposer", "axiomforge.distance", "axiomforge.trajectory"]
 )
 def test_cli_import_leaves_module_unloaded(module):
     assert not _loads("axiomforge.cli", module)
@@ -575,6 +576,60 @@ def test_evolve_export_and_plan_load_no_openssl(tmp_path):
     for step in steps:
         want = hashlib.blake2b(step["domain_text"].encode(), digest_size=8).hexdigest()
         assert step["domain_text_hash"] == want
+
+
+# plan, parse, validate and corpus list in one interpreter, a failing plan
+# among them; prints the exit codes and every search, proposer, distance or
+# trajectory module they loaded.
+_RUN_PLANNER_COMMANDS = """
+import json, sys
+from axiomforge.cli import main
+plan = f"{sys.argv[1]}/plan.txt"
+with open(plan, "w") as fh:
+    fh.write("(move-disc d1 d2 peg3)\\n")
+codes = [
+    main(["plan", "corpus:hanoi", "corpus:hanoi:three-discs"]),
+    main(["plan", "corpus:hanoi", "corpus:hanoi:three-discs", "--max-len", "3", "--json"]),
+    main(["parse", "corpus:blocksworld", "--json"]),
+    main(["validate", "corpus:hanoi", "corpus:hanoi:three-discs", plan]),
+    main(["corpus", "list"]),
+]
+prefixes = ("axiomforge.search", "axiomforge.proposer", "axiomforge.distance", "axiomforge.trajectory")
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith(prefixes))]))
+"""
+
+
+def test_planner_commands_load_no_search_proposer_distance_or_trajectory(tmp_path):
+    codes, loaded = json.loads(_fresh(_RUN_PLANNER_COMMANDS, str(tmp_path)))
+    assert codes == [0, 1, 0, 1, 0]
+    assert loaded == []
+
+
+# A scripted evolve, then a rank whose HTTP oracle has no key, in one
+# interpreter; prints the exit codes and whether the HTTP client was loaded
+# after each.
+_RUN_SCRIPTED_EVOLVE = """
+import json, os, sys
+from axiomforge.cli import main
+os.environ.pop("AXIOMFORGE_API_KEY", None)
+codes, loaded = [], []
+for argv in (
+    ["evolve", "corpus:blocksworld", "corpus:blocksworld:restack", "--oracle", "scripted",
+     "--algo", "beam", "--target-len", "4", "--seed", "1"],
+    ["rank", "corpus:blocksworld", "corpus:hanoi", "corpus:gripper", "--metric", "semantic",
+     "--oracle", "http", "--json"],
+):
+    codes.append(main(argv))
+    loaded.append("axiomforge.proposer.http" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_scripted_evolve_leaves_the_http_client_unloaded():
+    codes, loaded = json.loads(_fresh(_RUN_SCRIPTED_EVOLVE))
+    # The rank fails as an oracle failure, caught once its module has loaded.
+    assert codes == [0, 3]
+    assert loaded == [False, True]
 
 
 def test_proposer_import_leaves_planner_unloaded():

@@ -233,6 +233,33 @@ def test_regression_stops_at_the_first_failing_problem(
     assert cand.score == evaluator.weights.unsolvable_penalty
 
 
+@pytest.mark.parametrize("with_flagship", [True, False])
+def test_a_flagship_without_a_plan_grounds_no_suite_problem_before_it(
+    monkeypatch, with_flagship, blocksworld, flagship, blocksworld_regression
+):
+    # NO_PUTDOWN has no flagship plan. A suite that holds the flagship fails
+    # with it, so `other`, listed first, is never grounded; a suite without
+    # the flagship is still solved, as it decides regression_ok alone.
+    (other,) = [p for p in blocksworld_regression if p != flagship]
+    grounded = []
+
+    def counting_ground(task, **kwargs):
+        grounded.append(task.problem)
+        return ground(task, **kwargs)
+
+    monkeypatch.setattr(candidate_module, "ground", counting_ground)
+    regression = [other, flagship] if with_flagship else [other]
+    evaluator = CandidateEvaluator(blocksworld, flagship, regression)
+    domain, text = _read(NO_PUTDOWN)
+    cand = evaluator.evaluate(domain, text, Provenance(None, 1, "no putdown"))
+    assert grounded == ([flagship] if with_flagship else [flagship, other])
+    assert isinstance(cand.plan_result, Unsolvable)
+    assert not cand.regression_ok
+    assert cand.score == evaluator.weights.unsolvable_penalty
+    expected = all(isinstance(solve(ground(link(domain, p))), Plan) for p in regression)
+    assert cand.regression_ok is expected
+
+
 # A suite problem whose goal names a predicate no blocksworld variant declares.
 STRAY = parse_problem(
     "(define (problem stray) (:domain blocksworld) (:objects a)"
