@@ -153,7 +153,6 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_evolve(args) -> tuple[int, dict]:
-    from .distance import LevenshteinMockOracle
     from .search import ObjectiveWeights, SearchConfig, run_search
 
     domain = parse_domain(_read_text(args.domain, "domain"))
@@ -178,7 +177,7 @@ def _cmd_evolve(args) -> tuple[int, dict]:
         from .proposer import builtin_script
 
         oracle = builtin_script()
-        distance_oracle = LevenshteinMockOracle()
+        distance_oracle = None  # run_search uses the Levenshtein mock
     else:
         from .proposer import HttpDistanceOracle, HttpProposalOracle, OracleClientConfig
 

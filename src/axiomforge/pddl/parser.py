@@ -11,7 +11,11 @@ Grammar notes enforced here:
   * `when` may appear in effects only and cannot nest inside another `when`;
   * effect leaves are literals (atoms or negated atoms);
   * every variable must be bound by the action parameters or an enclosing
-    `forall`.
+    `forall`;
+  * a domain's `:types` and `:constants`, a problem's `:domain`, `:objects`
+    and `:goal`, and each keyword of an action appear at most once
+    (`:requirements`, `:predicates` and `:init` sections merge), and every
+    `- TYPE` follows a name.
 
 A domain is read and parsed one top-level form at a time: the header
 (`(domain NAME)` and every section but `:action`) first, then each action
@@ -114,6 +118,8 @@ def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str) -> t
             if i >= len(items):
                 b.diag(E.SYNTAX, f"type expected after '-' in {where}", node)
                 break
+            if not pending:
+                b.diag(E.SYNTAX, f"'-' follows no name in {where}", node)
             tref = _type_ref(b, items[i])
             out.extend(TypedName(name, tref) for name, _ in pending)
             pending = []
@@ -298,6 +304,17 @@ def _sections(b: _Builder, sections: tuple):
         yield section.items[0].text, section
 
 
+def _repeated(b: _Builder, met: set, key: str, node: SNode, where: str = "") -> bool:
+    """Whether `key`, a section or keyword that may appear once, is in
+    `met`, to which it is added. A repeat is reported at `node`, and the
+    caller skips it."""
+    if key in met:
+        b.diag(E.DUPLICATE_NAME, f"duplicate '{key}'{where}", node)
+        return True
+    met.add(key)
+    return False
+
+
 def _requirements(b: _Builder, section: SList) -> list[str]:
     """The supported flags of a `(:requirements ...)` section; others are
     reported."""
@@ -410,8 +427,11 @@ def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
     constants: tuple = ()
     predicates: list[PredicateDecl] = []
     action_nodes: list[SList] = []
+    once: set = set()  # the once-only sections met so far
 
     for head, section in _sections(b, sections):
+        if head in (":types", ":constants") and _repeated(b, once, head, section):
+            continue
         if head == ":requirements":
             requirements += _requirements(b, section)
         elif head == ":types":
@@ -449,14 +469,16 @@ def _parse_action(
     params: tuple = ()
     precondition: Formula = And()
     effect: Formula = And()
-    i = 2
-    while i < len(node.items):
+    once: set = set()  # the keywords met so far, each allowed once
+    for i in range(2, len(node.items), 2):
         key_node = node.items[i]
         key = _expect_atom(b, key_node, "action keyword")
         if key is None or i + 1 >= len(node.items):
             b.diag(E.SYNTAX, f"dangling keyword in action '{name}'", key_node)
             break
         value = node.items[i + 1]
+        if _repeated(b, once, key, key_node, f" in action '{name}'"):
+            continue
         if key == ":parameters":
             if isinstance(value, SList):
                 params = _typed_names(b, value.items, variables=True, where=":parameters")
@@ -475,7 +497,6 @@ def _parse_action(
             effect = _formula(ctx, value)
         else:
             b.diag(E.UNSUPPORTED, f"action keyword '{key}' is not supported", key_node)
-        i += 2
     return ActionSchema(name, params, precondition, effect)
 
 
@@ -492,8 +513,11 @@ def parse_problem(text: str) -> ProblemAst:
     objects: tuple = ()
     init: list[Atom] = []
     goal: Formula | None = None
+    once: set = set()  # the once-only sections met so far
 
     for head, section in _sections(b, sections):
+        if head in (":domain", ":objects", ":goal") and _repeated(b, once, head, section):
+            continue
         if head == ":domain":
             if len(section.items) == 2 and isinstance(section.items[1], SAtom):
                 domain_name = section.items[1].text

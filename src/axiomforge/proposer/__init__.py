@@ -17,7 +17,7 @@ _EXPORTS = {
     "HttpProposalOracle": "http",
     "NoScriptMatch": "oracles",
     "OracleClientConfig": "config",
-    "ProposalContext": "context",
+    "ProposalContext": "oracles",
     "ProposalOracle": "oracles",
     "SYSTEM_PROMPT": "prompts",
     "ScriptEntry": "oracles",

@@ -18,10 +18,10 @@ import time
 
 from ..distance import Choice, DistanceOracle, OracleUnavailable
 from .config import OracleClientConfig
-from .context import ProposalContext
 from .extract import fenced_blocks
-from .oracles import ProposalOracle
+from .oracles import ProposalContext, ProposalOracle
 from .prompts import (
+    JUDGE_SYSTEM_PROMPT,
     SYSTEM_PROMPT,
     build_prompt,
     comparison_prompt,
@@ -35,10 +35,6 @@ _BACKOFF_BASE_S = 0.5
 # Longest reply body read; a longer one reads as {}, like one that is not
 # JSON. An evolve-http reply is about 40 KB.
 _MAX_BODY_BYTES = 4 << 20
-_JUDGE_SYSTEM_PROMPT = (
-    "You judge how close modified game rules stay to a reference."
-    " Answer with the single letter A or B."
-)
 
 
 class AuthError(Exception):
@@ -206,7 +202,7 @@ class HttpDistanceOracle(DistanceOracle):
         votes: list[Choice] = []
         while len(votes) < n:
             missing = n - len(votes)
-            contents = self.client.complete(_JUDGE_SYSTEM_PROMPT, prompt, n=missing)
+            contents = self.client.complete(JUDGE_SYSTEM_PROMPT, prompt, n=missing)
             if not contents:
                 votes.extend([Choice.A] * missing)
             votes.extend(_vote(content) for content in contents[:missing])

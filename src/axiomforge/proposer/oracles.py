@@ -1,4 +1,5 @@
-"""Proposal oracle interface and the deterministic scripted implementation."""
+"""Proposal oracle interface, the context it is given, and the
+deterministic scripted implementation."""
 
 from __future__ import annotations
 
@@ -7,7 +8,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..corpus import variants
-from .context import ProposalContext
+from ..pddl import DomainAst, ProblemAst
+
+
+@dataclass(frozen=True)
+class ProposalContext:
+    """What a proposal oracle gets to see when asked for rule edits."""
+
+    domain: DomainAst
+    problem: ProblemAst
+    baseline_length: int | None  # None when the goal is unreachable
+    target_length: int
+    failure_summary: str = ""
+    history: tuple = ()  # summaries of earlier candidates, oldest first
+
+    def __post_init__(self) -> None:
+        if self.target_length < 0:
+            raise ValueError("target_length must be >= 0")
 
 
 class NoScriptMatch(Exception):

@@ -1,16 +1,22 @@
-"""Prompt construction for rule-edit proposals, crossover, and mutation."""
+"""Every prompt the oracles send: the system prompts of the proposer and
+the distance judge, and the user prompts for rule-edit proposals,
+crossover, mutation and comparison."""
 
 from __future__ import annotations
 
 from ..pddl import print_canonical, print_canonical_problem
-from .context import ProposalContext
 from .extract import fenced
+from .oracles import ProposalContext
 
 SYSTEM_PROMPT = (
     "You revise the rules of logic games written in PDDL. Rules are the"
     " domain's actions and predicates. Keep the domain name unchanged,"
     " keep every domain you emit syntactically complete, and prefer the"
     " smallest rule change that reaches the stated goal."
+)
+JUDGE_SYSTEM_PROMPT = (
+    "You judge how close modified game rules stay to a reference."
+    " Answer with the single letter A or B."
 )
 
 

@@ -62,10 +62,7 @@ def run_search(
     trajectory_path=None,
 ) -> SearchResult:
     """Open a `SearchRun` on the task and let the configured algorithm steer
-    it, optionally recording a trajectory file. The returned result carries
-    the run id when recording."""
-    from dataclasses import replace
-
+    it, optionally recording a trajectory file."""
     from .. import __version__
     from ..distance import LevenshteinMockOracle
     from ..pddl import print_canonical_problem
@@ -79,7 +76,6 @@ def run_search(
 
     evaluator = CandidateEvaluator(domain, problem, regression, limits=limits, weights=cfg.weights)
     writer = None
-    run_id = None
     if trajectory_path is not None:
         header = TrajectoryHeader.new(
             config=cfg.snapshot(),
@@ -90,7 +86,6 @@ def run_search(
             engine_version=__version__,
         )
         writer = TrajectoryWriter(trajectory_path, header)
-        run_id = header.run_id
     run = SearchRun(cfg, oracle, evaluator, writer)
 
     try:
@@ -114,7 +109,7 @@ def run_search(
                     "algorithm": cfg.algorithm,
                 }
             )
-        return replace(result, trajectory_id=run_id)
+        return result
     finally:
         if writer is not None:
             writer.close()

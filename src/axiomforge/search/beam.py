@@ -9,7 +9,8 @@ from .config import SearchResult
 
 
 def rank_pool(pool: list[EditCandidate], keep: int, reference: str, oracle: DistanceOracle) -> None:
-    """Sort `pool` by score, then by semantic position within its score.
+    """Sort `pool`, whose canonical texts are distinct, by score, then by
+    place among the candidates of that score.
 
     The `keep` candidates nearest `reference` by (edit distance, text)
     survive a pre-filter. Within a group of equal scores the oracle orders
@@ -18,16 +19,15 @@ def rank_pool(pool: list[EditCandidate], keep: int, reference: str, oracle: Dist
     oracle, so a ranking makes at most `query_budget(keep)` queries.
     """
     by_lev = sorted(pool, key=lambda c: (c.lev_distance, c.canonical_text))
-    groups: dict[float, tuple[list, list]] = {}
+    groups: dict[float, tuple[list, list]] = {}  # score -> texts (near, far)
     for i, cand in enumerate(by_lev):
-        groups.setdefault(cand.score, ([], []))[i >= keep].append(cand)
+        groups.setdefault(cand.score, ([], []))[i >= keep].append(cand.canonical_text)
+    place: dict[str, int] = {}  # canonical text -> place among its score's candidates
     for near, far in groups.values():
         if len(near) > 1:
-            by_text = {c.canonical_text: c for c in near}
-            near = [by_text[t] for t in semantic_rank(reference, list(by_text), oracle).items]
-        for position, cand in enumerate(near + far):
-            cand.semantic_rank_position = position
-    pool.sort(key=lambda c: (c.score, c.semantic_rank_position))
+            near = list(semantic_rank(reference, near, oracle).items)
+        place.update((text, i) for i, text in enumerate(near + far))
+    pool.sort(key=lambda c: (c.score, place[c.canonical_text]))
 
 
 def beam_search(run: SearchRun, distance_oracle: DistanceOracle, observer=None) -> SearchResult:

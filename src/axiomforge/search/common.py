@@ -11,7 +11,7 @@ genetic children alike.
 from __future__ import annotations
 
 from ..proposer import NoScriptMatch, ProposalContext, ProposalOracle, extract
-from ..trajectory import TrajectoryStep, TrajectoryWriter, content_hash
+from ..trajectory import TrajectoryStep, TrajectoryWriter
 from .candidate import CandidateEvaluator, EditCandidate, Provenance
 from .config import SearchConfig, SearchResult
 
@@ -82,7 +82,6 @@ class SearchRun:
                         step_id=cand.step_id,
                         parent_id=cand.provenance.parent_id,
                         algorithm_phase=phase,
-                        domain_text_hash=content_hash(cand.canonical_text),
                         domain_text=cand.canonical_text,
                         edit_description=cand.provenance.description,
                         plan_length=cand.plan_length,
@@ -146,10 +145,12 @@ class SearchRun:
         return self.evaluate_batch(batch, phase)
 
     def result(self, found: EditCandidate | None = None) -> SearchResult:
-        """A success with `found`, or else a failure reporting the best."""
+        """A success with `found`, or else a failure reporting the best,
+        with the run id of the trajectory being written, if any."""
         return SearchResult(
             best=found if found is not None else self.best,
             success=found is not None,
             explored=self.evaluator.evaluations,
             oracle_calls=self.oracle.calls - self._calls0,
+            trajectory_id=self.writer.header.run_id if self.writer is not None else None,
         )

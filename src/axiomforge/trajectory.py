@@ -60,7 +60,7 @@ class TrajectoryStep:
     step_id: int
     parent_id: int | None
     algorithm_phase: str
-    domain_text_hash: str
+    domain_text_hash: str = field(init=False)  # content_hash(domain_text)
     domain_text: str
     edit_description: str
     plan_length: int | None
@@ -71,8 +71,7 @@ class TrajectoryStep:
     timestamp: int = field(default_factory=lambda: int(time.time() * 1000))
 
     def __post_init__(self) -> None:
-        if self.domain_text_hash != content_hash(self.domain_text):
-            raise ValueError("domain_text_hash does not match domain_text")
+        object.__setattr__(self, "domain_text_hash", content_hash(self.domain_text))
 
 
 class TrajectoryWriter:

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from axiomforge import corpus
+from axiomforge.corpus import variants
 from axiomforge.pddl import parse_domain, parse_problem
 from axiomforge.planner import SearchLimits
 from axiomforge.proposer import builtin_script
@@ -85,6 +86,15 @@ WIDE_ACTIONS = {
         " :effect (clear ?v0))"
     ),
 }
+
+
+# MID_EXTRACT whose extract-base action has a second precondition. Read
+# with the last one winning, it would be a linkable action that only needs
+# an empty arm; a repeated keyword is a duplicate-name error instead.
+EXTRACT_PRECONDITION = "(and (on ?above ?ob) (clear ?above) (on-table ?ob) (arm-empty))"
+REPEATED_PRECONDITION = variants.MID_EXTRACT.replace(
+    EXTRACT_PRECONDITION, EXTRACT_PRECONDITION + "\n        :precondition (and (arm-empty))"
+)
 
 
 @pytest.fixture(params=sorted(WIDE_ACTIONS))

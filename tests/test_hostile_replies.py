@@ -5,11 +5,12 @@ over an injected transport that answers from a drawn script of replies:
 bodies that are not chat JSON, fences that never close or are too long to
 read, backticks and non-ASCII letters in names, texts that parse but do not
 link or explode in grounding, texts nested deeper than the reader reads,
-and 429, 5xx and 401 statuses. A run must return a `SearchResult` or raise
-`OracleUnavailable` or `AuthError`, and every step it records must be the
-original's canonical text or the canonical print of a block some reply
-held, must parse back to itself and must carry a finite score. Every line
-of the trajectory must be strict JSON.
+an action with two preconditions, and 429, 5xx and 401 statuses. A run
+must return a `SearchResult` or raise `OracleUnavailable` or `AuthError`,
+and every step it records must be the original's canonical text or the
+canonical print of a block some reply held, must parse back to itself and
+must carry a finite score. Every line of the trajectory must be strict
+JSON.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from axiomforge.proposer.http import API_KEY_ENV_VAR
 from axiomforge.search import ALGORITHMS, SearchConfig, SearchResult, run_search
 from axiomforge.search.candidate import MAX_TEXT_FACTOR
 from axiomforge.trajectory import read_runs
-from conftest import WIDE_ACTIONS, StubChatServer
+from conftest import EXTRACT_PRECONDITION, REPEATED_PRECONDITION, WIDE_ACTIONS, StubChatServer
 
 ENTRY = corpus.load("blocksworld")
 ORIGINAL = parse_domain(ENTRY.domain_text)
@@ -50,6 +51,10 @@ DEEP = (
     + "(:action deep :parameters () :precondition "
     + "(and " * MAX_DEPTH + "(arm-empty)" + ")" * MAX_DEPTH
     + " :effect (arm-empty)))\n"
+)
+# What REPEATED_PRECONDITION would read as if its last precondition won.
+LAST_PRECONDITION_TEXT = print_canonical(
+    parse_domain(variants.MID_EXTRACT.replace(EXTRACT_PRECONDITION, "(and (arm-empty))"))
 )
 
 BLOCKS = [
@@ -65,6 +70,7 @@ BLOCKS = [
     # links, but its 16-parameter action explodes in grounding
     ENTRY.domain_text.rstrip()[:-1] + WIDE_ACTIONS["false-last-precondition"] + ")\n",
     DEEP,
+    REPEATED_PRECONDITION,
 ]
 FENCED = st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}```")
 CONTENT_PIECES = st.one_of(
@@ -155,6 +161,7 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
     for step in run.steps:
         text = step["domain_text"]
         assert text == ORIGINAL_TEXT or text in held
+        assert text != LAST_PRECONDITION_TEXT
         assert print_canonical(parse_domain(text)) == text
         assert math.isfinite(step["score"])
 
@@ -165,5 +172,15 @@ def test_a_block_nested_too_deep_is_dropped_as_a_syntax_error(algorithm, tmp_pat
         parse_domain(DEEP)
     path = tmp_path / "run.jsonl"
     _run(algorithm, [(200, StubChatServer.chat_body(f"```pddl\n{DEEP}```"))], path)
+    (run,) = read_runs(path)
+    assert [step["domain_text"] for step in run.steps] == [ORIGINAL_TEXT]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_block_with_a_repeated_precondition_is_dropped_as_a_duplicate(algorithm, tmp_path):
+    with pytest.raises(PddlError, match="duplicate-name: duplicate ':precondition'"):
+        parse_domain(REPEATED_PRECONDITION)
+    path = tmp_path / "run.jsonl"
+    _run(algorithm, [(200, StubChatServer.chat_body(f"```pddl\n{REPEATED_PRECONDITION}```"))], path)
     (run,) = read_runs(path)
     assert [step["domain_text"] for step in run.steps] == [ORIGINAL_TEXT]

@@ -35,8 +35,8 @@ def test_package_import_loads_no_submodule(package):
 
 @pytest.mark.parametrize("package", PACKAGES)
 def test_first_use_loads_only_the_defining_submodule(package):
-    # search.config imports search.candidate; proposer.oracles imports
-    # proposer.context.
+    # search.config imports search.candidate; proposer.oracles defines
+    # ProposalContext itself.
     name = {"axiomforge.search": "SearchConfig", "axiomforge.proposer": "builtin_script"}[package]
     probe = (
         f"import json, sys, {package}; {package}.{name}; "
@@ -44,7 +44,7 @@ def test_first_use_loads_only_the_defining_submodule(package):
     )
     expected = {
         "axiomforge.search": ["axiomforge.search.candidate", "axiomforge.search.config"],
-        "axiomforge.proposer": ["axiomforge.proposer.context", "axiomforge.proposer.oracles"],
+        "axiomforge.proposer": ["axiomforge.proposer.oracles"],
     }[package]
     assert json.loads(_fresh(probe)) == expected
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from axiomforge import corpus
@@ -10,6 +12,7 @@ from axiomforge.pddl import (
     parse_domain,
     parse_problem,
 )
+from axiomforge.pddl import parser as parser_module
 from axiomforge.pddl.reader import MAX_DEPTH
 
 ALL_DOMAINS = [(name, corpus.load(name).domain_text) for name in corpus.CORPUS_NAMES]
@@ -225,6 +228,59 @@ def test_a_remembered_action_repeated_is_a_positioned_duplicate():
     assert [(d.code, d.line, d.col) for d in err.value.diagnostics] == [("duplicate-name", 3, 3)]
 
 
+# A section or keyword that may appear once, given twice, is reported at
+# the repeat, and a `- TYPE` that follows no name at its `-`: neither is
+# dropped in silence. Positions are (line, column).
+_ACTION = "(:action a :parameters (?x) :precondition (p ?x) :effect (q ?x))"
+_REPEATS = {
+    "types": ("(define (domain d) (:types a)\n  (:types b) (:predicates (p)))", "duplicate-name", (2, 3)),
+    "constants": ("(define (domain d) (:constants c)\n  (:constants e) (:predicates (p)))", "duplicate-name", (2, 3)),
+    "parameters": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
+        + _ACTION.replace(":precondition", ":parameters (?y) :precondition") + ")",
+        "duplicate-name",
+        (2, 31),
+    ),
+    "precondition": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
+        + _ACTION.replace(":effect", ":precondition (q ?x) :effect") + ")",
+        "duplicate-name",
+        (2, 52),
+    ),
+    "effect": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  " + _ACTION.replace("(q ?x))", "(q ?x) :effect (p ?x))") + ")",
+        "duplicate-name",
+        (2, 67),
+    ),
+    "dash-in-types": ("(define (domain d) (:types a - b - c)\n  (:predicates (p)))", "syntax-error", (1, 34)),
+    "dash-in-parameters": (
+        "(define (domain d) (:types t) (:predicates (p ?x - t) (q ?x))\n  "
+        + _ACTION.replace("(?x)", "(- t ?x)") + ")",
+        "syntax-error",
+        (2, 27),
+    ),
+}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["form-by-form", "whole-text"])
+@pytest.mark.parametrize("case", list(_REPEATS))
+def test_a_repeat_or_an_orphan_dash_in_a_domain_is_a_positioned_diagnostic(case, whole):
+    text, code, position = _REPEATS[case]
+    split = (lambda text: None) if whole else parser_module.split_define
+    with mock.patch.object(parser_module, "split_define", split), pytest.raises(PddlError) as err:
+        parse_domain(text)
+    assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [(code, position)]
+
+
+def test_repeated_requirements_and_predicates_still_merge():
+    domain = parse_domain(
+        "(define (domain d) (:requirements :strips) (:predicates (p))"
+        " (:requirements :typing) (:predicates (q)))"
+    )
+    assert domain.requirements == {":strips", ":typing"}
+    assert [p.name for p in domain.predicates] == ["p", "q"]
+
+
 # -- problems -------------------------------------------------------------
 
 
@@ -272,3 +328,24 @@ def test_free_goal_variable_rejected():
             "(define (problem p) (:domain d) (:objects a) (:init) (:goal (on ?x a)))"
         )
     assert any(d.code == "unbound-variable" for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "text, code, position",
+    [
+        ("(define (problem p) (:domain d)\n  (:domain e) (:init) (:goal (and)))", "duplicate-name", (2, 3)),
+        ("(define (problem p) (:domain d) (:objects a)\n  (:objects b) (:init) (:goal (and)))", "duplicate-name", (2, 3)),
+        ("(define (problem p) (:domain d) (:init) (:goal (and))\n  (:goal (and)))", "duplicate-name", (2, 3)),
+        ("(define (problem p) (:domain d)\n  (:objects - t a) (:init) (:goal (and)))", "syntax-error", (2, 13)),
+    ],
+    ids=["domain", "objects", "goal", "dash-in-objects"],
+)
+def test_a_repeat_or_an_orphan_dash_in_a_problem_is_a_positioned_diagnostic(text, code, position):
+    with pytest.raises(PddlError) as err:
+        parse_problem(text)
+    assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [(code, position)]
+
+
+def test_repeated_init_sections_still_merge():
+    problem = parse_problem("(define (problem p) (:domain d) (:objects a) (:init (p a)) (:init (q a)) (:goal (and)))")
+    assert problem.init == frozenset({Atom("p", ("a",)), Atom("q", ("a",))})

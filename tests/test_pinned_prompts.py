@@ -15,6 +15,8 @@ from axiomforge.corpus import variants
 from axiomforge.pddl import parse_domain, parse_problem, print_canonical
 from axiomforge.proposer import ProposalContext
 from axiomforge.proposer.prompts import (
+    JUDGE_SYSTEM_PROMPT,
+    SYSTEM_PROMPT,
     build_prompt,
     comparison_prompt,
     crossover_prompt,
@@ -163,6 +165,20 @@ CORPUS_PINS = {
     "miconic": ("2a4eeb75cf076aaa", 20),
     "monkey": ("d5092533cfcfc37d", 41),
 }
+
+
+def test_system_prompt_text():
+    assert SYSTEM_PROMPT == (
+        "You revise the rules of logic games written in PDDL. Rules are the domain's actions and predicates."
+        " Keep the domain name unchanged, keep every domain you emit syntactically complete, and prefer the"
+        " smallest rule change that reaches the stated goal."
+    )
+
+
+def test_judge_system_prompt_text():
+    assert JUDGE_SYSTEM_PROMPT == (
+        "You judge how close modified game rules stay to a reference. Answer with the single letter A or B."
+    )
 
 
 def test_every_corpus_domain_is_pinned():

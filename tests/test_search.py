@@ -41,7 +41,8 @@ from axiomforge.search.common import SearchRun, summarize
 from axiomforge.distance import LevenshteinMockOracle, hybrid_rank, levenshtein, query_budget
 from axiomforge.search import beam as beam_module
 from axiomforge.search.beam import rank_pool
-from axiomforge.trajectory import read_runs
+from axiomforge.trajectory import TrajectoryHeader, TrajectoryWriter, read_runs
+from conftest import REPEATED_PRECONDITION
 
 ORIGINAL = corpus.load("blocksworld").domain_text
 
@@ -619,12 +620,6 @@ def test_beam_never_exceeds_width(zero_evaluator):
     assert beams and all(len(beam) <= 2 for beam in beams)
 
 
-def test_beam_sets_semantic_rank_positions(zero_evaluator):
-    run = SearchRun(_cfg("beam", beam_width=8), builtin_script(), zero_evaluator)
-    result = beam_search(run, LevenshteinMockOracle())
-    assert result.best.semantic_rank_position is not None
-
-
 class CountingOracle(LevenshteinMockOracle):
     """The mock oracle's answers, with every `_samples` call's pair kept."""
 
@@ -664,7 +659,7 @@ def test_beam_with_distinct_scores_asks_the_distance_oracle_nothing(
     for pool, _, pairs in pools:
         assert len(pool) > 1 and len({c.score for c in pool}) == len(pool)
         assert pairs == []
-        assert all(c.semantic_rank_position == 0 for c in pool)
+        assert [c.score for c in pool] == sorted(c.score for c in pool)
 
 
 def test_beam_tie_queries_stay_inside_the_tied_survivors(monkeypatch, zero_evaluator):
@@ -676,7 +671,8 @@ def test_beam_tie_queries_stay_inside_the_tied_survivors(monkeypatch, zero_evalu
     tied = {zero_evaluator.original_text, print_canonical(parse_domain(WORSE))}
     assert pairs and all(pair <= tied for pair in pairs)
     assert len(pairs) <= query_budget(keep)
-    assert [c.semantic_rank_position for c in pool] == [0, 0, 1]
+    # The mock oracle puts the original, at distance 0 from itself, first.
+    assert [c.canonical_text for c in pool[1:]] == [zero_evaluator.original_text, print_canonical(parse_domain(WORSE))]
 
 
 def _pool(reference, texts, scores):
@@ -722,9 +718,6 @@ def test_rank_pool_orders_like_sorting_by_score_then_hybrid_rank(texts, data):
     expected = sorted(zip(scores, texts), key=lambda pair: (pair[0], position[pair[1]], pair[1]))
     assert [(c.score, c.canonical_text) for c in pool] == expected
     assert len(oracle.pairs) <= query_budget(keep)
-    for value in set(scores):
-        group = [c.semantic_rank_position for c in pool if c.score == value]
-        assert group == list(range(len(group)))
 
 
 # -- cross-cutting -------------------------------------------------------------
@@ -768,6 +761,19 @@ def test_oracle_call_accounting(zero_evaluator):
     oracle = builtin_script()
     result = bfs_search(SearchRun(_cfg("bfs"), oracle, zero_evaluator))
     assert result.oracle_calls == oracle.calls
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["writer", "no-writer"])
+def test_a_search_run_returns_its_writers_run_id(recording, tmp_path, zero_evaluator):
+    # Driven without run_search, as tests/test_pinned_trajectories.py drives runs.
+    header = TrajectoryHeader.new(
+        config={}, original_domain_text=zero_evaluator.original_text, problem_text="",
+        corpus_domain_name="blocksworld", seed=1, engine_version="test",
+    )
+    with TrajectoryWriter(tmp_path / "run.jsonl", header) as writer:
+        run = SearchRun(_cfg("bfs"), builtin_script(), zero_evaluator, writer if recording else None)
+        result = bfs_search(run)
+    assert result.trajectory_id == (header.run_id if recording else None)
 
 
 def test_run_search_dispatch(blocksworld, flagship, blocksworld_regression):
@@ -1003,6 +1009,15 @@ def test_a_second_run_links_and_grounds_again(monkeypatch, blocksworld, flagship
     compiled.clear()
     run_search(cfg, blocksworld, flagship, blocksworld_regression, _RepeatingOracle(seed=3))
     assert first[0] and first[1] and (links, compiled) == first
+
+
+@pytest.mark.parametrize(
+    "text",
+    [REPEATED_PRECONDITION, variants.MID_EXTRACT.replace("(?ob ?above)", "(- object ?ob ?above)")],
+    ids=["repeated-precondition", "orphan-dash"],
+)
+def test_a_block_with_a_repeat_or_an_orphan_dash_reads_as_none(text, zero_evaluator):
+    assert zero_evaluator.read(text) is None
 
 
 def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):

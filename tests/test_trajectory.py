@@ -42,7 +42,6 @@ def _step(step_id, parent_id=None, text="(define (domain d))"):
         step_id=step_id,
         parent_id=parent_id,
         algorithm_phase="test",
-        domain_text_hash=content_hash(text),
         domain_text=text,
         edit_description="unit",
         plan_length=None,
@@ -145,13 +144,8 @@ def test_parent_must_precede_child(tmp_path):
 
 
 def test_hash_integrity_enforced():
-    with pytest.raises(ValueError):
-        TrajectoryStep(
-            step_id=0, parent_id=None, algorithm_phase="x",
-            domain_text_hash="0" * 16, domain_text="mismatch",
-            edit_description="", plan_length=None, regression_ok=False,
-            score=0.0, lev_distance=0, oracle_round=0,
-        )
+    text = "(define (domain hashed))"
+    assert _step(0, text=text).domain_text_hash == content_hash(text)
 
 
 def test_header_only_file_valid(tmp_path):
