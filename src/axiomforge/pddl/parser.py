@@ -15,7 +15,10 @@ Grammar notes enforced here:
   * a domain's `:types` and `:constants`, a problem's `:domain`, `:objects`
     and `:goal`, and each keyword of an action appear at most once
     (`:requirements`, `:predicates` and `:init` sections merge), and every
-    `- TYPE` follows a name.
+    `- TYPE` follows a name;
+  * each type, constant, predicate and parameter is declared once, and no
+    type is its own ancestor; a type named but never declared is an
+    implicit type.
 
 A domain is read and parsed one top-level form at a time: the header
 (`(domain NAME)` and every section but `:action`) first, then each action
@@ -106,10 +109,13 @@ def _type_ref(b: _Builder, node: SNode) -> TypeRef:
     return ROOT_TYPE
 
 
-def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str) -> tuple:
-    """Parse a PDDL typed list ``n1 n2 - t n3 ...`` into TypedName entries."""
+def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str, declares: str = "") -> tuple:
+    """Parse a PDDL typed list ``n1 n2 - t n3 ...`` into TypedName entries.
+    Each name of a list that `declares` a kind of thing, such as "type", is
+    declared once, and a repeat is reported where it stands."""
     out: list[TypedName] = []
     pending: list[tuple[str, SNode]] = []
+    declared: set = set()
     i = 0
     while i < len(items):
         node = items[i]
@@ -130,6 +136,9 @@ def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str) -> t
             elif not variables and name.startswith("?"):
                 b.diag(E.SYNTAX, f"name expected in {where}, got variable '{name}'", node)
             else:
+                if declares and name in declared:
+                    b.diag(E.DUPLICATE_NAME, f"duplicate {declares} '{name}'", node)
+                declared.add(name)
                 pending.append((name, node))
         else:
             b.diag(E.SYNTAX, f"name expected in {where}", node)
@@ -342,8 +351,8 @@ def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
     what earlier calls parsed without a diagnostic: the header (the
     `(domain NAME)` form and every section but `:action`) under the tuple
     of its form texts, and each action under (that tuple, its form text).
-    A form found there is neither read nor parsed again. The checks across
-    forms, duplicate predicates and duplicate actions, run on every call.
+    A form found there is neither read nor parsed again. The check across
+    forms, for duplicate actions, runs on every call.
     """
     b = _Builder()
     memo = forms if forms is not None else {}
@@ -356,11 +365,7 @@ def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
         header, actions = _read_forms(b, text, found, memo)
 
     name, requirements, types, constants, predicates = header
-    pred_table: dict[str, PredicateDecl] = {}
-    for decl in predicates:
-        if decl.name in pred_table:
-            b.diag(E.DUPLICATE_NAME, f"duplicate predicate '{decl.name}'")
-        pred_table[decl.name] = decl
+    pred_table = {decl.name: decl for decl in predicates}
 
     const_names = frozenset(c.name for c in constants)
     parsed: list[ActionSchema] = []
@@ -418,16 +423,35 @@ def _read_forms(b: _Builder, text: str, found: list, memo: dict) -> tuple:
     return header, [(action_key, nodes.get(f.start), f) for action_key, f in actions]
 
 
+def _type_on_cycle(types: tuple) -> str | None:
+    """The first type of `types` whose chain of parents leads back to it.
+    A repeated declaration is reported apart, so only the first counts."""
+    parents: dict = {}
+    for t in types:
+        parents.setdefault(t.name, t.type)
+    for name, cur in parents.items():
+        seen = set()
+        while isinstance(cur, str) and cur not in seen:
+            if cur == name:
+                return name
+            seen.add(cur)
+            cur = parents.get(cur)
+    return None
+
+
 def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
     """The header parsed from a domain's sections, as (name, requirements,
     types, constants, predicates), and the `:action` sections among them,
-    which are parsed after the header, against its predicates."""
+    which are parsed after the header, against its predicates. Each type,
+    constant and predicate is declared once, and no type is its own
+    ancestor."""
     requirements: list[str] = []
     types: tuple = ()
     constants: tuple = ()
     predicates: list[PredicateDecl] = []
     action_nodes: list[SList] = []
     once: set = set()  # the once-only sections met so far
+    declared: set = set()  # the predicates declared so far
 
     for head, section in _sections(b, sections):
         if head in (":types", ":constants") and _repeated(b, once, head, section):
@@ -435,21 +459,27 @@ def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
         if head == ":requirements":
             requirements += _requirements(b, section)
         elif head == ":types":
-            types = _typed_names(b, section.items[1:], variables=False, where=":types")
+            types = _typed_names(b, section.items[1:], variables=False, where=":types", declares="type")
+            cycle = _type_on_cycle(types)
+            if cycle is not None:
+                b.diag(E.TYPE_ERROR, f"type '{cycle}' is its own ancestor", section)
         elif head == ":constants":
-            constants = _typed_names(b, section.items[1:], variables=False, where=":constants")
+            constants = _typed_names(
+                b, section.items[1:], variables=False, where=":constants", declares="constant"
+            )
         elif head == ":predicates":
             for item in section.items[1:]:
                 if not isinstance(item, SList) or not item.items or not isinstance(item.items[0], SAtom):
                     b.diag(E.SYNTAX, "expected (name ?v ...) predicate declaration", item)
                     continue
-                params = _typed_names(b, item.items[1:], variables=True, where="predicate parameters")
-                seen = set()
-                for p in params:
-                    if p.name in seen:
-                        b.diag(E.DUPLICATE_NAME, f"duplicate parameter '{p.name}'", item)
-                    seen.add(p.name)
-                predicates.append(PredicateDecl(item.items[0].text, params))
+                pred = item.items[0].text
+                if pred in declared:
+                    b.diag(E.DUPLICATE_NAME, f"duplicate predicate '{pred}'", item)
+                declared.add(pred)
+                params = _typed_names(
+                    b, item.items[1:], variables=True, where="predicate parameters", declares="parameter"
+                )
+                predicates.append(PredicateDecl(pred, params))
         elif head == ":action":
             action_nodes.append(section)
         else:
@@ -473,7 +503,9 @@ def _parse_action(
     for i in range(2, len(node.items), 2):
         key_node = node.items[i]
         key = _expect_atom(b, key_node, "action keyword")
-        if key is None or i + 1 >= len(node.items):
+        if key is None:
+            break
+        if i + 1 >= len(node.items):
             b.diag(E.SYNTAX, f"dangling keyword in action '{name}'", key_node)
             break
         value = node.items[i + 1]
@@ -481,12 +513,7 @@ def _parse_action(
             continue
         if key == ":parameters":
             if isinstance(value, SList):
-                params = _typed_names(b, value.items, variables=True, where=":parameters")
-                seen = set()
-                for p in params:
-                    if p.name in seen:
-                        b.diag(E.DUPLICATE_NAME, f"duplicate parameter '{p.name}' in '{name}'", value)
-                    seen.add(p.name)
+                params = _typed_names(b, value.items, variables=True, where=":parameters", declares="parameter")
             else:
                 b.diag(E.SYNTAX, ":parameters expects a (...) list", value)
         elif key == ":precondition":

@@ -94,50 +94,25 @@ class SearchLimits:
 
 
 @dataclass(frozen=True)
-class GTrue:
-    def holds(self, state: int) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class GFalse:
-    def holds(self, state: int) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class GAtom:
     index: int
 
-    def holds(self, state: int) -> bool:
-        return bool(state >> self.index & 1)
+
+# A ground formula is an AST `And`, `Or` or `Not` over `GAtom` leaves. As in
+# the AST, the empty conjunction is true and the empty disjunction false.
+GroundFormula = GAtom | Not | And | Or
+_TRUE = And()
+_FALSE = Or()
 
 
-@dataclass(frozen=True)
-class GNot:
-    body: "GroundFormula"
-
-    def holds(self, state: int) -> bool:
-        return not self.body.holds(state)
-
-
-@dataclass(frozen=True)
-class GAnd:
-    parts: tuple
-
-    def holds(self, state: int) -> bool:
-        return all(p.holds(state) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class GOr:
-    parts: tuple
-
-    def holds(self, state: int) -> bool:
-        return any(p.holds(state) for p in self.parts)
-
-
-GroundFormula = GTrue | GFalse | GAtom | GNot | GAnd | GOr
+def holds(f: GroundFormula, state: int) -> bool:
+    if isinstance(f, GAtom):
+        return bool(state >> f.index & 1)
+    if isinstance(f, And):
+        return all(holds(p, state) for p in f.parts)
+    if isinstance(f, Not):
+        return not holds(f.body, state)
+    return any(holds(p, state) for p in f.parts)
 
 
 def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
@@ -146,13 +121,11 @@ def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, GTrue):
-            continue
         if isinstance(node, GAtom):
             pos |= 1 << node.index
-        elif isinstance(node, GNot) and isinstance(node.body, GAtom):
+        elif isinstance(node, Not) and isinstance(node.body, GAtom):
             neg |= 1 << node.body.index
-        elif isinstance(node, GAnd):
+        elif isinstance(node, And):
             stack.extend(node.parts)
         else:
             return None
@@ -175,7 +148,7 @@ class GroundAction:
         if self.pre_masks is not None:
             pos, neg = self.pre_masks
             return state & pos == pos and not state & neg
-        return self.precondition.holds(state)
+        return holds(self.precondition, state)
 
 
 @dataclass(frozen=True)
@@ -237,9 +210,6 @@ def _text(key: tuple) -> str:
 # False, an atom key `(predicate, *args)`, or a (_NOT | _AND | _OR, ...)
 # tuple over those; `_lower` indexes that once the atom universe is known.
 _VALUE, _ATOM, _STATIC, _INIT, _EQ, _NOT, _AND, _OR, _FORALL, _WHEN = range(10)
-
-_TRUE = GTrue()
-_FALSE = GFalse()
 
 
 class _Compiler:
@@ -745,7 +715,7 @@ class _Grounder:
                 return _FALSE
             if inner is _FALSE:
                 return _TRUE
-            return GNot(inner)
+            return Not(inner)
         parts = []
         if tag == _AND:
             for p in node[1]:
@@ -754,14 +724,14 @@ class _Grounder:
                     return _FALSE
                 if q is not _TRUE:
                     parts.append(q)
-            return GAnd(tuple(parts)) if parts else _TRUE
+            return And(tuple(parts)) if parts else _TRUE
         for p in node[1]:
             q = self._lower(p)
             if q is _TRUE:
                 return _TRUE
             if q is not _FALSE:
                 parts.append(q)
-        return GOr(tuple(parts)) if parts else _FALSE
+        return Or(tuple(parts)) if parts else _FALSE
 
     def _actions(self, raw: list) -> tuple:
         """The GroundActions of a schema's kept bindings, against the universe."""
@@ -878,7 +848,7 @@ def apply(state: int, action: GroundAction) -> int:
         raise PreconditionViolated(str(action))
     result = (state & ~action.del_mask) | action.add_mask
     for cond, add_mask, del_mask in action.conditional:
-        if cond.holds(state):
+        if holds(cond, state):
             result = (result & ~del_mask) | add_mask
     return result
 
@@ -937,9 +907,9 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
 
-    if isinstance(task.goal, GFalse):
+    if task.goal == _FALSE:
         return Unsolvable()
-    if task.goal.holds(task.init):
+    if holds(task.goal, task.init):
         return Plan(())
 
     actions = task.actions
@@ -1060,16 +1030,16 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 succ = state & keep | add
                 if low & hard:
                     action = actions[index]
-                    if action.pre_masks is None and not action.precondition.holds(state):
+                    if action.pre_masks is None and not holds(action.precondition, state):
                         continue
                     for cond, c_add, c_del in action.conditional:
-                        if cond.holds(state):
+                        if holds(cond, state):
                             succ = (succ & ~c_del) | c_add
                 if succ in parent:
                     continue
                 parent[succ] = (state, index)
                 if goal_masks is None:
-                    if task.goal.holds(succ):
+                    if holds(task.goal, succ):
                         return _plan(parent, actions, succ)
                 elif (succ & goal_pos ^ goal_pos | succ & goal_neg).bit_count() <= most:
                     near.append(succ)
@@ -1091,6 +1061,6 @@ def validate_plan(task: GroundedTask, plan: Plan) -> tuple[bool, int | None]:
         if not action.applicable(state):
             return False, i
         state = apply(state, action)
-    if not task.goal.holds(state):
+    if not holds(task.goal, state):
         return False, len(plan.steps)
     return True, None

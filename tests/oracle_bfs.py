@@ -22,17 +22,13 @@ def _mask_to_set(mask):
 
 def _true(formula, state):
     kind = type(formula).__name__
-    if kind == "GTrue":
-        return True
-    if kind == "GFalse":
-        return False
     if kind == "GAtom":
         return formula.index in state
-    if kind == "GNot":
+    if kind == "Not":
         return not _true(formula.body, state)
-    if kind == "GAnd":
+    if kind == "And":
         return all(_true(p, state) for p in formula.parts)
-    if kind == "GOr":
+    if kind == "Or":
         return any(_true(p, state) for p in formula.parts)
     raise TypeError(f"unknown formula node {kind}")
 

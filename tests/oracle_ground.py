@@ -16,17 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from axiomforge.pddl.ast import And, Atom, Eq, Forall, Not, Or, ROOT_TYPE, When
-from axiomforge.planner import (
-    GAnd,
-    GAtom,
-    GFalse,
-    GNot,
-    GOr,
-    GroundAction,
-    GroundedTask,
-    GroundingExplosion,
-    GTrue,
-)
+from axiomforge.planner import GAtom, GroundAction, GroundedTask, GroundingExplosion
 
 
 def oracle_ground(task, max_atoms=100_000, max_actions=200_000):
@@ -39,13 +29,13 @@ def _literal_masks(f):
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, GTrue):
+        if node == _TRUE:
             continue
         if isinstance(node, GAtom):
             pos |= 1 << node.index
-        elif isinstance(node, GNot) and isinstance(node.body, GAtom):
+        elif isinstance(node, Not) and isinstance(node.body, GAtom):
             neg |= 1 << node.body.index
-        elif isinstance(node, GAnd):
+        elif isinstance(node, And):
             stack.extend(node.parts)
         else:
             return None
@@ -86,8 +76,8 @@ class _POr:
     parts: tuple
 
 
-_TRUE = GTrue()
-_FALSE = GFalse()
+_TRUE = And()
+_FALSE = Or()
 
 
 class _Grounder:
@@ -239,29 +229,29 @@ class _Grounder:
                 return GAtom(idx) if idx is not None else _FALSE
             if isinstance(cond, _PNot):
                 inner = lower(cond.body)
-                if isinstance(inner, GTrue):
+                if inner == _TRUE:
                     return _FALSE
-                if isinstance(inner, GFalse):
+                if inner == _FALSE:
                     return _TRUE
-                return GNot(inner)
+                return Not(inner)
             if isinstance(cond, _PAnd):
                 parts = []
                 for p in cond.parts:
                     q = lower(p)
-                    if isinstance(q, GFalse):
+                    if q == _FALSE:
                         return _FALSE
-                    if not isinstance(q, GTrue):
+                    if q != _TRUE:
                         parts.append(q)
-                return GAnd(tuple(parts)) if parts else _TRUE
+                return And(tuple(parts)) if parts else _TRUE
             if isinstance(cond, _POr):
                 parts = []
                 for p in cond.parts:
                     q = lower(p)
-                    if isinstance(q, GTrue):
+                    if q == _TRUE:
                         return _TRUE
-                    if not isinstance(q, GFalse):
+                    if q != _FALSE:
                         parts.append(q)
-                return GOr(tuple(parts)) if parts else _FALSE
+                return Or(tuple(parts)) if parts else _FALSE
             raise TypeError(f"unexpected condition node: {cond!r}")
 
         def mask(atoms, *, adds):
@@ -278,12 +268,12 @@ class _Grounder:
         actions = []
         for name, args, pre, adds, dels, groups in raw_actions:
             pre_g = lower(pre)
-            if isinstance(pre_g, GFalse):
+            if pre_g == _FALSE:
                 continue
             cond_groups = []
             for cond, g_adds, g_dels in groups:
                 cond_g = lower(cond)
-                if isinstance(cond_g, GFalse):
+                if cond_g == _FALSE:
                     continue
                 cond_groups.append((cond_g, mask(g_adds, adds=True), mask(g_dels, adds=False)))
             actions.append(

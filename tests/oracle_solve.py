@@ -11,13 +11,14 @@ the clock read at the same points.
 
 import time
 
+from axiomforge.pddl import Or
 from axiomforge.planner import (
-    GFalse,
     Plan,
     ResourceExceeded,
     SearchLimits,
     Unsolvable,
     _literal_masks,
+    holds,
 )
 
 
@@ -41,9 +42,9 @@ def oracle_solve(task, limits=None):
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
 
-    if isinstance(task.goal, GFalse):
+    if task.goal == Or():
         return Unsolvable()
-    if task.goal.holds(task.init):
+    if holds(task.goal, task.init):
         return Plan(())
 
     # How many actions require each positive precondition bit.
@@ -104,17 +105,17 @@ def oracle_solve(task, limits=None):
             for index, pos, neg, add, dele, conditional, pre in rows:
                 if state & pos != pos or state & neg:
                     continue
-                if pre is not None and not pre.holds(state):
+                if pre is not None and not holds(pre, state):
                     continue
                 succ = (state & ~dele) | add
                 for cond, c_add, c_del in conditional:
-                    if cond.holds(state):
+                    if holds(cond, state):
                         succ = (succ & ~c_del) | c_add
                 if succ in parent:
                     continue
                 parent[succ] = (state, index)
                 if goal_masks is None:
-                    reached = task.goal.holds(succ)
+                    reached = holds(task.goal, succ)
                 else:
                     reached = succ & goal_pos == goal_pos and not succ & goal_neg
                 if reached:

@@ -5,12 +5,12 @@ over an injected transport that answers from a drawn script of replies:
 bodies that are not chat JSON, fences that never close or are too long to
 read, backticks and non-ASCII letters in names, texts that parse but do not
 link or explode in grounding, texts nested deeper than the reader reads,
-an action with two preconditions, and 429, 5xx and 401 statuses. A run
-must return a `SearchResult` or raise `OracleUnavailable` or `AuthError`,
-and every step it records must be the original's canonical text or the
-canonical print of a block some reply held, must parse back to itself and
-must carry a finite score. Every line of the trajectory must be strict
-JSON.
+an action with two preconditions, a type declared twice, and 429, 5xx and
+401 statuses. A run must return a `SearchResult` or raise
+`OracleUnavailable` or `AuthError`, and every step it records must be the
+original's canonical text or the canonical print of a block some reply
+held, must parse back to itself and must carry a finite score. Every line
+of the trajectory must be strict JSON.
 """
 
 import itertools
@@ -52,6 +52,8 @@ DEEP = (
     + "(and " * MAX_DEPTH + "(arm-empty)" + ")" * MAX_DEPTH
     + " :effect (arm-empty)))\n"
 )
+# MID_EXTRACT, which reaches the target, with a type declared twice.
+REPEATED_TYPE = variants.MID_EXTRACT.replace("(:predicates", "(:types a - b a - c b c)\n    (:predicates", 1)
 # What REPEATED_PRECONDITION would read as if its last precondition won.
 LAST_PRECONDITION_TEXT = print_canonical(
     parse_domain(variants.MID_EXTRACT.replace(EXTRACT_PRECONDITION, "(and (arm-empty))"))
@@ -71,6 +73,7 @@ BLOCKS = [
     ENTRY.domain_text.rstrip()[:-1] + WIDE_ACTIONS["false-last-precondition"] + ")\n",
     DEEP,
     REPEATED_PRECONDITION,
+    REPEATED_TYPE,
 ]
 FENCED = st.sampled_from(BLOCKS).map(lambda block: f"```pddl\n{block}```")
 CONTENT_PIECES = st.one_of(
@@ -162,6 +165,8 @@ def test_a_run_over_hostile_replies_ends_cleanly(algorithm, script):
         text = step["domain_text"]
         assert text == ORIGINAL_TEXT or text in held
         assert text != LAST_PRECONDITION_TEXT
+        types = [t.name for t in parse_domain(text).types]
+        assert len(set(types)) == len(types)
         assert print_canonical(parse_domain(text)) == text
         assert math.isfinite(step["score"])
 
@@ -182,5 +187,15 @@ def test_a_block_with_a_repeated_precondition_is_dropped_as_a_duplicate(algorith
         parse_domain(REPEATED_PRECONDITION)
     path = tmp_path / "run.jsonl"
     _run(algorithm, [(200, StubChatServer.chat_body(f"```pddl\n{REPEATED_PRECONDITION}```"))], path)
+    (run,) = read_runs(path)
+    assert [step["domain_text"] for step in run.steps] == [ORIGINAL_TEXT]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_block_with_a_repeated_type_is_dropped_as_a_duplicate(algorithm, tmp_path):
+    with pytest.raises(PddlError, match="duplicate-name: duplicate type 'a'"):
+        parse_domain(REPEATED_TYPE)
+    path = tmp_path / "run.jsonl"
+    _run(algorithm, [(200, StubChatServer.chat_body(f"```pddl\n{REPEATED_TYPE}```"))], path)
     (run,) = read_runs(path)
     assert [step["domain_text"] for step in run.steps] == [ORIGINAL_TEXT]

@@ -119,6 +119,19 @@ def test_argument_type_checked():
     assert "type-error" in _codes(err)
 
 
+def test_an_undeclared_parent_type_is_implicit():
+    # `zz` is never declared, as briefcase never declares `location`.
+    domain = parse_domain(
+        "(define (domain d) (:requirements :typing) (:types a - zz) (:predicates (p ?x - zz) (q ?x))"
+        " (:action go :parameters (?x - zz) :precondition (p ?x) :effect (q ?x)))"
+    )
+    problem = parse_problem(
+        "(define (problem i) (:domain d) (:objects o - a z - zz) (:init (p o) (p z)) (:goal (and (q o) (q z))))"
+    )
+    task = ground(link(domain, problem))
+    assert [str(action) for action in task.actions] == ["(go o)", "(go z)"]
+
+
 def test_subtypes_satisfy_supertypes():
     logistics = parse_domain(corpus.load("logistics").domain_text)
     problem = parse_problem(corpus.load("logistics").problem("air-freight").text)

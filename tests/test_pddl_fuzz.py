@@ -29,11 +29,13 @@ from axiomforge.pddl import (
     Or,
     PddlError,
     When,
+    link,
     parse_domain,
     parse_problem,
     print_canonical,
     print_canonical_problem,
 )
+from axiomforge.planner import GroundingExplosion, ground
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -175,6 +177,75 @@ def test_chained_edits_round_trip(domain, picks):
             break
         domain = edits[pick % len(edits)]
         _round_trips(domain)
+
+
+# A canonical print means what its text meant: it links with the same
+# verdict, and grounds to an equal task, against every problem of its
+# domain. The drawn texts are chained rule edits, re-spelled with other
+# blanks, comments, section orders and split `:predicates` sections, and
+# sometimes mutated further. A text that is only re-spelled must also mean
+# what the edit does.
+
+_BLANKS = ["  ", "\n", "\t", " \n\t "]
+
+
+def _meaning(domain, problem):
+    """The link diagnostics, the grounding explosion, or the ground task."""
+    try:
+        return ground(link(domain, problem))
+    except PddlError as err:
+        return err.diagnostics
+    except GroundingExplosion as err:
+        return str(err)
+
+
+@st.composite
+def _respelled_edits(draw, entry):
+    """(text, edit) of a chained rule edit of `entry`'s domain, printed and
+    then re-spelled; the edit is None when the text was also mutated."""
+    domain = parse_domain(entry.domain_text)
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=3)):
+        edits = list(rule_edits(domain))
+        domain = edits[pick % len(edits)] if edits else domain
+    text = print_canonical(domain)
+    _, name_form, *forms = split_define(text)
+    header = [text[f.start : f.end] for f in forms if f.head != ":action"]
+    actions = [text[f.start : f.end] for f in forms if f.head == ":action"]
+    if draw(st.booleans()):
+        header = draw(st.permutations(header))
+    if draw(st.booleans()):
+        # The canonical `:predicates` form has one declaration per line.
+        header = [
+            "".join(f"(:predicates {line.strip()})" for line in h[:-1].splitlines()[1:])
+            if h.startswith("(:predicates") else h
+            for h in header
+        ]
+    text = f"(define {text[name_form.start : name_form.end]} {' '.join(header + actions)})"
+    text = text.replace(" ", draw(st.sampled_from(_BLANKS)))
+    if draw(st.booleans()):
+        text = text.replace("\n", " ; a comment ( with parens\n")
+    if draw(st.booleans()):
+        return draw(_mutated_texts([text])), None
+    return text, domain
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[entry.name for entry in ENTRIES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_canonical_print_means_what_its_text_meant(entry, data):
+    text, edit = data.draw(_respelled_edits(entry))
+    problems = [parse_problem(p.text) for p in entry.problems]
+    try:
+        domain = parse_domain(text)
+    except PddlError:
+        assert edit is None
+        return
+    printed = parse_domain(print_canonical(domain))
+    for problem in problems:
+        meaning = _meaning(domain, problem)
+        assert _meaning(printed, problem) == meaning
+        if edit is not None:
+            assert _meaning(edit, problem) == meaning
 
 
 # -- per-form reading -------------------------------------------------------------

@@ -252,6 +252,20 @@ _REPEATS = {
         "duplicate-name",
         (2, 67),
     ),
+    "type-declared-twice": ("(define (domain d) (:types a - b\n  a - c b c) (:predicates (p)))", "duplicate-name", (2, 3)),
+    "constant-declared-twice": (
+        "(define (domain d) (:constants k - a\n  k - b) (:predicates (p)))", "duplicate-name", (2, 3)
+    ),
+    "predicate-declared-twice": ("(define (domain d) (:predicates (p) (q)\n  (p)))", "duplicate-name", (2, 3)),
+    "predicate-declared-in-two-sections": (
+        "(define (domain d) (:predicates (p))\n  (:predicates (q) (p)))", "duplicate-name", (2, 20)
+    ),
+    "parameter-declared-twice": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  " + _ACTION.replace("(?x)", "(?x ?x)", 1) + ")",
+        "duplicate-name",
+        (2, 30),
+    ),
+    "predicate-parameter-declared-twice": ("(define (domain d) (:predicates (p ?x\n  ?x)))", "duplicate-name", (2, 3)),
     "dash-in-types": ("(define (domain d) (:types a - b - c)\n  (:predicates (p)))", "syntax-error", (1, 34)),
     "dash-in-parameters": (
         "(define (domain d) (:types t) (:predicates (p ?x - t) (q ?x))\n  "
@@ -270,6 +284,44 @@ def test_a_repeat_or_an_orphan_dash_in_a_domain_is_a_positioned_diagnostic(case,
     with mock.patch.object(parser_module, "split_define", split), pytest.raises(PddlError) as err:
         parse_domain(text)
     assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [(code, position)]
+
+
+# PDDL gives a type that is its own ancestor no meaning. The cycle is
+# reported at its `:types` section.
+_CYCLES = {
+    "two-types": "(define (domain d)\n  (:types a - b b - a) (:predicates (p)))",
+    "own-parent": "(define (domain d)\n  (:types c a - a) (:predicates (p)))",
+}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["form-by-form", "whole-text"])
+@pytest.mark.parametrize("case", list(_CYCLES))
+def test_a_type_cycle_is_a_type_error_at_its_section(case, whole):
+    split = (lambda text: None) if whole else parser_module.split_define
+    with mock.patch.object(parser_module, "split_define", split), pytest.raises(PddlError) as err:
+        parse_domain(_CYCLES[case])
+    assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [("type-error", (2, 3))]
+
+
+# A list where an action keyword should stand is one fault with one
+# diagnostic; a keyword with nothing after it is still a dangling keyword.
+_KEYWORD_FAULTS = {
+    "list-for-keyword": ("(:action a :parameters () (p) :effect (p))", "expected action keyword", (2, 29)),
+    "dangling-keyword": ("(:action a :parameters () :effect)", "dangling keyword in action 'a'", (2, 29)),
+}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["form-by-form", "whole-text"])
+@pytest.mark.parametrize("case", list(_KEYWORD_FAULTS))
+def test_a_misplaced_action_keyword_gives_one_diagnostic(case, whole):
+    action, message, position = _KEYWORD_FAULTS[case]
+    split = (lambda text: None) if whole else parser_module.split_define
+    text = f"(define (domain d) (:predicates (p))\n  {action})"
+    with mock.patch.object(parser_module, "split_define", split), pytest.raises(PddlError) as err:
+        parse_domain(text)
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [
+        ("syntax-error", message, position)
+    ]
 
 
 def test_repeated_requirements_and_predicates_still_merge():

@@ -8,18 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiomforge import corpus
-from axiomforge.pddl import Atom, link, parse_domain, parse_problem
+from axiomforge.pddl import And, Atom, Not, Or, link, parse_domain, parse_problem
 from axiomforge.planner import (
     _CHUNK_BITS,
-    GAnd,
     GAtom,
-    GFalse,
-    GNot,
-    GOr,
     GroundAction,
     GroundedTask,
     GroundingExplosion,
-    GTrue,
     Plan,
     PreconditionViolated,
     ResourceExceeded,
@@ -284,7 +279,7 @@ def test_goal_folded_to_false_is_unsolvable_at_once():
     # false; the answer must not depend on how many states the cap allows.
     problem = tower_reversal(8).replace("(:goal (and", "(:goal (and (on b1 b1)")
     task = _task(corpus.load("blocksworld").domain_text, problem)
-    assert task.goal == GFalse()
+    assert task.goal == Or()
     assert solve(task, SearchLimits(max_expanded_states=1)) == Unsolvable()
 
 
@@ -344,8 +339,8 @@ def _masks(draw, atoms, signs):
 
 def _conjunction(pos, neg):
     parts = [GAtom(i) for i in range(MAX_ATOMS) if pos >> i & 1]
-    parts += [GNot(GAtom(i)) for i in range(MAX_ATOMS) if neg >> i & 1]
-    return GAnd(tuple(parts))
+    parts += [Not(GAtom(i)) for i in range(MAX_ATOMS) if neg >> i & 1]
+    return And(tuple(parts))
 
 
 @st.composite
@@ -353,10 +348,10 @@ def _formula(draw, atoms, kinds, signs=SPARSE):
     """(formula, its literal masks or None) of one of `kinds`."""
     kind = draw(st.sampled_from(kinds))
     if kind == "empty":
-        return GTrue(), (0, 0)
+        return And(), (0, 0)
     if kind == "or":
         branches = draw(st.lists(_masks(atoms, signs), min_size=2, max_size=3))
-        return GOr(tuple(_conjunction(*m) for m in branches)), None
+        return Or(tuple(_conjunction(*m) for m in branches)), None
     pos, neg = draw(_masks(atoms, NEGATIVE if kind == "negative" else signs))
     return _conjunction(pos, neg), (pos, neg)
 
@@ -441,9 +436,9 @@ WIDE_ATOMS = 40
 def _move_formula(f, where):
     if isinstance(f, GAtom):
         return GAtom(where[f.index])
-    if isinstance(f, GNot):
-        return GNot(_move_formula(f.body, where))
-    if isinstance(f, (GAnd, GOr)):
+    if isinstance(f, Not):
+        return Not(_move_formula(f.body, where))
+    if isinstance(f, (And, Or)):
         return type(f)(tuple(_move_formula(p, where) for p in f.parts))
     return f
 
@@ -506,8 +501,8 @@ EDGE_TASKS = {
         init=0b000,
         goal=GAtom(2),
         actions=(
-            GroundAction("a0", (), GOr((GAtom(1), GAtom(0))), 0b100, 0),
-            GroundAction("a1", (), GTrue(), 0b010, 0, pre_masks=(0, 0)),
+            GroundAction("a0", (), Or((GAtom(1), GAtom(0))), 0b100, 0),
+            GroundAction("a1", (), And(), 0b010, 0, pre_masks=(0, 0)),
         ),
     ),
     "no-actions": GroundedTask(atoms=_atoms(1), init=0, goal=GAtom(0), actions=()),
@@ -517,7 +512,7 @@ EDGE_TASKS = {
         init=0b001,
         goal=GAtom(2),
         actions=(
-            GroundAction("a0", (), GAnd((GAtom(0), GNot(GAtom(0)))), 0b100, 0, pre_masks=(1, 1)),
+            GroundAction("a0", (), And((GAtom(0), Not(GAtom(0)))), 0b100, 0, pre_masks=(1, 1)),
             GroundAction("a1", (), GAtom(0), 0b010, 0, pre_masks=(0b001, 0)),
             GroundAction("a2", (), GAtom(1), 0b100, 0, pre_masks=(0b010, 0)),
         ),
@@ -532,8 +527,8 @@ EDGE_TASKS = {
         actions=(
             GroundAction("a0", (), GAtom(2), 0b1000, 0, pre_masks=(0b0100, 0)),
             GroundAction("a1", (), GAtom(1), 0b1000, 0, pre_masks=(0b0010, 0)),
-            GroundAction("a2", (), GTrue(), 0b0010, 0, pre_masks=(0, 0)),
-            GroundAction("a3", (), GTrue(), 0b0100, 0, pre_masks=(0, 0)),
+            GroundAction("a2", (), And(), 0b0010, 0, pre_masks=(0, 0)),
+            GroundAction("a3", (), And(), 0b0100, 0, pre_masks=(0, 0)),
         ),
     ),
     # Only a0's conditional effect deletes p0, and only where p3 holds. Of
@@ -542,12 +537,12 @@ EDGE_TASKS = {
     "conditional-delete-goal": GroundedTask(
         atoms=_atoms(4),
         init=0b0001,
-        goal=GNot(GAtom(0)),
+        goal=Not(GAtom(0)),
         actions=(
-            GroundAction("a0", (), GTrue(), 0, 0, ((GAtom(3), 0, 0b0001),), pre_masks=(0, 0)),
-            GroundAction("a1", (), GTrue(), 0b0010, 0, pre_masks=(0, 0)),
-            GroundAction("a2", (), GTrue(), 0b0100, 0, pre_masks=(0, 0)),
-            GroundAction("a3", (), GTrue(), 0b1000, 0, pre_masks=(0, 0)),
+            GroundAction("a0", (), And(), 0, 0, ((GAtom(3), 0, 0b0001),), pre_masks=(0, 0)),
+            GroundAction("a1", (), And(), 0b0010, 0, pre_masks=(0, 0)),
+            GroundAction("a2", (), And(), 0b0100, 0, pre_masks=(0, 0)),
+            GroundAction("a3", (), And(), 0b1000, 0, pre_masks=(0, 0)),
         ),
     ),
 }

@@ -1020,6 +1020,16 @@ def test_a_block_with_a_repeat_or_an_orphan_dash_reads_as_none(text, zero_evalua
     assert zero_evaluator.read(text) is None
 
 
+@pytest.mark.parametrize(
+    "declaration",
+    ["(:types a - b a - c b c)", "(:constants k - a k - b)", "(:predicates (arm-empty))"],
+    ids=["type", "constant", "predicate"],
+)
+def test_a_block_with_a_repeated_declaration_reads_as_none(declaration, zero_evaluator):
+    text = variants.MID_EXTRACT.replace("(:predicates", f"{declaration}\n    (:predicates", 1)
+    assert zero_evaluator.read(text) is None
+
+
 def test_unlinkable_text_is_rejected_once(parsed, zero_evaluator):
     oracle = _oracle(UNLINKABLE, WORSE, BROKEN, variants.MID_EXTRACT)
     run = SearchRun(_cfg("beam"), oracle, zero_evaluator)
