@@ -19,7 +19,7 @@ from .ast import (
     walk,
 )
 from .errors import Diagnostic, PddlError
-from .parser import SUPPORTED_REQUIREMENTS, link, parse_domain, parse_problem
+from .parser import SUPPORTED_REQUIREMENTS, file_forms, link, parse_domain, parse_problem
 from .printer import format_formula, print_canonical, print_canonical_problem
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "SUPPORTED_REQUIREMENTS",
     "TypedName",
     "When",
+    "file_forms",
     "format_formula",
     "link",
     "parse_domain",

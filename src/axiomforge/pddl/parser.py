@@ -109,10 +109,13 @@ def _type_ref(b: _Builder, node: SNode) -> TypeRef:
     return ROOT_TYPE
 
 
-def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str, declares: str = "") -> tuple:
+def _typed_names(
+    b: _Builder, items: tuple, *, variables: bool, where: str, declares: str = "", repeat: str = E.DUPLICATE_NAME
+) -> tuple:
     """Parse a PDDL typed list ``n1 n2 - t n3 ...`` into TypedName entries.
     Each name of a list that `declares` a kind of thing, such as "type", is
-    declared once, and a repeat is reported where it stands."""
+    declared once, and a repeat is reported where it stands, under the
+    diagnostic code `repeat`."""
     out: list[TypedName] = []
     pending: list[tuple[str, SNode]] = []
     declared: set = set()
@@ -137,7 +140,7 @@ def _typed_names(b: _Builder, items: tuple, *, variables: bool, where: str, decl
                 b.diag(E.SYNTAX, f"name expected in {where}, got variable '{name}'", node)
             else:
                 if declares and name in declared:
-                    b.diag(E.DUPLICATE_NAME, f"duplicate {declares} '{name}'", node)
+                    b.diag(repeat, f"duplicate {declares} '{name}'", node)
                 declared.add(name)
                 pending.append((name, node))
         else:
@@ -238,7 +241,7 @@ def _formula(ctx: _FormulaCtx, node: SNode) -> Formula:
         if len(node.items) != 3 or not isinstance(node.items[1], SList):
             ctx.b.diag(E.SYNTAX, "'forall' takes (vars) and one body formula", node)
             return And()
-        vars_ = _typed_names(ctx.b, node.items[1].items, variables=True, where="forall")
+        vars_ = _typed_names(ctx.b, node.items[1].items, variables=True, where="forall", declares="variable")
         inner = replace(ctx, bound=ctx.bound | frozenset(v.name for v in vars_))
         return Forall(vars_, _formula(inner, node.items[2]))
 
@@ -351,8 +354,9 @@ def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
     what earlier calls parsed without a diagnostic: the header (the
     `(domain NAME)` form and every section but `:action`) under the tuple
     of its form texts, and each action under (that tuple, its form text).
-    A form found there is neither read nor parsed again. The check across
-    forms, for duplicate actions, runs on every call.
+    It may also hold the forms `file_forms` filed from a domain the reader
+    accepted. A form found there is neither read nor parsed again. The
+    check across forms, for duplicate actions, runs on every call.
     """
     b = _Builder()
     memo = forms if forms is not None else {}
@@ -396,17 +400,45 @@ def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
     )
 
 
+def _form_keys(text: str, found: list) -> tuple:
+    """The memo layout of a text that `split_define` split into `found`:
+    the header's key, which is the tuple of its form texts (the `(domain
+    NAME)` form and every section but `:action`, in order), those forms,
+    and (key, form) for each action, its key being (the header's key, its
+    form text)."""
+    _, name_form, *rest = found
+    header_forms = [name_form] + [f for f in rest if f.head != ":action"]
+    key = tuple(text[f.start : f.end] for f in header_forms)
+    actions = [((key, text[f.start : f.end]), f) for f in rest if f.head == ":action"]
+    return key, header_forms, actions
+
+
+def file_forms(domain: DomainAst, text: str, forms: dict) -> None:
+    """File `domain`'s header and actions in `forms`, a `parse_domain` memo,
+    under the keys `parse_domain(text, forms)` would use, where `text` is
+    `print_canonical(domain)`; nothing is read or parsed. This is exact for
+    a domain the reader accepted, or one equal to it, whose canonical print
+    parses back to it. Nothing is filed when `text` does not split into
+    forms, or its `:action` forms are not as many as the domain's actions."""
+    found = split_define(text)
+    if found is None:
+        return
+    key, _, actions = _form_keys(text, found)
+    if len(actions) != len(domain.actions):
+        return
+    forms[key] = (domain.name, domain.requirements, domain.types, domain.constants, domain.predicates)
+    for (action_key, _), action in zip(actions, domain.actions):
+        forms[action_key] = action
+
+
 def _read_forms(b: _Builder, text: str, found: list, memo: dict) -> tuple:
     """The header and the (memo key, node, form) of each action of a text
     that `split_define` split into `found`. Only the forms `memo` lacks are
     read, all of them before any is parsed, in document order; a header
     parsed without a diagnostic goes into `memo`. The node of an action
     found in `memo` is None."""
-    define, name_form, *rest = found
-    header_forms = [name_form] + [f for f in rest if f.head != ":action"]
-    key = tuple(text[f.start : f.end] for f in header_forms)
+    key, header_forms, actions = _form_keys(text, found)
     header = memo.get(key)
-    actions = [((key, text[f.start : f.end]), f) for f in rest if f.head == ":action"]
     todo = [f for action_key, f in actions if action_key not in memo]
     if header is None:
         todo += header_forms
@@ -414,8 +446,9 @@ def _read_forms(b: _Builder, text: str, found: list, memo: dict) -> tuple:
     if header is None:
         # `_header` checks the `(define (domain NAME)` shape on the part of
         # the tree it reads.
+        define = found[0]
         define_atom = SAtom("define", define.line, define.col + 1)
-        root = SList((define_atom, nodes[name_form.start]), define.line, define.col)
+        root = SList((define_atom, nodes[header_forms[0].start]), define.line, define.col)
         name, _ = _header(b, root, "domain")
         header, _ = _domain_header(b, name, [nodes[f.start] for f in header_forms[1:]])
         if not b.diagnostics:
@@ -553,12 +586,10 @@ def parse_problem(text: str) -> ProblemAst:
         elif head == ":requirements":
             _requirements(b, section)
         elif head == ":objects":
-            objects = _typed_names(b, section.items[1:], variables=False, where=":objects")
-            seen = set()
-            for o in objects:
-                if o.name in seen:
-                    b.diag(E.DUPLICATE_OBJECT, f"duplicate object '{o.name}'", section)
-                seen.add(o.name)
+            objects = _typed_names(
+                b, section.items[1:], variables=False, where=":objects",
+                declares="object", repeat=E.DUPLICATE_OBJECT,
+            )
         elif head == ":init":
             for item in section.items[1:]:
                 if not isinstance(item, SList) or not item.items or not isinstance(item.items[0], SAtom):

@@ -62,7 +62,9 @@ def run_search(
     trajectory_path=None,
 ) -> SearchResult:
     """Open a `SearchRun` on the task and let the configured algorithm steer
-    it, optionally recording a trajectory file."""
+    it, optionally recording a trajectory file. `domain` must be a domain
+    the reader accepted, or one equal to it: the run's evaluator files its
+    forms as those its canonical text would parse to."""
     from .. import __version__
     from ..distance import LevenshteinMockOracle
     from ..pddl import print_canonical_problem

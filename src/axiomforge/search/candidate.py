@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..distance import levenshtein
-from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, parse_domain, print_canonical, walk
+from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, file_forms, parse_domain, print_canonical, walk
 from ..planner import (
     GroundingExplosion,
     Plan,
@@ -107,6 +107,12 @@ class CandidateEvaluator:
     the verdict `read` reached, and the compiles, bindings and lowerings of
     the actions it shares with earlier candidates are reused. An evaluator
     serves one run, since its memoized candidates carry that run's step ids.
+
+    The run's form memo starts with the original's header and actions,
+    filed from its AST under the keys its canonical text gives, so a
+    canonical proposal reads only the forms its edit changed. This assumes
+    `original` is a domain the reader accepted, or one equal to it, whose
+    canonical text parses back to it.
     """
 
     def __init__(
@@ -131,6 +137,7 @@ class CandidateEvaluator:
         self._max_len = MAX_TEXT_FACTOR * len(self.original_text)
         self._read: dict = {}  # oracle text -> read's answer
         self._forms: dict = {}  # parse_domain's memo of forms, for this run only
+        file_forms(original, self.original_text, self._forms)
         self._memo: dict = {}
 
     def read(self, text: str) -> tuple | None:
@@ -138,8 +145,8 @@ class CandidateEvaluator:
         when it does not parse or link, or is more than MAX_TEXT_FACTOR times
         as long as the original (then it is not read at all). Each distinct
         text is read once, form by form through the run's form memo, so a
-        declaration or action an earlier text held unchanged is neither read
-        nor parsed again."""
+        declaration or action that the original's canonical text or an
+        earlier text held unchanged is neither read nor parsed again."""
         if len(text) > self._max_len:
             return None
         if text not in self._read:

@@ -62,6 +62,7 @@ def test_identity_and_deletion():
     assert levenshtein("", "abc") == 3
 
 
+@settings(deadline=None)
 @given(st.text(max_size=150), st.text(max_size=150))
 def test_matches_reference_dp(a, b):
     assert levenshtein(a, b) == _reference_levenshtein(a, b)
@@ -74,7 +75,7 @@ def test_corpus_texts_match_reference_dp():
 
 
 @given(st.text(max_size=30), st.text(max_size=30), st.text(max_size=30))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_metric_axioms(a, b, c):
     assert levenshtein(a, a) == 0
     assert levenshtein(a, b) == levenshtein(b, a)
@@ -112,7 +113,7 @@ def _edited_pairs(draw):
     return (text, edited) if draw(st.booleans()) else (edited, text)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(_edited_pairs())
 def test_edited_pairs_match_reference_dp(pair):
     a, b = pair

@@ -266,6 +266,18 @@ _REPEATS = {
         (2, 30),
     ),
     "predicate-parameter-declared-twice": ("(define (domain d) (:predicates (p ?x\n  ?x)))", "duplicate-name", (2, 3)),
+    "forall-variable-in-precondition": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
+        "(:action a :parameters () :precondition (forall (?x ?x) (p ?x)) :effect (and)))",
+        "duplicate-name",
+        (2, 55),
+    ),
+    "forall-variable-in-effect": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
+        "(:action a :parameters () :effect (forall (?y ?x\n  ?y) (q ?y))))",
+        "duplicate-name",
+        (3, 3),
+    ),
     "dash-in-types": ("(define (domain d) (:types a - b - c)\n  (:predicates (p)))", "syntax-error", (1, 34)),
     "dash-in-parameters": (
         "(define (domain d) (:types t) (:predicates (p ?x - t) (q ?x))\n  "
@@ -389,8 +401,10 @@ def test_free_goal_variable_rejected():
         ("(define (problem p) (:domain d) (:objects a)\n  (:objects b) (:init) (:goal (and)))", "duplicate-name", (2, 3)),
         ("(define (problem p) (:domain d) (:init) (:goal (and))\n  (:goal (and)))", "duplicate-name", (2, 3)),
         ("(define (problem p) (:domain d)\n  (:objects - t a) (:init) (:goal (and)))", "syntax-error", (2, 13)),
+        ("(define (problem p) (:domain d) (:objects o\n o) (:init) (:goal (and)))", "duplicate-object", (2, 2)),
+        ("(define (problem p) (:domain d) (:init)\n  (:goal (forall (?x ?x) (p ?x))))", "duplicate-name", (2, 22)),
     ],
-    ids=["domain", "objects", "goal", "dash-in-objects"],
+    ids=["domain", "objects", "goal", "dash-in-objects", "object-declared-twice", "forall-variable-in-goal"],
 )
 def test_a_repeat_or_an_orphan_dash_in_a_problem_is_a_positioned_diagnostic(text, code, position):
     with pytest.raises(PddlError) as err:

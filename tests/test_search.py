@@ -43,6 +43,7 @@ from axiomforge.search import beam as beam_module
 from axiomforge.search.beam import rank_pool
 from axiomforge.trajectory import TrajectoryHeader, TrajectoryWriter, read_runs
 from conftest import REPEATED_PRECONDITION
+from test_ground_oracle import rule_edits
 
 ORIGINAL = corpus.load("blocksworld").domain_text
 
@@ -948,6 +949,88 @@ def test_a_second_run_reads_its_forms_again(monkeypatch, blocksworld, flagship):
     # only its two new actions are read.
     assert len(first) == len(split_define(ORIGINAL)) - 1 + 2
     assert run() == first
+
+
+def _memo_of_original(domain, problem):
+    """The form memo a new evaluator of `domain` starts with."""
+    return CandidateEvaluator(domain, problem, [])._forms
+
+
+def _memo_of_parse(domain):
+    """The form memo that parsing `domain`'s canonical text builds."""
+    forms: dict = {}
+    parse_domain(print_canonical(domain), forms)
+    return forms
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_the_original_is_filed_as_its_canonical_text_parses(name):
+    entry = corpus.load(name)
+    domain = parse_domain(entry.domain_text)
+    filed = _memo_of_original(domain, parse_problem(entry.flagship.text))
+    assert len(filed) == 1 + len(domain.actions)
+    assert filed == _memo_of_parse(domain)
+
+
+def _accepted(domain) -> bool:
+    """Whether `domain`'s canonical text parses back to it."""
+    try:
+        return parse_domain(print_canonical(domain)) == domain
+    except PddlError:
+        return False
+
+
+# Each rule edit of a corpus domain whose canonical text parses back to it,
+# with that domain's flagship problem.
+_FILED_EDITS = [
+    (edit, problem)
+    for name in corpus.CORPUS_NAMES
+    for problem in [parse_problem(corpus.load(name).flagship.text)]
+    for edit in rule_edits(parse_domain(corpus.load(name).domain_text))
+    if _accepted(edit)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FILED_EDITS))
+def test_an_edited_original_is_filed_as_its_canonical_text_parses(case):
+    edit, problem = case
+    assert _memo_of_original(edit, problem) == _memo_of_parse(edit)
+
+
+def test_a_first_canonical_edit_reads_only_the_form_it_changed(monkeypatch, blocksworld, flagship):
+    """The run's form memo starts with the original's forms, so a canonical
+    text that changes one action reads that action alone; a second
+    evaluator, with a memo of its own, reads it again."""
+    reads = []
+    read_one = parser_module.read_one
+
+    def recording_read(text, *window):
+        reads.append(text[window[0] : window[1]] if window else text)
+        return read_one(text, *window)
+
+    monkeypatch.setattr(parser_module, "read_one", recording_read)
+    edit = rule_edits(blocksworld)[0]
+    assert edit.actions[1:] == blocksworld.actions[1:] and edit.actions[0] != blocksworld.actions[0]
+    text = print_canonical(edit)
+    changed = next(text[f.start : f.end] for f in split_define(text) if f.head == ":action")
+
+    def first_read():
+        reads.clear()
+        assert CandidateEvaluator(blocksworld, flagship, []).read(text) is not None
+        return list(reads)
+
+    assert first_read() == [changed]
+    assert first_read() == [changed]
+
+
+def test_a_forall_naming_a_variable_twice_is_not_read(blocksworld, flagship):
+    read = CandidateEvaluator(blocksworld, flagship, []).read
+    pre = "(and (clear ?ob) (on-table ?ob) (arm-empty))"
+    assert pre in ORIGINAL
+    for variables, kept in (("?x ?y", True), ("?x ?x", False)):
+        block = ORIGINAL.replace(pre, f"(and (forall ({variables}) (clear ?x)) (on-table ?ob) (arm-empty))")
+        assert (read(block) is not None) is kept
 
 
 def test_over_long_block_is_dropped_unread(parsed, blocksworld, flagship):
