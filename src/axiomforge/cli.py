@@ -17,7 +17,9 @@ malformed, unknown-corpus-entry, io-failure). Usage errors that argparse
 reports exit 2 before --json is read, so they print no JSON line.
 
 Inputs named `corpus:NAME` load the embedded domain NAME;
-`corpus:NAME:PROBLEM` loads one of its problem instances. `validate` reads
+`corpus:NAME:PROBLEM` loads one of its problem instances, and a problem
+named `corpus:NAME` is the flagship. Any other `corpus:` shape is an
+unknown corpus entry. `validate` reads
 each plan line as PDDL, so case, runs of blanks and a trailing `;` comment
 do not matter.
 """
@@ -72,6 +74,8 @@ def _read_file(path: str) -> str:
 def _read_text(spec: str, kind: str) -> str:
     if spec.startswith("corpus:"):
         parts = spec.split(":")
+        if len(parts) > (2 if kind == "domain" else 3):
+            raise corpus.UnknownDomain(spec[len("corpus:"):])
         entry = corpus.load(parts[1])
         if kind == "domain":
             return entry.domain_text

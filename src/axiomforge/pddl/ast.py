@@ -130,60 +130,6 @@ class DomainAst:
                 return a
         return None
 
-    def parent_types(self) -> dict:
-        """Declared type -> parent map; every chain bottoms out at ``object``."""
-        parents = {ROOT_TYPE: None}
-        for t in self.types:
-            parents[t.name] = t.type if isinstance(t.type, str) else ROOT_TYPE
-        return parents
-
-    def known_types(self) -> set:
-        """Declared types plus types referenced in declarations (implicit)."""
-        known = {ROOT_TYPE}
-        for t in self.types:
-            known.add(t.name)
-            if isinstance(t.type, str):
-                known.add(t.type)
-
-        def visit(ref: TypeRef) -> None:
-            if isinstance(ref, tuple):
-                known.update(ref)
-            else:
-                known.add(ref)
-
-        for pred in self.predicates:
-            for p in pred.params:
-                visit(p.type)
-        for act in self.actions:
-            for p in act.params:
-                visit(p.type)
-        for c in self.constants:
-            visit(c.type)
-        return known
-
-    def is_subtype(self, sub: str, sup: str, parents: dict | None = None) -> bool:
-        """`parents` is this domain's `parent_types()`, for a caller that
-        asks many questions and builds the map once."""
-        if sup == ROOT_TYPE or sub == sup:
-            return True
-        if parents is None:
-            parents = self.parent_types()
-        seen = set()
-        cur: str | None = sub
-        while cur is not None and cur not in seen:
-            if cur == sup:
-                return True
-            seen.add(cur)
-            cur = parents.get(cur)
-        return False
-
-    def matches_type(self, sub: str, target: TypeRef, parents: dict | None = None) -> bool:
-        """True if an object of type `sub` fits a slot typed `target`;
-        `parents` as for `is_subtype`."""
-        if isinstance(target, tuple):
-            return any(self.is_subtype(sub, t, parents) for t in target)
-        return self.is_subtype(sub, target, parents)
-
 
 @dataclass(frozen=True)
 class ProblemAst:
@@ -192,6 +138,45 @@ class ProblemAst:
     objects: tuple
     init: frozenset
     goal: Formula
+
+
+def type_ancestors(types: tuple) -> dict:
+    """Each type that `types` declares or names as a parent -> the set of
+    types an object of it fits: itself, its chain of parents and ``object``.
+    The first declaration of a type counts, and an ``either`` parent counts
+    as ``object``. A chain ends where it meets itself, so a cyclic hierarchy
+    built by hand still ends."""
+    parents: dict = {}
+    for t in types:
+        parents.setdefault(t.name, t.type if isinstance(t.type, str) else ROOT_TYPE)
+    ancestors: dict = {}
+    for name in (ROOT_TYPE, *parents, *parents.values()):
+        if name not in ancestors:
+            chain = set()
+            cur = name
+            while cur not in chain:
+                chain.add(cur)
+                cur = parents.get(cur, ROOT_TYPE)
+            chain.add(ROOT_TYPE)  # a cycle that misses `object` ends before it
+            ancestors[name] = frozenset(chain)
+    return ancestors
+
+
+def fits_type(ancestors: dict, sub: str, target: TypeRef) -> bool:
+    """Whether an object of type `sub` fits a slot typed `target`, where
+    `ancestors` is the map `type_ancestors` built. A type the map lacks fits
+    itself and ``object``; an ``either`` target fits when any member does."""
+    if isinstance(target, tuple):
+        return any(fits_type(ancestors, sub, t) for t in target)
+    return target == ROOT_TYPE or target == sub or target in ancestors.get(sub, ())
+
+
+def object_types(domain: DomainAst, problem: ProblemAst) -> dict:
+    """Each constant of `domain` and object of `problem` -> its type, an
+    ``either`` type counting as ``object``. An object named like a constant
+    takes the constant's place."""
+    named = (*domain.constants, *problem.objects)
+    return {o.name: o.type if isinstance(o.type, str) else ROOT_TYPE for o in named}
 
 
 @dataclass(frozen=True)

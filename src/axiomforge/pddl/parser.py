@@ -51,6 +51,9 @@ from .ast import (
     TypedName,
     TypeRef,
     When,
+    fits_type,
+    object_types,
+    type_ancestors,
     walk,
 )
 from .printer import _type_str
@@ -110,12 +113,12 @@ def _type_ref(b: _Builder, node: SNode) -> TypeRef:
 
 
 def _typed_names(
-    b: _Builder, items: tuple, *, variables: bool, where: str, declares: str = "", repeat: str = E.DUPLICATE_NAME
+    b: _Builder, items: tuple, *, variables: bool, where: str, declares: str, repeat: str = E.DUPLICATE_NAME
 ) -> tuple:
     """Parse a PDDL typed list ``n1 n2 - t n3 ...`` into TypedName entries.
-    Each name of a list that `declares` a kind of thing, such as "type", is
-    declared once, and a repeat is reported where it stands, under the
-    diagnostic code `repeat`."""
+    Each name in the list declares a `declares`, such as "type", and is
+    declared once; a repeat is reported where it stands, under the
+    diagnostic code `repeat`, and kept."""
     out: list[TypedName] = []
     pending: list[tuple[str, SNode]] = []
     declared: set = set()
@@ -139,9 +142,7 @@ def _typed_names(
             elif not variables and name.startswith("?"):
                 b.diag(E.SYNTAX, f"name expected in {where}, got variable '{name}'", node)
             else:
-                if declares and name in declared:
-                    b.diag(repeat, f"duplicate {declares} '{name}'", node)
-                declared.add(name)
+                _repeated(b, declared, name, node, f"{declares} '{name}'", repeat)
                 pending.append((name, node))
         else:
             b.diag(E.SYNTAX, f"name expected in {where}", node)
@@ -316,12 +317,12 @@ def _sections(b: _Builder, sections: tuple):
         yield section.items[0].text, section
 
 
-def _repeated(b: _Builder, met: set, key: str, node: SNode, where: str = "") -> bool:
-    """Whether `key`, a section or keyword that may appear once, is in
-    `met`, to which it is added. A repeat is reported at `node`, and the
-    caller skips it."""
+def _repeated(b: _Builder, met: set, key: str, node: SNode, what: str, code: str = E.DUPLICATE_NAME) -> bool:
+    """Whether `key`, a name or section that may appear once, is in `met`,
+    to which it is added. A repeat is reported at `node` as "duplicate
+    `what`" under `code`; the caller chooses to skip it or keep it."""
     if key in met:
-        b.diag(E.DUPLICATE_NAME, f"duplicate '{key}'{where}", node)
+        b.diag(code, f"duplicate {what}", node)
         return True
     met.add(key)
     return False
@@ -384,9 +385,7 @@ def parse_domain(text: str, forms: dict | None = None) -> DomainAst:
                 continue
             if action_key is not None and len(b.diagnostics) == dirty:
                 memo[action_key] = act
-        if act.name in action_names:
-            b.diag(E.DUPLICATE_NAME, f"duplicate action '{act.name}'", where)
-        action_names.add(act.name)
+        _repeated(b, action_names, act.name, where, f"action '{act.name}'")
         parsed.append(act)
 
     b.fail_if_dirty()
@@ -457,18 +456,15 @@ def _read_forms(b: _Builder, text: str, found: list, memo: dict) -> tuple:
 
 
 def _type_on_cycle(types: tuple) -> str | None:
-    """The first type of `types` whose chain of parents leads back to it.
-    A repeated declaration is reported apart, so only the first counts."""
-    parents: dict = {}
+    """The first type of `types` that lies in its declared parent's
+    ancestor set. A repeated declaration is reported apart, so only the
+    first counts."""
+    ancestors = type_ancestors(types)
+    declared: set = set()
     for t in types:
-        parents.setdefault(t.name, t.type)
-    for name, cur in parents.items():
-        seen = set()
-        while isinstance(cur, str) and cur not in seen:
-            if cur == name:
-                return name
-            seen.add(cur)
-            cur = parents.get(cur)
+        if t.name not in declared and isinstance(t.type, str) and t.name in ancestors[t.type]:
+            return t.name
+        declared.add(t.name)
     return None
 
 
@@ -487,7 +483,7 @@ def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
     declared: set = set()  # the predicates declared so far
 
     for head, section in _sections(b, sections):
-        if head in (":types", ":constants") and _repeated(b, once, head, section):
+        if head in (":types", ":constants") and _repeated(b, once, head, section, f"'{head}'"):
             continue
         if head == ":requirements":
             requirements += _requirements(b, section)
@@ -506,9 +502,7 @@ def _domain_header(b: _Builder, name: str, sections: tuple) -> tuple:
                     b.diag(E.SYNTAX, "expected (name ?v ...) predicate declaration", item)
                     continue
                 pred = item.items[0].text
-                if pred in declared:
-                    b.diag(E.DUPLICATE_NAME, f"duplicate predicate '{pred}'", item)
-                declared.add(pred)
+                _repeated(b, declared, pred, item, f"predicate '{pred}'")
                 params = _typed_names(
                     b, item.items[1:], variables=True, where="predicate parameters", declares="parameter"
                 )
@@ -542,7 +536,7 @@ def _parse_action(
             b.diag(E.SYNTAX, f"dangling keyword in action '{name}'", key_node)
             break
         value = node.items[i + 1]
-        if _repeated(b, once, key, key_node, f" in action '{name}'"):
+        if _repeated(b, once, key, key_node, f"'{key}' in action '{name}'"):
             continue
         if key == ":parameters":
             if isinstance(value, SList):
@@ -576,7 +570,7 @@ def parse_problem(text: str) -> ProblemAst:
     once: set = set()  # the once-only sections met so far
 
     for head, section in _sections(b, sections):
-        if head in (":domain", ":objects", ":goal") and _repeated(b, once, head, section):
+        if head in (":domain", ":objects", ":goal") and _repeated(b, once, head, section, f"'{head}'"):
             continue
         if head == ":domain":
             if len(section.items) == 2 and isinstance(section.items[1], SAtom):
@@ -646,18 +640,20 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
         )
         b.fail_if_dirty()
 
-    known_types = domain.known_types()
-    parents = domain.parent_types()
-    term_types: dict[str, str] = {}
-    for c in domain.constants:
-        term_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
+    ancestors = type_ancestors(domain.types)
+    # The known types: the map's keys, and the implicit types that
+    # parameters and constants name.
+    known = set(ancestors)
+    named = [p.type for decl in (*domain.predicates, *domain.actions) for p in decl.params]
+    for ref in named + [c.type for c in domain.constants]:
+        known.update(ref if isinstance(ref, tuple) else (ref,))
+    term_types = object_types(domain, problem)
+    constant_names = {c.name for c in domain.constants}
     for o in problem.objects:
-        if o.name in term_types:
+        if o.name in constant_names:
             b.diag(E.DUPLICATE_OBJECT, f"object '{o.name}' collides with a domain constant")
-        otype = o.type if isinstance(o.type, str) else ROOT_TYPE
-        if otype not in known_types:
-            b.diag(E.TYPE_ERROR, f"object '{o.name}' has unknown type '{otype}'")
-        term_types[o.name] = otype
+        if term_types[o.name] not in known:
+            b.diag(E.TYPE_ERROR, f"object '{o.name}' has unknown type '{term_types[o.name]}'")
 
     def check_atom(atom: Atom, where: str) -> None:
         decl = domain.predicate(atom.name)
@@ -676,7 +672,7 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
             argt = term_types.get(arg)
             if argt is None:
                 b.diag(E.UNDECLARED_OBJECT, f"'{arg}' in {where} is not a declared object")
-            elif not domain.matches_type(argt, param.type, parents):
+            elif not fits_type(ancestors, argt, param.type):
                 b.diag(
                     E.TYPE_ERROR,
                     f"'{arg}' has type '{argt}' but '{atom.name}' expects '{_type_str(param.type)}'",

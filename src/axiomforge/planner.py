@@ -62,8 +62,10 @@ from .pddl.ast import (
     Not,
     Or,
     ProblemAst,
-    ROOT_TYPE,
     When,
+    fits_type,
+    object_types,
+    type_ancestors,
     walk,
 )
 
@@ -383,8 +385,9 @@ class RunCache:
     returns what doing the work again would:
       * `link` verdicts, by the problem and the domain's name, types,
         constants, predicates and the set of types its action parameters
-        name (they feed `known_types`). A failure is kept as its
-        diagnostics and raised again as a fresh `PddlError`.
+        name (`link` counts them among the known types, beside the keys of
+        `type_ancestors`). A failure is kept as its diagnostics and raised
+        again as a fresh `PddlError`.
       * Schema compiles, by the action and the static predicates it
         mentions.
       * The kept bindings of a compiled schema, and the folded goal, by the
@@ -508,12 +511,8 @@ class _Grounder:
         self.max_actions = max_actions
         self.visited = 0
 
-        self.parents = self.domain.parent_types()
-        self.object_types: dict[str, str] = {}
-        for c in self.domain.constants:
-            self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
-        for o in self.problem.objects:
-            self.object_types[o.name] = o.type if isinstance(o.type, str) else ROOT_TYPE
+        self.ancestors = type_ancestors(self.domain.types)
+        self.object_types = object_types(self.domain, self.problem)
         self.pools: dict = {}  # type -> objects of that type
         self.forall_pools: dict = {}  # variable types -> (pools, number of bindings)
         self.init = {(a.name, *a.args) for a in self.problem.init}
@@ -524,9 +523,7 @@ class _Grounder:
     def _pool(self, tref) -> tuple:
         pool = self.pools.get(tref)
         if pool is None:
-            matches = self.domain.matches_type
-            parents = self.parents
-            pool = tuple(o for o, t in self.object_types.items() if matches(t, tref, parents))
+            pool = tuple(o for o, t in self.object_types.items() if fits_type(self.ancestors, t, tref))
             self.pools[tref] = pool
         return pool
 

@@ -87,6 +87,10 @@ class _Grounder:
         self.max_atoms = max_atoms
         self.max_actions = max_actions
 
+        # The first declaration of a type counts; an `either` parent is `object`.
+        self.parents = {}
+        for t in self.domain.types:
+            self.parents.setdefault(t.name, t.type if isinstance(t.type, str) else ROOT_TYPE)
         self.object_types = {}
         for c in self.domain.constants:
             self.object_types[c.name] = c.type if isinstance(c.type, str) else ROOT_TYPE
@@ -99,8 +103,22 @@ class _Grounder:
         self.static_preds = {p.name for p in self.domain.predicates} - touched
         self.init_atoms = set(self.problem.init)
 
+    def fits(self, sub, tref):
+        """Whether an object of type `sub` fits a slot typed `tref`: a type
+        fits itself, its chain of parents and `object`, and an `either` slot
+        any of its members."""
+        if isinstance(tref, tuple):
+            return any(self.fits(sub, t) for t in tref)
+        seen = set()
+        while sub not in seen:
+            if sub == tref or tref == ROOT_TYPE:
+                return True
+            seen.add(sub)
+            sub = self.parents.get(sub, ROOT_TYPE)
+        return False
+
     def objects_matching(self, tref):
-        return [o for o, t in self.object_types.items() if self.domain.matches_type(t, tref)]
+        return [o for o, t in self.object_types.items() if self.fits(t, tref)]
 
     # Stage one: substitute and fold static truth into a reduced condition IR.
     def _cond(self, f, sub):

@@ -48,6 +48,13 @@ def test_plan_flagship(capsys):
     assert lines[0] == "(unstack c b)"
 
 
+def test_a_corpus_domain_reference_as_the_problem_is_the_flagship(capsys):
+    flagship = corpus.load("blocksworld").flagship.name
+    named = run_cli(capsys, "plan", B, f"{B}:{flagship}")
+    assert named[0] == 0
+    assert run_cli(capsys, "plan", B, B) == named
+
+
 def test_plan_unsolvable(capsys, tmp_path):
     problem = tmp_path / "p.pddl"
     problem.write_text(
@@ -471,6 +478,17 @@ FAILURES = [
                  "unknown corpus entry: blocksworld has no problem named 'nope'",
                  {"status": "unknown-corpus-entry", "error": "blocksworld has no problem named 'nope'"},
                  id="unknown-corpus-problem"),
+    pytest.param(["plan", R, R], {}, 2, "unknown corpus entry: blocksworld:restack",
+                 {"status": "unknown-corpus-entry", "error": "blocksworld:restack"},
+                 id="corpus-domain-with-a-problem"),
+    pytest.param(["plan", B, "corpus:blocksworld:swap:extra"], {}, 2,
+                 "unknown corpus entry: blocksworld:swap:extra",
+                 {"status": "unknown-corpus-entry", "error": "blocksworld:swap:extra"},
+                 id="corpus-problem-with-four-parts"),
+    pytest.param(["plan", "corpus:blocksworld:restack:oops", "corpus:blocksworld:swap:extra"], {}, 2,
+                 "unknown corpus entry: blocksworld:restack:oops",
+                 {"status": "unknown-corpus-entry", "error": "blocksworld:restack:oops"},
+                 id="corpus-domain-with-four-parts"),
     pytest.param(["parse", "/nonexistent/file.pddl"], {}, 3,
                  f"io failure: {NO_FILE}: '/nonexistent/file.pddl'",
                  {"status": "io-failure", "error": f"{NO_FILE}: '/nonexistent/file.pddl'"},

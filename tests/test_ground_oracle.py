@@ -2,12 +2,13 @@
 
 The two must return equal GroundedTasks (atom order, init, goal, action
 order, preconditions and masks) on the corpus, the figure variants,
-generated rule edits, tower and hanoi instances and random small typed
-domains, and raise the same GroundingExplosion under tight caps. Each
-input is grounded with a private cache of its own, and again through one
-`RunCache` shared with the other problems of its domain and, for the rule
-edits and the random families, with the other edits as a search run
-shares it with its candidates. The shared cache must return and raise
+generated rule edits, tower and hanoi instances, random small typed
+domains and edits of their typing, and raise the same GroundingExplosion
+under tight caps. Each input is grounded with a private cache of its
+own, and again through one `RunCache` shared with the other problems of
+its domain and, for the rule edits, the random families and the typing
+edits, with the other edits as a search run shares it with its
+candidates. The shared cache must return and raise
 exactly what a private one does.
 """
 
@@ -403,6 +404,42 @@ def _problem(draw, domain, objects):
 @settings(max_examples=200, deadline=None)
 def test_ground_matches_oracle_on_random_typed_domains(task):
     assert_same_grounding(task)
+
+
+IMPLICIT = "t4"  # a type named as a parent or by a constant or object, never declared
+
+
+def type_edits(domain, problem):
+    """(domain, problem) pairs with one edit of their typing each: a declared
+    type re-parented (to `object`, another declared type, the implicit
+    `t4` or an `either`, which may close a cycle), or a constant or object
+    given a declared, implicit or `either` type."""
+    edits = []
+    for i, t in enumerate(domain.types):
+        for parent in (*TYPES, IMPLICIT, ("t1", IMPLICIT)):
+            if parent != t.type:
+                types = domain.types[:i] + (replace(t, type=parent),) + domain.types[i + 1 :]
+                edits.append((replace(domain, types=types), problem))
+    for new in ("t2", IMPLICIT, ("t3", IMPLICIT)):
+        for i, c in enumerate(domain.constants):
+            constants = domain.constants[:i] + (replace(c, type=new),) + domain.constants[i + 1 :]
+            edits.append((replace(domain, constants=constants), problem))
+        for i, o in enumerate(problem.objects):
+            objects = problem.objects[:i] + (replace(o, type=new),) + problem.objects[i + 1 :]
+            edits.append((domain, replace(problem, objects=objects)))
+    return edits
+
+
+@given(typed_tasks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ground_matches_oracle_on_type_edits(task, data):
+    """A few typing edits of a random task, each grounded through the cache
+    that grounded the task, as a run shares it with its candidates."""
+    cache = RunCache()
+    assert_same_grounding(task, cache)
+    edits = data.draw(st.lists(st.sampled_from(type_edits(task.domain, task.problem)), min_size=1, max_size=3))
+    for domain, problem in edits:
+        assert_same_grounding(LinkedTask(domain, problem), cache)
 
 
 @st.composite

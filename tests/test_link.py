@@ -4,7 +4,10 @@ from dataclasses import replace
 import pytest
 
 from axiomforge import corpus
-from axiomforge.pddl import DomainAst, LinkedTask, PddlError, TypedName, link, parse_domain, parse_problem
+from axiomforge import planner as planner_module
+from axiomforge.pddl import ROOT_TYPE, LinkedTask, PddlError, TypedName, link, parse_domain, parse_problem
+from axiomforge.pddl import parser as parser_module
+from axiomforge.pddl.ast import fits_type, type_ancestors
 from axiomforge.planner import RunCache, ground
 
 from test_ground_oracle import rule_edits
@@ -49,8 +52,8 @@ def test_type_map_is_built_once_per_link_and_ground(monkeypatch, name):
     entry = corpus.load(name)
     domain, problem = parse_domain(entry.domain_text), parse_problem(entry.flagship.text)
     builds = []
-    parent_types = DomainAst.parent_types
-    monkeypatch.setattr(DomainAst, "parent_types", lambda self: builds.append(1) or parent_types(self))
+    for module in (parser_module, planner_module):
+        monkeypatch.setattr(module, "type_ancestors", lambda types: builds.append(1) or type_ancestors(types))
     task = link(domain, problem)
     assert len(builds) == 1
     assert ground(task).actions
@@ -147,6 +150,63 @@ def test_object_colliding_with_constant():
     with pytest.raises(PddlError) as err:
         link(monkey, problem)
     assert "duplicate-object" in _codes(err)
+
+
+# -- the typing rule: a type fits itself, its chain of parents and `object` --
+
+
+def _types(*pairs):
+    return tuple(TypedName(name, parent) for name, parent in pairs)
+
+
+# Each hand-built hierarchy, and the types each of its types fits besides `object`.
+_CYCLES = {
+    "two-types": (_types(("a", "b"), ("b", "a")), {"a": "ab", "b": "ab"}),
+    "own-parent": (_types(("a", "a"), ("c", "a")), {"a": "a", "c": "ac"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_CYCLES))
+def test_type_ancestors_ends_on_a_hand_built_cycle(case):
+    types, fits = _CYCLES[case]
+    ancestors = type_ancestors(types)
+    assert ancestors == {ROOT_TYPE: {ROOT_TYPE}, **{name: {*sups, ROOT_TYPE} for name, sups in fits.items()}}
+    # `zz` is no type, so each slot takes a type through its second member.
+    for sub, sups in fits.items():
+        assert all(fits_type(ancestors, sub, ("zz", sup)) for sup in sups)
+
+
+def test_an_either_slot_takes_a_type_that_fits_any_member():
+    ancestors = type_ancestors(_types(("a", "b"), ("b", ROOT_TYPE), ("c", ROOT_TYPE)))
+    assert fits_type(ancestors, "a", ("c", "b"))
+    assert fits_type(ancestors, "b", ("c", "b"))
+    assert not fits_type(ancestors, "b", ("c", "a"))
+
+
+def test_a_type_outside_the_map_fits_itself_and_object_only():
+    ancestors = type_ancestors(_types(("a", "b")))
+    assert "zz" not in ancestors
+    assert fits_type(ancestors, "zz", "zz") and fits_type(ancestors, "zz", ROOT_TYPE)
+    assert not fits_type(ancestors, "zz", "a") and not fits_type(ancestors, "zz", "b")
+    assert fits_type(ancestors, "zz", ("b", "zz")) and fits_type(ancestors, "a", ("zz", "b"))
+
+
+def test_an_either_parent_and_an_either_typed_object_count_as_object():
+    """`x` is an `a`, whose parent is an either, and `y` is declared with an
+    either type: both fit only `object` slots. `z` is a `b`, so it fits the
+    either slot of `deep` through its parent `d`."""
+    domain = parse_domain(
+        "(define (domain d) (:requirements :typing) (:types a - (either b c) b - d c d)"
+        " (:predicates (done ?x))"
+        " (:action any :parameters (?x) :precondition (and) :effect (done ?x))"
+        " (:action deep :parameters (?x - (either c d)) :precondition (and) :effect (done ?x))"
+        " (:action narrow :parameters (?x - b) :precondition (and) :effect (done ?x)))"
+    )
+    problem = parse_problem(
+        "(define (problem p) (:domain d) (:objects x - a y - (either b c) z - b) (:init) (:goal (and)))"
+    )
+    task = ground(link(domain, problem))
+    assert [str(action) for action in task.actions] == ["(any x)", "(any y)", "(any z)", "(deep z)", "(narrow z)"]
 
 
 def _link_outcome(linker, domain, problem):

@@ -228,62 +228,80 @@ def test_a_remembered_action_repeated_is_a_positioned_duplicate():
     assert [(d.code, d.line, d.col) for d in err.value.diagnostics] == [("duplicate-name", 3, 3)]
 
 
-# A section or keyword that may appear once, given twice, is reported at
-# the repeat, and a `- TYPE` that follows no name at its `-`: neither is
-# dropped in silence. Positions are (line, column).
+# A section, keyword or name that may appear once, given twice, is reported
+# at the repeat, and a `- TYPE` that follows no name at its `-`: neither is
+# dropped in silence. Each row pins the code, the message and the position
+# (line, column).
 _ACTION = "(:action a :parameters (?x) :precondition (p ?x) :effect (q ?x))"
 _REPEATS = {
-    "types": ("(define (domain d) (:types a)\n  (:types b) (:predicates (p)))", "duplicate-name", (2, 3)),
-    "constants": ("(define (domain d) (:constants c)\n  (:constants e) (:predicates (p)))", "duplicate-name", (2, 3)),
+    "types": (
+        "(define (domain d) (:types a)\n  (:types b) (:predicates (p)))",
+        "duplicate-name", "duplicate ':types'", (2, 3),
+    ),
+    "constants": (
+        "(define (domain d) (:constants c)\n  (:constants e) (:predicates (p)))",
+        "duplicate-name", "duplicate ':constants'", (2, 3),
+    ),
     "parameters": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
         + _ACTION.replace(":precondition", ":parameters (?y) :precondition") + ")",
-        "duplicate-name",
-        (2, 31),
+        "duplicate-name", "duplicate ':parameters' in action 'a'", (2, 31),
     ),
     "precondition": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
         + _ACTION.replace(":effect", ":precondition (q ?x) :effect") + ")",
-        "duplicate-name",
-        (2, 52),
+        "duplicate-name", "duplicate ':precondition' in action 'a'", (2, 52),
     ),
     "effect": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  " + _ACTION.replace("(q ?x))", "(q ?x) :effect (p ?x))") + ")",
-        "duplicate-name",
-        (2, 67),
+        "duplicate-name", "duplicate ':effect' in action 'a'", (2, 67),
     ),
-    "type-declared-twice": ("(define (domain d) (:types a - b\n  a - c b c) (:predicates (p)))", "duplicate-name", (2, 3)),
+    "type-declared-twice": (
+        "(define (domain d) (:types a - b\n  a - c b c) (:predicates (p)))",
+        "duplicate-name", "duplicate type 'a'", (2, 3),
+    ),
     "constant-declared-twice": (
-        "(define (domain d) (:constants k - a\n  k - b) (:predicates (p)))", "duplicate-name", (2, 3)
+        "(define (domain d) (:constants k - a\n  k - b) (:predicates (p)))",
+        "duplicate-name", "duplicate constant 'k'", (2, 3),
     ),
-    "predicate-declared-twice": ("(define (domain d) (:predicates (p) (q)\n  (p)))", "duplicate-name", (2, 3)),
+    "predicate-declared-twice": (
+        "(define (domain d) (:predicates (p) (q)\n  (p)))",
+        "duplicate-name", "duplicate predicate 'p'", (2, 3),
+    ),
     "predicate-declared-in-two-sections": (
-        "(define (domain d) (:predicates (p))\n  (:predicates (q) (p)))", "duplicate-name", (2, 20)
+        "(define (domain d) (:predicates (p))\n  (:predicates (q) (p)))",
+        "duplicate-name", "duplicate predicate 'p'", (2, 20),
     ),
     "parameter-declared-twice": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  " + _ACTION.replace("(?x)", "(?x ?x)", 1) + ")",
-        "duplicate-name",
-        (2, 30),
+        "duplicate-name", "duplicate parameter '?x'", (2, 30),
     ),
-    "predicate-parameter-declared-twice": ("(define (domain d) (:predicates (p ?x\n  ?x)))", "duplicate-name", (2, 3)),
+    "predicate-parameter-declared-twice": (
+        "(define (domain d) (:predicates (p ?x\n  ?x)))",
+        "duplicate-name", "duplicate parameter '?x'", (2, 3),
+    ),
     "forall-variable-in-precondition": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
         "(:action a :parameters () :precondition (forall (?x ?x) (p ?x)) :effect (and)))",
-        "duplicate-name",
-        (2, 55),
+        "duplicate-name", "duplicate variable '?x'", (2, 55),
     ),
     "forall-variable-in-effect": (
         "(define (domain d) (:predicates (p ?x) (q ?x))\n  "
         "(:action a :parameters () :effect (forall (?y ?x\n  ?y) (q ?y))))",
-        "duplicate-name",
-        (3, 3),
+        "duplicate-name", "duplicate variable '?y'", (3, 3),
     ),
-    "dash-in-types": ("(define (domain d) (:types a - b - c)\n  (:predicates (p)))", "syntax-error", (1, 34)),
+    "action-declared-twice": (
+        "(define (domain d) (:predicates (p ?x) (q ?x))\n  " + _ACTION + "\n  " + _ACTION + ")",
+        "duplicate-name", "duplicate action 'a'", (3, 3),
+    ),
+    "dash-in-types": (
+        "(define (domain d) (:types a - b - c)\n  (:predicates (p)))",
+        "syntax-error", "'-' follows no name in :types", (1, 34),
+    ),
     "dash-in-parameters": (
         "(define (domain d) (:types t) (:predicates (p ?x - t) (q ?x))\n  "
         + _ACTION.replace("(?x)", "(- t ?x)") + ")",
-        "syntax-error",
-        (2, 27),
+        "syntax-error", "'-' follows no name in :parameters", (2, 27),
     ),
 }
 
@@ -291,11 +309,11 @@ _REPEATS = {
 @pytest.mark.parametrize("whole", [False, True], ids=["form-by-form", "whole-text"])
 @pytest.mark.parametrize("case", list(_REPEATS))
 def test_a_repeat_or_an_orphan_dash_in_a_domain_is_a_positioned_diagnostic(case, whole):
-    text, code, position = _REPEATS[case]
+    text, code, message, position = _REPEATS[case]
     split = (lambda text: None) if whole else parser_module.split_define
     with mock.patch.object(parser_module, "split_define", split), pytest.raises(PddlError) as err:
         parse_domain(text)
-    assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [(code, position)]
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [(code, message, position)]
 
 
 # PDDL gives a type that is its own ancestor no meaning. The cycle is
@@ -395,21 +413,39 @@ def test_free_goal_variable_rejected():
 
 
 @pytest.mark.parametrize(
-    "text, code, position",
+    "text, code, message, position",
     [
-        ("(define (problem p) (:domain d)\n  (:domain e) (:init) (:goal (and)))", "duplicate-name", (2, 3)),
-        ("(define (problem p) (:domain d) (:objects a)\n  (:objects b) (:init) (:goal (and)))", "duplicate-name", (2, 3)),
-        ("(define (problem p) (:domain d) (:init) (:goal (and))\n  (:goal (and)))", "duplicate-name", (2, 3)),
-        ("(define (problem p) (:domain d)\n  (:objects - t a) (:init) (:goal (and)))", "syntax-error", (2, 13)),
-        ("(define (problem p) (:domain d) (:objects o\n o) (:init) (:goal (and)))", "duplicate-object", (2, 2)),
-        ("(define (problem p) (:domain d) (:init)\n  (:goal (forall (?x ?x) (p ?x))))", "duplicate-name", (2, 22)),
+        (
+            "(define (problem p) (:domain d)\n  (:domain e) (:init) (:goal (and)))",
+            "duplicate-name", "duplicate ':domain'", (2, 3),
+        ),
+        (
+            "(define (problem p) (:domain d) (:objects a)\n  (:objects b) (:init) (:goal (and)))",
+            "duplicate-name", "duplicate ':objects'", (2, 3),
+        ),
+        (
+            "(define (problem p) (:domain d) (:init) (:goal (and))\n  (:goal (and)))",
+            "duplicate-name", "duplicate ':goal'", (2, 3),
+        ),
+        (
+            "(define (problem p) (:domain d)\n  (:objects - t a) (:init) (:goal (and)))",
+            "syntax-error", "'-' follows no name in :objects", (2, 13),
+        ),
+        (
+            "(define (problem p) (:domain d) (:objects o\n o) (:init) (:goal (and)))",
+            "duplicate-object", "duplicate object 'o'", (2, 2),
+        ),
+        (
+            "(define (problem p) (:domain d) (:init)\n  (:goal (forall (?x ?x) (p ?x))))",
+            "duplicate-name", "duplicate variable '?x'", (2, 22),
+        ),
     ],
     ids=["domain", "objects", "goal", "dash-in-objects", "object-declared-twice", "forall-variable-in-goal"],
 )
-def test_a_repeat_or_an_orphan_dash_in_a_problem_is_a_positioned_diagnostic(text, code, position):
+def test_a_repeat_or_an_orphan_dash_in_a_problem_is_a_positioned_diagnostic(text, code, message, position):
     with pytest.raises(PddlError) as err:
         parse_problem(text)
-    assert [(d.code, (d.line, d.col)) for d in err.value.diagnostics] == [(code, position)]
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [(code, message, position)]
 
 
 def test_repeated_init_sections_still_merge():
