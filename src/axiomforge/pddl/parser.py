@@ -154,14 +154,15 @@ def _typed_names(
 # -- formulas -----------------------------------------------------------------
 
 _NUMERIC_HEADS = {"increase", "decrease", "assign", "scale-up", "scale-down"}
+_NOT_INIT_HEADS = {"not", "=", *_NUMERIC_HEADS}
 
 
 @dataclass
 class _FormulaCtx:
     b: _Builder
-    kind: str  # "pre" | "eff" | "goal"
+    kind: str  # "pre" | "eff" | "goal" | "init"
     predicates: dict | None  # name -> PredicateDecl, when known
-    constants: frozenset
+    constants: frozenset | None  # None in a problem, where objects are checked at link
     bound: frozenset
     owner: str  # action or problem name, for messages
     in_when: bool = False
@@ -170,7 +171,9 @@ class _FormulaCtx:
 def _check_term(ctx: _FormulaCtx, name: str, node: SNode) -> None:
     if name.startswith("?"):
         if name not in ctx.bound:
-            if ctx.kind == "goal":
+            if ctx.kind == "init":
+                ctx.b.diag(E.SYNTAX, f"init atom must be ground, found '{name}'", node)
+            elif ctx.kind == "goal":
                 ctx.b.diag(E.UNBOUND_VARIABLE, f"free variable '{name}' in goal", node)
             else:
                 ctx.b.diag(
@@ -178,7 +181,7 @@ def _check_term(ctx: _FormulaCtx, name: str, node: SNode) -> None:
                     f"variable '{name}' not bound in action '{ctx.owner}'",
                     node,
                 )
-    elif ctx.kind != "goal" and name not in ctx.constants:
+    elif ctx.constants is not None and name not in ctx.constants:
         ctx.b.diag(
             E.UNDECLARED_CONSTANT,
             f"'{name}' is not a declared constant (action '{ctx.owner}')",
@@ -585,31 +588,19 @@ def parse_problem(text: str) -> ProblemAst:
                 declares="object", repeat=E.DUPLICATE_OBJECT,
             )
         elif head == ":init":
+            ctx = _FormulaCtx(b, "init", None, None, frozenset(), name)
             for item in section.items[1:]:
                 if not isinstance(item, SList) or not item.items or not isinstance(item.items[0], SAtom):
                     b.diag(E.SYNTAX, "init entries must be ground atoms", item)
-                    continue
-                if item.items[0].text in {"not", "="} | _NUMERIC_HEADS:
+                elif item.items[0].text in _NOT_INIT_HEADS:
                     b.diag(E.UNSUPPORTED, f"'{item.items[0].text}' is not allowed in :init", item)
-                    continue
-                args = []
-                ok = True
-                for arg in item.items[1:]:
-                    arg_name = _expect_atom(b, arg, "atom argument")
-                    if arg_name is None:
-                        ok = False
-                        continue
-                    if arg_name.startswith("?"):
-                        b.diag(E.SYNTAX, f"init atom must be ground, found '{arg_name}'", arg)
-                        ok = False
-                    args.append(arg_name)
-                if ok:
-                    init.append(Atom(item.items[0].text, tuple(args)))
+                else:
+                    init.append(_atom(ctx, item))
         elif head == ":goal":
             if len(section.items) != 2:
                 b.diag(E.SYNTAX, "expected (:goal FORMULA)", section)
                 continue
-            ctx = _FormulaCtx(b, "goal", None, frozenset(), frozenset(), name)
+            ctx = _FormulaCtx(b, "goal", None, None, frozenset(), name)
             goal = _formula(ctx, section.items[1])
         else:
             b.diag(E.UNSUPPORTED, f"section '{head}' is not supported in problems", section)
@@ -652,8 +643,9 @@ def link(domain: DomainAst, problem: ProblemAst) -> LinkedTask:
     for o in problem.objects:
         if o.name in constant_names:
             b.diag(E.DUPLICATE_OBJECT, f"object '{o.name}' collides with a domain constant")
-        if term_types[o.name] not in known:
-            b.diag(E.TYPE_ERROR, f"object '{o.name}' has unknown type '{term_types[o.name]}'")
+        for t in o.type if isinstance(o.type, tuple) else (o.type,):
+            if t not in known:
+                b.diag(E.TYPE_ERROR, f"object '{o.name}' has unknown type '{t}'")
 
     def check_atom(atom: Atom, where: str) -> None:
         decl = domain.predicate(atom.name)

@@ -95,21 +95,17 @@ class SearchLimits:
 # -- ground formulas ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GAtom:
-    index: int
-
-
-# A ground formula is an AST `And`, `Or` or `Not` over `GAtom` leaves. As in
+# A ground formula is an AST `And`, `Or` or `Not` over atom indices. A leaf is
+# tested with `type(x) is int`, so a `bool` never passes for an atom. As in
 # the AST, the empty conjunction is true and the empty disjunction false.
-GroundFormula = GAtom | Not | And | Or
+GroundFormula = int | Not | And | Or
 _TRUE = And()
 _FALSE = Or()
 
 
 def holds(f: GroundFormula, state: int) -> bool:
-    if isinstance(f, GAtom):
-        return bool(state >> f.index & 1)
+    if type(f) is int:
+        return bool(state >> f & 1)
     if isinstance(f, And):
         return all(holds(p, state) for p in f.parts)
     if isinstance(f, Not):
@@ -123,10 +119,10 @@ def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, GAtom):
-            pos |= 1 << node.index
-        elif isinstance(node, Not) and isinstance(node.body, GAtom):
-            neg |= 1 << node.body.index
+        if type(node) is int:
+            pos |= 1 << node
+        elif isinstance(node, Not) and type(node.body) is int:
+            neg |= 1 << node.body
         elif isinstance(node, And):
             stack.extend(node.parts)
         else:
@@ -517,7 +513,6 @@ class _Grounder:
         self.forall_pools: dict = {}  # variable types -> (pools, number of bindings)
         self.init = {(a.name, *a.args) for a in self.problem.init}
         self.universe: dict[tuple, int] = {}  # atom key -> index
-        self.lowered: dict = {}  # atom key -> GAtom, or _FALSE outside the universe
         self.bits: dict | None = None  # atom key -> its bit, once the universe is known
 
     def _pool(self, tref) -> tuple:
@@ -701,11 +696,7 @@ class _Grounder:
             return _FALSE
         tag = node[0]
         if type(tag) is str:
-            g = self.lowered.get(node)
-            if g is None:
-                index = self.universe.get(node)
-                g = self.lowered[node] = _FALSE if index is None else GAtom(index)
-            return g
+            return self.universe.get(node, _FALSE)
         if tag == _NOT:
             inner = self._lower(node[1])
             if inner is _TRUE:

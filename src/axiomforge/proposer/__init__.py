@@ -5,7 +5,7 @@ is looked up in the submodule that defines it on first use (PEP 562), so a
 run with the scripted oracle never loads the HTTP client.
 """
 
-from importlib import import_module
+from .. import lazy_exports
 
 # re-exported name -> the submodule that defines it
 _EXPORTS = {
@@ -31,16 +31,7 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str):
-    # Not cached in the package: the submodule's attribute is the one
-    # object, so a wrapper put there and taken away again leaves no trace.
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-
-
-def __dir__() -> list:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 __all__ = sorted(_EXPORTS)

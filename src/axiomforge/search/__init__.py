@@ -8,8 +8,9 @@ nothing for search, the proposer, distances or trajectories.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import TYPE_CHECKING
+
+from .. import lazy_exports
 
 if TYPE_CHECKING:
     from ..distance import DistanceOracle
@@ -38,16 +39,7 @@ _EXPORTS = {
 }
 
 
-def __getattr__(name: str):
-    # Not cached in the package: the submodule's attribute is the one
-    # object, so a wrapper put there and taken away again leaves no trace.
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-
-
-def __dir__() -> list:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 def run_search(

@@ -22,8 +22,8 @@ def _mask_to_set(mask):
 
 def _true(formula, state):
     kind = type(formula).__name__
-    if kind == "GAtom":
-        return formula.index in state
+    if kind == "int":
+        return formula in state
     if kind == "Not":
         return not _true(formula.body, state)
     if kind == "And":

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from axiomforge.pddl.ast import And, Atom, Eq, Forall, Not, Or, ROOT_TYPE, When
-from axiomforge.planner import GAtom, GroundAction, GroundedTask, GroundingExplosion
+from axiomforge.planner import GroundAction, GroundedTask, GroundingExplosion
 
 
 def oracle_ground(task, max_atoms=100_000, max_actions=200_000):
@@ -31,10 +31,10 @@ def _literal_masks(f):
         node = stack.pop()
         if node == _TRUE:
             continue
-        if isinstance(node, GAtom):
-            pos |= 1 << node.index
-        elif isinstance(node, Not) and isinstance(node.body, GAtom):
-            neg |= 1 << node.body.index
+        if type(node) is int:
+            pos |= 1 << node
+        elif isinstance(node, Not) and type(node.body) is int:
+            neg |= 1 << node.body
         elif isinstance(node, And):
             stack.extend(node.parts)
         else:
@@ -244,7 +244,7 @@ class _Grounder:
                 return cond
             if isinstance(cond, _PAtom):
                 idx = universe.get(cond.atom)
-                return GAtom(idx) if idx is not None else _FALSE
+                return idx if idx is not None else _FALSE
             if isinstance(cond, _PNot):
                 inner = lower(cond.body)
                 if inner == _TRUE:

@@ -111,6 +111,43 @@ def test_object_type_must_exist():
     assert "type-error" in _codes(err)
 
 
+def _depot_objects(objects):
+    depot = parse_domain(corpus.load("depot").domain_text)
+    problem = parse_problem(
+        f"(define (problem p) (:domain depot) (:objects {objects}) (:init (at t d1)) (:goal (at t d2)))"
+    )
+    return depot, problem
+
+
+@pytest.mark.parametrize(
+    "objects, messages",
+    [
+        (
+            "x - (either spaceship) y - spaceship t - truck d1 d2 - depot",
+            ["object 'x' has unknown type 'spaceship'", "object 'y' has unknown type 'spaceship'"],
+        ),
+        (
+            "x - (either truck spaceship) t - truck d1 d2 - depot",
+            ["object 'x' has unknown type 'spaceship'"],
+        ),
+    ],
+    ids=["either-and-plain", "one-unknown-member"],
+)
+def test_each_unknown_member_of_an_either_object_type_is_reported(objects, messages):
+    with pytest.raises(PddlError) as err:
+        link(*_depot_objects(objects))
+    assert [(d.code, d.message, d.line, d.col) for d in err.value.diagnostics] == [
+        ("type-error", message, 0, 0) for message in messages
+    ]
+
+
+def test_an_either_of_declared_types_links_and_grounds_as_object():
+    # Every depot parameter is typed, so `x` (an `object`) fills no slot.
+    # Driving from a depot to itself adds and deletes one atom, so it goes.
+    task = ground(link(*_depot_objects("x - (either truck hoist) t - truck d1 d2 - depot")))
+    assert [str(action) for action in task.actions] == ["(drive t d1 d2)", "(drive t d2 d1)"]
+
+
 def test_argument_type_checked():
     depot = parse_domain(corpus.load("depot").domain_text)
     problem = parse_problem(

@@ -448,6 +448,27 @@ def test_a_repeat_or_an_orphan_dash_in_a_problem_is_a_positioned_diagnostic(text
     assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [(code, message, position)]
 
 
+_INIT_FAULTS = {
+    "not-a-list": ("a", "syntax-error", "init entries must be ground atoms", (2, 3)),
+    "empty-list": ("()", "syntax-error", "init entries must be ground atoms", (2, 3)),
+    "list-head": ("((p) a)", "syntax-error", "init entries must be ground atoms", (2, 3)),
+    "not": ("(not (p a))", "unsupported-construct", "'not' is not allowed in :init", (2, 3)),
+    "equality": ("(= a a)", "unsupported-construct", "'=' is not allowed in :init", (2, 3)),
+    "numeric": ("(increase (fuel a) 1)", "unsupported-construct", "'increase' is not allowed in :init", (2, 3)),
+    "variable": ("(p a ?x)", "syntax-error", "init atom must be ground, found '?x'", (2, 8)),
+    "list-argument": ("(p (a))", "syntax-error", "expected atom argument", (2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INIT_FAULTS))
+def test_a_bad_init_entry_is_one_positioned_diagnostic(case):
+    entry, code, message, position = _INIT_FAULTS[case]
+    text = f"(define (problem p) (:domain d) (:objects a) (:init (q a)\n  {entry} (q a)) (:goal (and)))"
+    with pytest.raises(PddlError) as err:
+        parse_problem(text)
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [(code, message, position)]
+
+
 def test_repeated_init_sections_still_merge():
     problem = parse_problem("(define (problem p) (:domain d) (:objects a) (:init (p a)) (:init (q a)) (:goal (and)))")
     assert problem.init == frozenset({Atom("p", ("a",)), Atom("q", ("a",))})

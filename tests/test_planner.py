@@ -11,7 +11,6 @@ from axiomforge import corpus
 from axiomforge.pddl import And, Atom, Not, Or, link, parse_domain, parse_problem
 from axiomforge.planner import (
     _CHUNK_BITS,
-    GAtom,
     GroundAction,
     GroundedTask,
     GroundingExplosion,
@@ -93,6 +92,26 @@ def test_add_delete_disjoint(flagship_task):
 
 def test_init_within_universe(flagship_task):
     assert flagship_task.init < (1 << len(flagship_task.atoms))
+
+
+_CORPUS_PROBLEMS = [(name, prob.name) for name in corpus.CORPUS_NAMES for prob in corpus.load(name).problems]
+
+
+@pytest.mark.parametrize("name, problem", _CORPUS_PROBLEMS, ids=[f"{n}:{p}" for n, p in _CORPUS_PROBLEMS])
+def test_ground_formulas_are_and_or_not_over_atom_indices(name, problem):
+    entry = corpus.load(name)
+    task = ground(link(parse_domain(entry.domain_text), parse_problem(entry.problem(problem).text)))
+    formulas = [task.goal]
+    for action in task.actions:
+        formulas += [action.precondition, *(cond for cond, _, _ in action.conditional)]
+    while formulas:
+        node = formulas.pop()
+        if type(node) in (And, Or):
+            formulas += node.parts
+        elif type(node) is Not:
+            formulas.append(node.body)
+        else:
+            assert type(node) is int and 0 <= node < len(task.atoms), node
 
 
 # -- apply ------------------------------------------------------------------
@@ -295,11 +314,11 @@ def test_successors_follow_action_index_order():
     # so a generator that visits actions by the bits they need meets a1
     # first; the plan must still be the one a scan in action-index order finds.
     actions = (
-        GroundAction("a0", (), GAtom(1), 0b100, 0b001, pre_masks=(0b010, 0)),
-        GroundAction("a1", (), GAtom(0), 0b100, 0b010, pre_masks=(0b001, 0)),
+        GroundAction("a0", (), 1, 0b100, 0b001, pre_masks=(0b010, 0)),
+        GroundAction("a1", (), 0, 0b100, 0b010, pre_masks=(0b001, 0)),
     )
     task = GroundedTask(
-        atoms=(Atom("p0"), Atom("p1"), Atom("p2")), init=0b011, goal=GAtom(2), actions=actions
+        atoms=(Atom("p0"), Atom("p1"), Atom("p2")), init=0b011, goal=2, actions=actions
     )
     assert solve(task) == Plan((actions[0],))
 
@@ -338,8 +357,8 @@ def _masks(draw, atoms, signs):
 
 
 def _conjunction(pos, neg):
-    parts = [GAtom(i) for i in range(MAX_ATOMS) if pos >> i & 1]
-    parts += [Not(GAtom(i)) for i in range(MAX_ATOMS) if neg >> i & 1]
+    parts = [i for i in range(MAX_ATOMS) if pos >> i & 1]
+    parts += [Not(i) for i in range(MAX_ATOMS) if neg >> i & 1]
     return And(tuple(parts))
 
 
@@ -434,8 +453,8 @@ WIDE_ATOMS = 40
 
 
 def _move_formula(f, where):
-    if isinstance(f, GAtom):
-        return GAtom(where[f.index])
+    if type(f) is int:
+        return where[f]
     if isinstance(f, Not):
         return Not(_move_formula(f.body, where))
     if isinstance(f, (And, Or)):
@@ -499,22 +518,22 @@ EDGE_TASKS = {
     "no-literal-bits": GroundedTask(
         atoms=_atoms(3),
         init=0b000,
-        goal=GAtom(2),
+        goal=2,
         actions=(
-            GroundAction("a0", (), Or((GAtom(1), GAtom(0))), 0b100, 0),
+            GroundAction("a0", (), Or((1, 0)), 0b100, 0),
             GroundAction("a1", (), And(), 0b010, 0, pre_masks=(0, 0)),
         ),
     ),
-    "no-actions": GroundedTask(atoms=_atoms(1), init=0, goal=GAtom(0), actions=()),
+    "no-actions": GroundedTask(atoms=_atoms(1), init=0, goal=0, actions=()),
     # (and p0 (not p0)) never holds, so the plan goes through a1.
     "contradictory-precondition": GroundedTask(
         atoms=_atoms(3),
         init=0b001,
-        goal=GAtom(2),
+        goal=2,
         actions=(
-            GroundAction("a0", (), And((GAtom(0), Not(GAtom(0)))), 0b100, 0, pre_masks=(1, 1)),
-            GroundAction("a1", (), GAtom(0), 0b010, 0, pre_masks=(0b001, 0)),
-            GroundAction("a2", (), GAtom(1), 0b100, 0, pre_masks=(0b010, 0)),
+            GroundAction("a0", (), And((0, Not(0))), 0b100, 0, pre_masks=(1, 1)),
+            GroundAction("a1", (), 0, 0b010, 0, pre_masks=(0b001, 0)),
+            GroundAction("a2", (), 1, 0b100, 0, pre_masks=(0b010, 0)),
         ),
     ),
     # a2 and a3 make the layer-1 states {p1} and {p2}, in that order, and
@@ -523,10 +542,10 @@ EDGE_TASKS = {
     "earlier-state-wins": GroundedTask(
         atoms=_atoms(4),
         init=0,
-        goal=GAtom(3),
+        goal=3,
         actions=(
-            GroundAction("a0", (), GAtom(2), 0b1000, 0, pre_masks=(0b0100, 0)),
-            GroundAction("a1", (), GAtom(1), 0b1000, 0, pre_masks=(0b0010, 0)),
+            GroundAction("a0", (), 2, 0b1000, 0, pre_masks=(0b0100, 0)),
+            GroundAction("a1", (), 1, 0b1000, 0, pre_masks=(0b0010, 0)),
             GroundAction("a2", (), And(), 0b0010, 0, pre_masks=(0, 0)),
             GroundAction("a3", (), And(), 0b0100, 0, pre_masks=(0, 0)),
         ),
@@ -537,9 +556,9 @@ EDGE_TASKS = {
     "conditional-delete-goal": GroundedTask(
         atoms=_atoms(4),
         init=0b0001,
-        goal=Not(GAtom(0)),
+        goal=Not(0),
         actions=(
-            GroundAction("a0", (), And(), 0, 0, ((GAtom(3), 0, 0b0001),), pre_masks=(0, 0)),
+            GroundAction("a0", (), And(), 0, 0, ((3, 0, 0b0001),), pre_masks=(0, 0)),
             GroundAction("a1", (), And(), 0b0010, 0, pre_masks=(0, 0)),
             GroundAction("a2", (), And(), 0b0100, 0, pre_masks=(0, 0)),
             GroundAction("a3", (), And(), 0b1000, 0, pre_masks=(0, 0)),
