@@ -233,11 +233,14 @@ def _cmd_rank(args) -> tuple[int, dict]:
     from .distance import LevenshteinMockOracle, hybrid_rank, levenshtein, semantic_rank
 
     reference = _canonical_of(args.reference)
-    texts = {path: _canonical_of(path) for path in args.candidates}
+    by_text: dict = {}
+    for path in args.candidates:  # paths with one text rank together, in order
+        by_text.setdefault(_canonical_of(path), []).append(path)
+    unique_texts = list(by_text)
 
     queries = 0
     if args.metric == "lev":
-        ordered = sorted(args.candidates, key=lambda p: (levenshtein(reference, texts[p]), texts[p]))
+        items = sorted(unique_texts, key=lambda text: (levenshtein(reference, text), text))
     else:
         if args.oracle == "mock":
             oracle = LevenshteinMockOracle()
@@ -245,17 +248,14 @@ def _cmd_rank(args) -> tuple[int, dict]:
             from .proposer import HttpDistanceOracle, OracleClientConfig
 
             oracle = HttpDistanceOracle(OracleClientConfig.from_env(samples=args.samples))
-        by_text: dict = {}
-        for path in args.candidates:  # first path wins for duplicate texts
-            by_text.setdefault(texts[path], []).append(path)
-        unique_texts = list(by_text)
         if args.metric == "semantic":
             ranked = semantic_rank(reference, unique_texts, oracle)
         else:
             keep = min(args.keep, len(unique_texts))
             ranked = hybrid_rank(reference, unique_texts, keep, oracle)
         queries = ranked.oracle_queries_used
-        ordered = [path for text in ranked.items for path in by_text[text]]
+        items = ranked.items
+    ordered = [path for text in items for path in by_text[text]]
 
     for i, path in enumerate(ordered, start=1):
         print(f"{i}\t{path}")

@@ -163,14 +163,14 @@ class _FormulaCtx:
     kind: str  # "pre" | "eff" | "goal" | "init"
     predicates: dict | None  # name -> PredicateDecl, when known
     constants: frozenset | None  # None in a problem, where objects are checked at link
-    bound: frozenset
+    bound: frozenset | None  # the bound variables; None checks none
     owner: str  # action or problem name, for messages
     in_when: bool = False
 
 
 def _check_term(ctx: _FormulaCtx, name: str, node: SNode) -> None:
     if name.startswith("?"):
-        if name not in ctx.bound:
+        if ctx.bound is not None and name not in ctx.bound:
             if ctx.kind == "init":
                 ctx.b.diag(E.SYNTAX, f"init atom must be ground, found '{name}'", node)
             elif ctx.kind == "goal":
@@ -246,7 +246,7 @@ def _formula(ctx: _FormulaCtx, node: SNode) -> Formula:
             ctx.b.diag(E.SYNTAX, "'forall' takes (vars) and one body formula", node)
             return And()
         vars_ = _typed_names(ctx.b, node.items[1].items, variables=True, where="forall", declares="variable")
-        inner = replace(ctx, bound=ctx.bound | frozenset(v.name for v in vars_))
+        inner = ctx if ctx.bound is None else replace(ctx, bound=ctx.bound | frozenset(v.name for v in vars_))
         return Forall(vars_, _formula(inner, node.items[2]))
 
     if head == "when":
@@ -527,6 +527,22 @@ def _parse_action(
         return None
     name = node.items[1].text
     params: tuple = ()
+    # The first :parameters the keyword loop reaches binds its names
+    # wherever it stands. A malformed one leaves `bound` None: variables go
+    # unchecked, so its fault is reported once.
+    bound: frozenset | None = frozenset()
+    for i in range(2, len(node.items) - 1, 2):
+        key_node, value = node.items[i], node.items[i + 1]
+        if not isinstance(key_node, SAtom):
+            break
+        if key_node.text == ":parameters":
+            if isinstance(value, SList):
+                params = _typed_names(b, value.items, variables=True, where=":parameters", declares="parameter")
+                bound = frozenset(p.name for p in params)
+            else:
+                b.diag(E.SYNTAX, ":parameters expects a (...) list", value)
+                bound = None
+            break
     precondition: Formula = And()
     effect: Formula = And()
     once: set = set()  # the keywords met so far, each allowed once
@@ -541,18 +557,13 @@ def _parse_action(
         value = node.items[i + 1]
         if _repeated(b, once, key, key_node, f"'{key}' in action '{name}'"):
             continue
-        if key == ":parameters":
-            if isinstance(value, SList):
-                params = _typed_names(b, value.items, variables=True, where=":parameters", declares="parameter")
-            else:
-                b.diag(E.SYNTAX, ":parameters expects a (...) list", value)
-        elif key == ":precondition":
-            ctx = _FormulaCtx(b, "pre", predicates, constants, frozenset(p.name for p in params), name)
-            precondition = _formula(ctx, value)
+        if key in (":precondition", ":effect") and isinstance(value, SList) and not value.items:
+            continue  # PDDL 3.1's <emptyOr>: `()` is the empty conjunction
+        if key == ":precondition":
+            precondition = _formula(_FormulaCtx(b, "pre", predicates, constants, bound, name), value)
         elif key == ":effect":
-            ctx = _FormulaCtx(b, "eff", predicates, constants, frozenset(p.name for p in params), name)
-            effect = _formula(ctx, value)
-        else:
+            effect = _formula(_FormulaCtx(b, "eff", predicates, constants, bound, name), value)
+        elif key != ":parameters":  # read above
             b.diag(E.UNSUPPORTED, f"action keyword '{key}' is not supported", key_node)
     return ActionSchema(name, params, precondition, effect)
 

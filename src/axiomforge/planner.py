@@ -46,6 +46,7 @@ call's, and raises the same explosion where a fresh call does.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
@@ -111,6 +112,25 @@ def holds(f: GroundFormula, state: int) -> bool:
     if isinstance(f, Not):
         return not holds(f.body, state)
     return any(holds(p, state) for p in f.parts)
+
+
+def _not(f: GroundFormula) -> GroundFormula:
+    """`Not(f)`, with a constant `f` folded."""
+    return _FALSE if f is _TRUE else _TRUE if f is _FALSE else Not(f)
+
+
+def _join(cls: type, parts) -> GroundFormula:
+    """`cls(parts)` for `And` or `Or`, folded: the other connective's empty
+    form decides it and its own drops out. A lazy `parts` is read no further
+    than the deciding part."""
+    unit, zero = (_TRUE, _FALSE) if cls is And else (_FALSE, _TRUE)
+    kept = []
+    for p in parts:
+        if p is zero:
+            return zero
+        if p is not unit:
+            kept.append(p)
+    return cls(tuple(kept)) if kept else unit
 
 
 def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
@@ -527,10 +547,7 @@ class _Grounder:
         got = self.forall_pools.get(types)
         if got is None:
             pools = tuple(self._pool(t) for t in types)
-            count = 1
-            for pool in pools:
-                count *= len(pool)
-            got = self.forall_pools[types] = (pools, count)
+            got = self.forall_pools[types] = (pools, math.prod(map(len, pools)))
         return got
 
     def _visit(self, count: int) -> None:
@@ -698,28 +715,8 @@ class _Grounder:
         if type(tag) is str:
             return self.universe.get(node, _FALSE)
         if tag == _NOT:
-            inner = self._lower(node[1])
-            if inner is _TRUE:
-                return _FALSE
-            if inner is _FALSE:
-                return _TRUE
-            return Not(inner)
-        parts = []
-        if tag == _AND:
-            for p in node[1]:
-                q = self._lower(p)
-                if q is _FALSE:
-                    return _FALSE
-                if q is not _TRUE:
-                    parts.append(q)
-            return And(tuple(parts)) if parts else _TRUE
-        for p in node[1]:
-            q = self._lower(p)
-            if q is _TRUE:
-                return _TRUE
-            if q is not _FALSE:
-                parts.append(q)
-        return Or(tuple(parts)) if parts else _FALSE
+            return _not(self._lower(node[1]))
+        return _join(And if tag == _AND else Or, map(self._lower, node[1]))
 
     def _actions(self, raw: list) -> tuple:
         """The GroundActions of a schema's kept bindings, against the universe."""
@@ -882,11 +879,11 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     same. Only *near* states can have such a successor: those that miss at
     most as many goal literals as one action can make true, conditional
     effects included. A near state tries only the actions that can make its
-    lowest missing goal literal true. When the lookahead finds the step, the
-    layer is not expanded; the cap check and the clock read still run for
-    each state a full expansion would have reached, so `max_expanded_states`
-    and `wall_budget_ms` trip on the same state as they would without the
-    lookahead. Any other goal is tested on each new successor.
+    lowest missing goal literal true. Once the lookahead finds the step, the
+    layer loop counts and clocks each state up to the last step's state, as
+    a full expansion would, but expands none, so `max_expanded_states` and
+    `wall_budget_ms` trip on the same state as without the lookahead. Any
+    other goal is tested on each new successor.
 
     A goal that grounding folded to false is unsolvable before any state is
     expanded. A frontier whose successors would pass `max_plan_length` ends
@@ -971,6 +968,8 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     while frontier:
         if layer >= limits.max_plan_length:
             return ResourceExceeded("max-plan-length")
+        # The plan's last step, as (state, action index, successor).
+        last = None
         for state in near:
             missing = state & goal_pos ^ goal_pos | state & goal_neg
             todo = setters.get(missing & -missing, 0)
@@ -982,16 +981,11 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 if not action.applicable(state):
                     continue
                 succ = apply(state, action)
-                if succ & goal_pos != goal_pos or succ & goal_neg:
-                    continue
-                for _ in range(frontier.index(state) + 1):
-                    expanded += 1
-                    if expanded > limits.max_expanded_states:
-                        return ResourceExceeded("max-expanded-states")
-                    if time.monotonic() > deadline:
-                        return ResourceExceeded("wall-budget")
-                parent[succ] = (state, index)
-                return _plan(parent, actions, succ)
+                if succ & goal_pos == goal_pos and not succ & goal_neg:
+                    last = (state, index, succ)
+                    break
+            if last:
+                break
         next_frontier: list[int] = []
         near = []
         for state in frontier:
@@ -1000,6 +994,11 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 return ResourceExceeded("max-expanded-states")
             if time.monotonic() > deadline:
                 return ResourceExceeded("wall-budget")
+            if last:
+                if state == last[0]:
+                    parent[last[2]] = (state, last[1])
+                    return _plan(parent, actions, last[2])
+                continue
             todo = everything
             for shift, live, bits, memo in tables:
                 value = state >> shift & live

@@ -33,13 +33,7 @@ class _Node:
 
 def _select_child(node: _Node, c: float) -> _Node:
     """UCB1 argmax over children; ties resolve to the lowest child index."""
-    best_child = node.children[0]
-    best_value = ucb1(best_child.mean_reward, best_child.visits, node.visits, c)
-    for child in node.children[1:]:
-        value = ucb1(child.mean_reward, child.visits, node.visits, c)
-        if value > best_value:
-            best_child, best_value = child, value
-    return best_child
+    return max(node.children, key=lambda child: ucb1(child.mean_reward, child.visits, node.visits, c))
 
 
 def mcts_search(run: SearchRun, observer=None) -> SearchResult:

@@ -11,6 +11,7 @@ from axiomforge.pddl import (
     When,
     parse_domain,
     parse_problem,
+    print_canonical,
 )
 from axiomforge.pddl import parser as parser_module
 from axiomforge.pddl.reader import MAX_DEPTH
@@ -351,6 +352,62 @@ def test_a_misplaced_action_keyword_gives_one_diagnostic(case, whole):
         parse_domain(text)
     assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [
         ("syntax-error", message, position)
+    ]
+
+
+# An action's `:parameters` binds its variables wherever it stands, and a
+# malformed one is its only fault. A whole `:precondition` or `:effect`
+# value `()` is PDDL 3.1's <emptyOr>, the empty conjunction; a `()` inside
+# a formula is still an error. Each row pins every diagnostic's code,
+# message and position; a text that parses prints as its last field does.
+_EMPTY_ACTION = "(define (domain empty)\n  (:predicates (p))\n  (:action a :parameters ()))"
+_ACTION_VALUES = {
+    "parameters-after-precondition": (
+        "(define (domain order)\n  (:predicates (p ?x))\n  (:action a :precondition (p ?x)\n"
+        "    :parameters (?x) :effect (p ?x)))",
+        [],
+        "(define (domain order)\n  (:predicates (p ?x))\n  (:action a :parameters (?x)\n"
+        "    :precondition (p ?x) :effect (p ?x)))",
+    ),
+    "parameters-not-a-list": (
+        "(define (domain params)\n  (:predicates (p ?x))\n  (:action a :parameters ?x\n"
+        "    :precondition (p ?x) :effect (p ?x)))",
+        [("syntax-error", ":parameters expects a (...) list", (3, 26))],
+        None,
+    ),
+    "empty-precondition-and-effect": (
+        "(define (domain empty)\n  (:predicates (p))\n  (:action a :parameters () :precondition () :effect ()))",
+        [],
+        _EMPTY_ACTION,
+    ),
+    "empty-part-of-a-precondition": (
+        "(define (domain empty)\n  (:predicates (p))\n  (:action a :parameters () :precondition (and (p) ())))",
+        [("syntax-error", "expected a formula, got '()'", (3, 52))],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["form-by-form", "whole-text"])
+@pytest.mark.parametrize("case", list(_ACTION_VALUES))
+def test_an_action_reads_its_parameters_anywhere_and_an_empty_value_as_and(case, whole):
+    text, expected, same_as = _ACTION_VALUES[case]
+    split = (lambda text: None) if whole else parser_module.split_define
+    with mock.patch.object(parser_module, "split_define", split):
+        try:
+            domain = parse_domain(text)
+        except PddlError as err:
+            assert [(d.code, d.message, (d.line, d.col)) for d in err.diagnostics] == expected
+            return
+    assert expected == []
+    assert print_canonical(domain) == print_canonical(parse_domain(same_as))
+
+
+def test_an_empty_goal_list_is_still_a_positioned_syntax_error():
+    with pytest.raises(PddlError) as err:
+        parse_problem("(define (problem x) (:domain d) (:goal ()))")
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == [
+        ("syntax-error", "expected a formula, got '()'", (1, 40))
     ]
 
 
