@@ -1,7 +1,9 @@
 """Hand-written blocksworld rule variants used by the scripted proposer.
 
-Both keep the original four actions untouched (so every original problem
-stays solvable) and extend the move repertoire:
+Each variant is the corpus blocksworld text with its edit added: an extra
+predicate at the end of `:predicates` and extra actions before the domain's
+closing `)`. The original four actions are therefore untouched (so every
+original problem stays solvable), and the edit extends the move repertoire:
 
   * MULTI_LIFT adds a two-block tower pickup/stack pair, which solves the
     flagship restack instance in 2 steps;
@@ -9,42 +11,19 @@ stays solvable) and extend the move repertoire:
     the block above settles down, which solves the same instance in 4 steps.
 """
 
-MULTI_LIFT = """\
-(define (domain blocksworld)
-    (:requirements :strips :equality)
-    (:predicates
-        (clear ?x)
-        (on-table ?x)
-        (arm-empty)
-        (holding ?x)
-        (on ?x ?y)
-        (holding-pair ?top ?bottom)
-    )
+from .domains import BLOCKSWORLD
 
-    (:action pickup
-        :parameters (?ob)
-        :precondition (and (clear ?ob) (on-table ?ob) (arm-empty))
-        :effect (and (holding ?ob) (not (clear ?ob)) (not (on-table ?ob)) (not (arm-empty)))
-    )
 
-    (:action putdown
-        :parameters (?ob)
-        :precondition (and (holding ?ob))
-        :effect (and (clear ?ob) (arm-empty) (on-table ?ob) (not (holding ?ob)))
-    )
+def _extend(predicates: str, actions: str) -> str:
+    """BLOCKSWORLD with `predicates` closing its `:predicates` and `actions`
+    before its closing `)`; both are raw text, kept byte for byte."""
+    end = BLOCKSWORLD.index("    )\n")  # the line that closes :predicates
+    return BLOCKSWORLD[:end] + predicates + BLOCKSWORLD[end:].removesuffix(")\n") + actions + ")\n"
 
-    (:action stack
-        :parameters (?ob ?underob)
-        :precondition (and (clear ?underob) (holding ?ob))
-        :effect (and (arm-empty) (clear ?ob) (on ?ob ?underob) (not (clear ?underob)) (not (holding ?ob)))
-    )
 
-    (:action unstack
-        :parameters (?ob ?underob)
-        :precondition (and (on ?ob ?underob) (clear ?ob) (arm-empty))
-        :effect (and (holding ?ob) (clear ?underob) (not (on ?ob ?underob)) (not (clear ?ob)) (not (arm-empty)))
-    )
-
+MULTI_LIFT = _extend(
+    "        (holding-pair ?top ?bottom)\n",
+    """
     (:action pickup-pair
         :parameters (?top ?bottom)
         :precondition (and (clear ?top) (on ?top ?bottom) (on-table ?bottom) (arm-empty))
@@ -56,44 +35,12 @@ MULTI_LIFT = """\
         :precondition (and (holding-pair ?top ?bottom) (clear ?underob))
         :effect (and (arm-empty) (clear ?top) (on ?top ?bottom) (on ?bottom ?underob) (not (clear ?underob)) (not (holding-pair ?top ?bottom)))
     )
+""",
 )
-"""
 
-MID_EXTRACT = """\
-(define (domain blocksworld)
-    (:requirements :strips :equality)
-    (:predicates
-        (clear ?x)
-        (on-table ?x)
-        (arm-empty)
-        (holding ?x)
-        (on ?x ?y)
-    )
-
-    (:action pickup
-        :parameters (?ob)
-        :precondition (and (clear ?ob) (on-table ?ob) (arm-empty))
-        :effect (and (holding ?ob) (not (clear ?ob)) (not (on-table ?ob)) (not (arm-empty)))
-    )
-
-    (:action putdown
-        :parameters (?ob)
-        :precondition (and (holding ?ob))
-        :effect (and (clear ?ob) (arm-empty) (on-table ?ob) (not (holding ?ob)))
-    )
-
-    (:action stack
-        :parameters (?ob ?underob)
-        :precondition (and (clear ?underob) (holding ?ob))
-        :effect (and (arm-empty) (clear ?ob) (on ?ob ?underob) (not (clear ?underob)) (not (holding ?ob)))
-    )
-
-    (:action unstack
-        :parameters (?ob ?underob)
-        :precondition (and (on ?ob ?underob) (clear ?ob) (arm-empty))
-        :effect (and (holding ?ob) (clear ?underob) (not (on ?ob ?underob)) (not (clear ?ob)) (not (arm-empty)))
-    )
-
+MID_EXTRACT = _extend(
+    "",
+    """
     (:action extract-base
         :parameters (?ob ?above)
         :precondition (and (on ?above ?ob) (clear ?above) (on-table ?ob) (arm-empty))
@@ -105,5 +52,5 @@ MID_EXTRACT = """\
         :precondition (and (on ?above ?ob) (clear ?above) (on ?ob ?below) (arm-empty))
         :effect (and (holding ?ob) (on ?above ?below) (not (on ?above ?ob)) (not (on ?ob ?below)) (not (arm-empty)))
     )
+""",
 )
-"""

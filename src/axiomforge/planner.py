@@ -663,7 +663,6 @@ class _Grounder:
             if (key in self.init) is not want:
                 return raw  # statically false for every binding
         base = len(names)
-        n = len(types)
 
         def keep(env: tuple) -> None:
             cond = self._fold(pre_spec, env)
@@ -677,32 +676,24 @@ class _Grounder:
                 return  # contradictory instantiation
             raw.append((name, env[base:], cond, adds, dels, groups))
 
-        if not n:
-            self._visit(1)
-            keep(names)
-            return raw
         pools = [self._pool(t) for t in types]
-        prefixes: list = [names] + [None] * n  # env with d parameters bound
-        iters: list = [None] * n
-        d = 0
-        self._visit(len(pools[0]))
-        iters[0] = iter(pools[0])
-        while d >= 0:
+        if not pools:
+            self._visit(1)
+        # Depth first with an explicit stack, not recursion: a candidate's
+        # action may have more parameters than Python's recursion limit.
+        stack = [names]  # bindings still to extend or keep, the next one last
+        while stack:
+            env = stack.pop()
+            d = len(env) - base
+            if d == len(pools):
+                keep(env)
+                continue
+            self._visit(len(pools[d]))
             level = checks[d]
-            for obj in iters[d]:
-                env = prefixes[d] + (obj,)
-                if level and not self._joined(level, env):
-                    continue
-                if d + 1 == n:
-                    keep(env)
-                    continue
-                d += 1
-                prefixes[d] = env
-                self._visit(len(pools[d]))
-                iters[d] = iter(pools[d])
-                break
-            else:
-                d -= 1
+            for obj in reversed(pools[d]):
+                bound = env + (obj,)
+                if not level or self._joined(level, bound):
+                    stack.append(bound)
         return raw
 
     def _lower(self, node) -> GroundFormula:

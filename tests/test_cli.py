@@ -66,6 +66,17 @@ def test_plan_unsolvable(capsys, tmp_path):
     assert out.strip() == "unsolvable"
 
 
+def test_plan_over_the_state_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "plan", "corpus:blocksworld", "corpus:blocksworld:restack", "--max-states", "1", "--json"
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "resource-exceeded: max-expanded-states",
+        '{"reason": "max-expanded-states", "status": "resource-exceeded"}',
+    ]
+
+
 def test_plan_json_final_line(capsys):
     code, out, _ = run_cli(
         capsys, "plan", "corpus:blocksworld", "corpus:blocksworld:swap", "--json"

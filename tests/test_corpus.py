@@ -4,6 +4,7 @@ from axiomforge import corpus
 from axiomforge.corpus import variants
 from axiomforge.pddl import link, parse_domain, parse_problem
 from axiomforge.planner import Plan, ground, solve
+from axiomforge.trajectory import content_hash
 
 from oracle_bfs import oracle_plan_length
 
@@ -98,3 +99,17 @@ def test_flagship_triple():
     assert optimum(entry.domain_text) == 6
     assert optimum(variants.MULTI_LIFT) == 2
     assert optimum(variants.MID_EXTRACT) == 4
+
+
+# The run's read memo, the pinned trajectories and the scripted oracle all
+# see these raw texts, so their bytes are pinned, not just their meaning.
+@pytest.mark.parametrize("text, raw_hash", [
+    (variants.MULTI_LIFT, "68d5a92b23044c0a"),
+    (variants.MID_EXTRACT, "b37029d8ffe80fc7"),
+], ids=["multi-lift", "mid-extract"])
+def test_variant_is_the_original_plus_its_edit(text, raw_hash):
+    assert content_hash(text) == raw_hash
+    original = parse_domain(corpus.load("blocksworld").domain_text)
+    variant = parse_domain(text)
+    assert variant.predicates[:len(original.predicates)] == original.predicates
+    assert variant.actions[:len(original.actions)] == original.actions

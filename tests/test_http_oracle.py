@@ -156,6 +156,15 @@ def test_auth_error_on_401(stub_server, api_key, blocksworld, flagship):
     assert len(stub_server.requests) == 1  # no retry on auth failures
 
 
+def test_unexpected_status_is_not_retried(stub_server, api_key, no_sleep):
+    stub_server.push(404, {})
+    client = HttpChatClient(_cfg(stub_server, max_retries=3))
+    with pytest.raises(OracleUnavailable, match="^unexpected status 404$"):
+        client.complete("sys", "user")
+    assert len(stub_server.requests) == 1 and client.transport_calls == 1
+    assert no_sleep == []
+
+
 def test_missing_api_key_fails_before_any_request(monkeypatch, stub_server, blocksworld, flagship):
     monkeypatch.delenv("AXIOMFORGE_API_KEY", raising=False)
     ctx = ProposalContext(blocksworld, flagship, 6, 4)

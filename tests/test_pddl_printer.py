@@ -1,20 +1,34 @@
 import pytest
 
 from axiomforge import corpus
-from axiomforge.pddl import parse_domain, parse_problem, print_canonical, print_canonical_problem
+from axiomforge.pddl import link, parse_domain, parse_problem, print_canonical, print_canonical_problem
+from axiomforge.planner import Plan, ground, solve
 
-ALL = list(corpus.CORPUS_NAMES)
+# No corpus domain or problem has an `or`, empty or not.
+CHOICE = """\
+(define (domain choice)
+    (:requirements :strips :negative-preconditions)
+    (:predicates (p) (q) (r))
+    (:action a
+        :parameters ()
+        :precondition (or (p) (and (q) (not (r))) (or))
+        :effect (r)))
+"""
+CHOOSE = "(define (problem choose) (:domain choice) (:init (q)) (:goal (or (r) (and))))"
+
+DOMAIN_TEXTS = {name: corpus.load(name).domain_text for name in corpus.CORPUS_NAMES} | {"choice": CHOICE}
+PROBLEM_TEXTS = {"flagship": corpus.load("blocksworld").flagship.text, "choose": CHOOSE}
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", DOMAIN_TEXTS)
 def test_round_trip_structural_equality(name):
-    domain = parse_domain(corpus.load(name).domain_text)
+    domain = parse_domain(DOMAIN_TEXTS[name])
     assert parse_domain(print_canonical(domain)) == domain
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", DOMAIN_TEXTS)
 def test_canonical_idempotent(name):
-    domain = parse_domain(corpus.load(name).domain_text)
+    domain = parse_domain(DOMAIN_TEXTS[name])
     once = print_canonical(domain)
     twice = print_canonical(parse_domain(once))
     assert once == twice
@@ -45,10 +59,16 @@ def test_reordered_precondition_changes_canonical_text():
     assert print_canonical(parse_domain(reordered)) != print_canonical(parse_domain(original))
 
 
-def test_problem_round_trip(flagship):
-    printed = print_canonical_problem(flagship)
-    assert parse_problem(printed) == flagship
+@pytest.mark.parametrize("name", PROBLEM_TEXTS)
+def test_problem_round_trip(name):
+    problem = parse_problem(PROBLEM_TEXTS[name])
+    printed = print_canonical_problem(problem)
+    assert parse_problem(printed) == problem
     assert print_canonical_problem(parse_problem(printed)) == printed
+
+
+def test_goal_with_empty_and_holds_at_init():
+    assert solve(ground(link(parse_domain(CHOICE), parse_problem(CHOOSE)))) == Plan(())
 
 
 def test_untyped_domain_stays_untyped():

@@ -83,6 +83,21 @@ def test_grounding_explosion_cap():
         ground(linked, max_atoms=3)
 
 
+# An oracle's text may name more parameters than Python's recursion limit;
+# 1000 fit well within the candidate size cap.
+def test_a_thousand_parameters_bind_without_recursion():
+    params = " ".join(f"?v{i}" for i in range(1000))
+    text = corpus.load("blocksworld").domain_text.rstrip()[:-1]
+    domain = parse_domain(text + f"(:action hog :parameters ({params}) :precondition (and) :effect (clear ?v0)))")
+    one_block = parse_problem(
+        "(define (problem one) (:domain blocksworld) (:objects a)"
+        " (:init (on-table a) (clear a) (arm-empty)) (:goal (holding a)))"
+    )
+    assert [a.args for a in ground(link(domain, one_block)).actions if a.name == "hog"] == [("a",) * 1000]
+    with pytest.raises(GroundingExplosion):
+        ground(link(domain, parse_problem(corpus.load("blocksworld").flagship.text)), max_actions=5000)
+
+
 def test_add_delete_disjoint(flagship_task):
     for action in flagship_task.actions:
         assert action.add_mask & action.del_mask == 0

@@ -425,6 +425,27 @@ def test_bfs_root_success_when_target_met(blocksworld, flagship, blocksworld_reg
     assert result.best.plan_length == 6
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_root_returned_without_oracle_call_when_target_met(algorithm, blocksworld, flagship, blocksworld_regression):
+    oracle = builtin_script()
+    result = run_search(_cfg(algorithm, target_length=6), blocksworld, flagship, blocksworld_regression, oracle)
+    assert result.success and result.explored == 1
+    assert result.best.step_id == 0 and result.best.plan_length == 6
+    assert oracle.calls == 0
+
+
+# The original cannot plan the flagship at all, so mcts has no baseline
+# length to improve on and rewards any solving candidate fully.
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_unsolvable_original_reaches_target(algorithm, flagship, blocksworld_regression):
+    result = run_search(
+        _cfg(algorithm, target_length=2), parse_domain(UNSOLVABLE), flagship, blocksworld_regression, builtin_script()
+    )
+    assert result.success
+    assert result.best.plan_length == 2
+    assert result.best.canonical_text == print_canonical(parse_domain(variants.MULTI_LIFT))
+
+
 # -- mcts ---------------------------------------------------------------------
 
 

@@ -218,6 +218,27 @@ def test_record_before_header_rejected(tmp_path):
         read_runs(bad)
 
 
+@pytest.mark.parametrize("record, why", [
+    ([1], "record has no 'kind'"),
+    ({"kind": "oracle"}, "unknown kind 'oracle'"),
+])
+def test_bad_record_after_header_reports_its_line(tmp_path, record, why):
+    path = tmp_path / "bad.jsonl"
+    TrajectoryWriter(path, _header()).close()
+    with path.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(MalformedTrajectory) as err:
+        read_runs(path)
+    assert str(err.value) == f"{path}:2: {why}"
+
+
+def test_blank_lines_between_records_are_skipped(tmp_path):
+    path, _ = _beam_run(tmp_path)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n \n".join(path.read_text().splitlines(keepends=True)))
+    assert read_runs(spaced) == read_runs(path)
+
+
 def test_header_config_must_be_an_object(tmp_path):
     path, _ = _beam_run(tmp_path)
     header, *rest = path.read_text().splitlines(keepends=True)
