@@ -1,5 +1,8 @@
 """Rule-evolution engine for PDDL games: parse, plan, rank, search, record."""
 
+import math
+from dataclasses import fields
+
 __version__ = "0.1.0"
 
 
@@ -22,3 +25,27 @@ def lazy_exports(namespace: dict, exports: dict) -> tuple:
         return sorted({*namespace, *exports})
 
     return __getattr__, __dir__
+
+
+def bounded(low, high=math.inf) -> dict:
+    """Metadata of a settings field whose value must lie in [low, high]."""
+    return {"bounds": (low, high)}
+
+
+def out_of_bounds(value, low, high=math.inf) -> str | None:
+    """Why `value` is not a finite number in [low, high], or None."""
+    if not -math.inf < value < math.inf:
+        return f"must be finite, got {value}"
+    if not low <= value <= high:
+        bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+        return f"must be {bound}, got {value}"
+    return None
+
+
+def check_bounds(settings) -> None:
+    """A settings dataclass's `__post_init__`: `ValueError` naming the first
+    field outside its `bounded` range."""
+    for f in fields(settings):
+        problem = "bounds" in f.metadata and out_of_bounds(getattr(settings, f.name), *f.metadata["bounds"])
+        if problem:
+            raise ValueError(f"{f.name} {problem}")

@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 domain or logic failure (diagnostics, grounding
 explosion, unsolvable, resource limit, no search success, invalid plan,
 malformed trajectory), 2 usage error (bad flags, unknown corpus entry),
 3 external failure (oracle transport, credentials, unreadable files).
+Grounding explodes past 200,000 bindings visited, and a full binding that
+passes the static checks counts once more per parameter it binds.
 
 With --json, every exit that reaches `main` ends with one JSON object as the
 final stdout line. Its `status` is the outcome of a command that ran (ok,
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import MISSING, fields
 
-from . import __version__, corpus
+from . import __version__, corpus, out_of_bounds
 from .pddl import (
     PddlError,
     link,
@@ -84,12 +86,9 @@ def _read_text(spec: str, kind: str) -> str:
     return _read_file(spec)
 
 
-def _limits(args) -> SearchLimits:
-    return SearchLimits(
-        max_expanded_states=args.max_states,
-        max_plan_length=args.max_len,
-        wall_budget_ms=args.budget_ms,
-    )
+def _settings(cls, args, **given):
+    """A `cls` built from the parsed flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}, **given)
 
 
 # -- commands -----------------------------------------------------------------
@@ -109,7 +108,7 @@ def _load_task(args):
 
 
 def _cmd_plan(args) -> tuple[int, dict]:
-    result = solve(_load_task(args), _limits(args))
+    result = solve(_load_task(args), _settings(SearchLimits, args))
     if isinstance(result, Plan):
         for step in result.steps:
             print(str(step))
@@ -162,21 +161,7 @@ def _cmd_evolve(args) -> tuple[int, dict]:
     domain = parse_domain(_read_text(args.domain, "domain"))
     problem = parse_problem(_read_text(args.problem, "problem"))
 
-    weights = ObjectiveWeights(alpha=args.alpha, lam=args.lam)
-    cfg = SearchConfig(
-        algorithm=args.algo,
-        target_length=args.target_len,
-        beam_width=args.beam_width,
-        mcts_iterations=args.mcts_iterations,
-        mcts_exploration_c=args.mcts_c,
-        ga_population=args.ga_population,
-        ga_generations=args.ga_generations,
-        ga_mutation_rate=args.ga_mutation_rate,
-        max_depth=args.max_depth,
-        proposals_per_expansion=args.proposals,
-        seed=args.seed,
-        weights=weights,
-    )
+    cfg = _settings(SearchConfig, args, weights=_settings(ObjectiveWeights, args))
     if args.oracle == "scripted":
         from .proposer import builtin_script
 
@@ -201,7 +186,7 @@ def _cmd_evolve(args) -> tuple[int, dict]:
         regression,
         oracle,
         distance_oracle=distance_oracle,
-        limits=_limits(args),
+        limits=_settings(SearchLimits, args),
         trajectory_path=args.trajectory,
     )
 
@@ -296,31 +281,38 @@ def _cmd_export(args) -> tuple[int, dict]:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _in_range(kind, low, high=math.inf):
-    """An argparse type: a finite `kind` value from low to high."""
-    bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+def _in_range(kind, *bounds):
+    """An argparse type: a `kind` value within `bounds` (see `out_of_bounds`)."""
 
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not -math.inf < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        problem = out_of_bounds(value, *bounds)
+        if problem is not None:
+            raise argparse.ArgumentTypeError(problem)
         return value
 
     return convert
 
 
+def _add_setting(p: argparse.ArgumentParser, flag: str, cls, name: str, **kwargs) -> None:
+    """`flag` for field `name` of settings dataclass `cls`, with the field's
+    type, default and bound; it parses into `args.<name>`."""
+    f = cls.__dataclass_fields__[name]
+    kind = float if f.type in (float, "float") else int
+    if f.default is not MISSING:
+        kwargs.setdefault("default", f.default)
+    kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    p.add_argument(flag, dest=name, type=_in_range(kind, *f.metadata["bounds"]), **kwargs)
+
+
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-states", type=_in_range(int, 1), default=SearchLimits.max_expanded_states,
-                   help="cap on expanded states per solve")
-    p.add_argument("--max-len", type=_in_range(int, 1), default=SearchLimits.max_plan_length,
-                   help="cap on plan length")
-    p.add_argument("--budget-ms", type=_in_range(int, 1), default=SearchLimits.wall_budget_ms,
-                   help="wall budget per solve")
+    _add_setting(p, "--max-states", SearchLimits, "max_expanded_states",
+                 help="cap on expanded states per solve")
+    _add_setting(p, "--max-len", SearchLimits, "max_plan_length", help="cap on plan length")
+    _add_setting(p, "--budget-ms", SearchLimits, "wall_budget_ms", help="wall budget per solve")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,27 +339,23 @@ def _add_evolve_arguments(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("domain")
     p.add_argument("problem")
-    p.add_argument("--algo", choices=ALGORITHMS, default="beam")
-    p.add_argument("--target-len", type=_in_range(int, 0), required=True)
-    p.add_argument("--beam-width", type=_in_range(int, 1), default=SearchConfig.beam_width)
+    p.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, default="beam")
+    _add_setting(p, "--target-len", SearchConfig, "target_length", required=True)
+    _add_setting(p, "--beam-width", SearchConfig, "beam_width")
     p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--oracle", choices=("http", "scripted"), default="http")
     p.add_argument("--trajectory", help="write the run record to this jsonl file")
-    p.add_argument("--alpha", type=_in_range(float, 0), default=ObjectiveWeights.alpha,
-                   help="distance weight")
-    p.add_argument("--lambda", dest="lam", type=_in_range(float, 0), default=ObjectiveWeights.lam,
-                   help="compactness weight")
-    p.add_argument("--samples", type=_in_range(int, 1), default=OracleClientConfig.samples,
-                   help="oracle decodes per request")
-    p.add_argument("--max-depth", type=_in_range(int, 1), default=SearchConfig.max_depth)
-    p.add_argument("--proposals", type=_in_range(int, 1), default=SearchConfig.proposals_per_expansion,
-                   help="proposals per expansion")
-    p.add_argument("--mcts-iterations", type=_in_range(int, 1), default=SearchConfig.mcts_iterations)
-    p.add_argument("--mcts-c", type=_in_range(float, 0), default=SearchConfig.mcts_exploration_c)
-    p.add_argument("--ga-population", type=_in_range(int, 2), default=SearchConfig.ga_population)
-    p.add_argument("--ga-generations", type=_in_range(int, 0), default=SearchConfig.ga_generations)
-    p.add_argument("--ga-mutation-rate", type=_in_range(float, 0, 1),
-                   default=SearchConfig.ga_mutation_rate)
+    _add_setting(p, "--alpha", ObjectiveWeights, "alpha", help="distance weight")
+    _add_setting(p, "--lambda", ObjectiveWeights, "lam", metavar="LAM", help="compactness weight")
+    _add_setting(p, "--samples", OracleClientConfig, "samples", help="oracle decodes per request")
+    _add_setting(p, "--max-depth", SearchConfig, "max_depth")
+    _add_setting(p, "--proposals", SearchConfig, "proposals_per_expansion",
+                 help="proposals per expansion")
+    _add_setting(p, "--mcts-iterations", SearchConfig, "mcts_iterations")
+    _add_setting(p, "--mcts-c", SearchConfig, "mcts_exploration_c")
+    _add_setting(p, "--ga-population", SearchConfig, "ga_population")
+    _add_setting(p, "--ga-generations", SearchConfig, "ga_generations")
+    _add_setting(p, "--ga-mutation-rate", SearchConfig, "ga_mutation_rate")
     _add_limit_flags(p)
     p.add_argument("--json", action="store_true")
 
@@ -380,10 +368,8 @@ def _add_rank_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=("lev", "semantic", "hybrid"), default="lev")
     p.add_argument("--keep", type=_in_range(int, 1), default=16, help="hybrid pre-filter survivors")
     p.add_argument("--oracle", choices=("http", "mock"), default="http")
-    p.add_argument(
-        "--samples", type=_in_range(int, 1), default=OracleClientConfig.samples,
-        help="oracle votes per comparison, asked for in one request",
-    )
+    _add_setting(p, "--samples", OracleClientConfig, "samples",
+                 help="oracle votes per comparison, asked for in one request")
     p.add_argument("--json", action="store_true")
 
 

@@ -48,9 +48,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
+from . import bounded, check_bounds
 from .pddl import PddlError, link
 from .pddl.ast import (
     And,
@@ -74,7 +75,8 @@ from .pddl.ast import (
 class GroundingExplosion(Exception):
     """Raised when grounding would exceed the configured atom/action caps.
 
-    The action cap counts every binding grounding visits, kept or not.
+    The action cap counts every binding grounding visits, kept or not, and
+    a full binding that passes the static checks once more per parameter.
     """
 
 
@@ -84,13 +86,11 @@ class PreconditionViolated(Exception):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    max_expanded_states: int = 1_000_000
-    max_plan_length: int = 100
-    wall_budget_ms: int = 10_000
+    max_expanded_states: int = field(default=1_000_000, metadata=bounded(1))
+    max_plan_length: int = field(default=100, metadata=bounded(1))
+    wall_budget_ms: int = field(default=10_000, metadata=bounded(1))
 
-    def __post_init__(self) -> None:
-        if min(self.max_expanded_states, self.max_plan_length, self.wall_budget_ms) <= 0:
-            raise ValueError("search limits must be positive")
+    __post_init__ = check_bounds
 
 
 # -- ground formulas ----------------------------------------------------------
@@ -408,9 +408,9 @@ class RunCache:
         mentions.
       * The kept bindings of a compiled schema, and the folded goal, by the
         problem and the domain's types and constants (the goal also by its
-        static predicates), with the number of bindings that work visited.
-        A hit charges that number to `max_actions` again, so a cached call
-        raises `GroundingExplosion` exactly where a fresh one does.
+        static predicates), with what that work charged to `max_actions`.
+        A hit charges that again, so a cached call raises
+        `GroundingExplosion` exactly where a fresh one does.
       * What those bindings and that goal lowered to, by the interned atom
         universe, which is reused only when it is equal, in order.
     """
@@ -516,7 +516,9 @@ class _Grounder:
 
     Every binding visited, partial or full, in a parameter list or a forall,
     counts against `max_actions`. Kept actions are among them, and a schema
-    whose bindings all fail late still ends after bounded work.
+    whose bindings all fail late still ends after bounded work. A full
+    binding that passes every depth's checks also counts its parameters, as
+    it is kept as a tuple that wide.
     """
 
     def __init__(self, task: LinkedTask, cache: RunCache, max_atoms: int, max_actions: int):
@@ -686,6 +688,7 @@ class _Grounder:
             env = stack.pop()
             d = len(env) - base
             if d == len(pools):
+                self._visit(d)  # bounds what `raw` holds in objects, not in bindings
                 keep(env)
                 continue
             self._visit(len(pools[d]))
@@ -804,6 +807,9 @@ def ground(
     Raises `GroundingExplosion` past `max_atoms` ground atoms, or once more
     than `max_actions` bindings have been visited, partial and full
     bindings of the parameters and the bindings of every forall included.
+    A full binding that passes the static checks is charged once more per
+    parameter, so the bindings kept hold at most `max_actions` objects in
+    all, however many parameters an action has.
 
     `cache` is the run's `RunCache`; without one, the call makes a private
     one, so every call takes the same path. A compile, a schema's kept

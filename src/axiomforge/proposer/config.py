@@ -5,7 +5,9 @@ command reads these defaults without loading the client."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .. import bounded, check_bounds
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
@@ -15,17 +17,11 @@ DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
 class OracleClientConfig:
     base_url: str = DEFAULT_BASE_URL
     model: str = DEFAULT_MODEL
-    samples: int = 16
-    timeout_ms: int = 30_000
-    max_retries: int = 3
+    samples: int = field(default=16, metadata=bounded(1))
+    timeout_ms: int = field(default=30_000, metadata=bounded(1))
+    max_retries: int = field(default=3, metadata=bounded(0))
 
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+    __post_init__ = check_bounds
 
     @classmethod
     def from_env(cls, **overrides) -> "OracleClientConfig":

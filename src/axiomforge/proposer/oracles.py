@@ -4,9 +4,10 @@ deterministic scripted implementation."""
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
+from .. import bounded, check_bounds
 from ..corpus import variants
 from ..pddl import DomainAst, ProblemAst
 
@@ -18,13 +19,11 @@ class ProposalContext:
     domain: DomainAst
     problem: ProblemAst
     baseline_length: int | None  # None when the goal is unreachable
-    target_length: int
+    target_length: int = field(metadata=bounded(0))
     failure_summary: str = ""
     history: tuple = ()  # summaries of earlier candidates, oldest first
 
-    def __post_init__(self) -> None:
-        if self.target_length < 0:
-            raise ValueError("target_length must be >= 0")
+    __post_init__ = check_bounds
 
 
 class NoScriptMatch(Exception):

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .. import bounded, check_bounds
 from ..distance import levenshtein
 from ..pddl import Atom, DomainAst, Eq, PddlError, ProblemAst, file_forms, parse_domain, print_canonical, walk
 from ..planner import (
@@ -22,15 +23,14 @@ from ..planner import (
 class ObjectiveWeights:
     """alpha weighs distance to the original, lam rule size; a failure costs the penalty."""
 
-    alpha: float = 0.01
-    lam: float = 0.01
+    alpha: float = field(default=0.01, metadata=bounded(0))
+    lam: float = field(default=0.01, metadata=bounded(0))
     unsolvable_penalty: float = 1e6
 
     def __post_init__(self) -> None:
-        # Written so that NaN, for which every comparison is False, fails.
-        if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf
-                and 0 < self.unsolvable_penalty < math.inf):
-            raise ValueError("weights must be finite and non-negative, penalty positive")
+        check_bounds(self)
+        if not 0 < self.unsolvable_penalty < math.inf:  # so that NaN fails
+            raise ValueError("unsolvable_penalty must be finite and positive")
 
 
 def compactness(domain: DomainAst) -> int:

@@ -86,6 +86,15 @@ WIDE_ACTIONS = {
         " :effect (clear ?v0))"
     ),
 }
+# Blocksworld plus a 1000-parameter action that keeps every binding, about
+# 7000 characters, within the evaluator's size cap. Each kept binding is a
+# 1000-wide tuple: charged as one binding, the default action cap would let
+# the grounder hold about 200,000 of them (over 1 GB).
+THOUSAND_PARAMS = " ".join(f"?v{i}" for i in range(1000))
+THOUSAND_WIDE = (
+    corpus.load("blocksworld").domain_text.rstrip()[:-1]
+    + f"(:action hog :parameters ({THOUSAND_PARAMS}) :precondition (and) :effect (clear ?v0)))"
+)
 
 
 # MID_EXTRACT whose extract-base action has a second precondition. Read

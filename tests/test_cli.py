@@ -356,30 +356,30 @@ def test_range_bounds_are_accepted():
         "--beam-width", "1", "--max-depth", "1", "--proposals", "1", "--mcts-iterations", "1",
         "--samples", "1",
     ])
-    assert (args.target_len, args.ga_generations, args.ga_population) == (0, 0, 2)
-    assert (args.alpha, args.lam, args.mcts_c, args.ga_mutation_rate) == (0.0, 0.0, 0.0, 1.0)
-    assert (args.beam_width, args.max_depth, args.proposals, args.mcts_iterations) == (1, 1, 1, 1)
+    assert (args.target_length, args.ga_generations, args.ga_population) == (0, 0, 2)
+    assert (args.alpha, args.lam, args.mcts_exploration_c, args.ga_mutation_rate) == (0.0, 0.0, 0.0, 1.0)
+    assert (args.beam_width, args.max_depth, args.proposals_per_expansion, args.mcts_iterations) == (1, 1, 1, 1)
     assert args.samples == 1
 
 
 _LIMITS, _CONFIG = planner.SearchLimits(), SearchConfig(algorithm="beam", target_length=4)
 _WEIGHTS, _CLIENT = ObjectiveWeights(), OracleClientConfig()
 DEFAULTS = [
-    ("plan", "max_states", _LIMITS.max_expanded_states),
-    ("plan", "max_len", _LIMITS.max_plan_length),
-    ("plan", "budget_ms", _LIMITS.wall_budget_ms),
-    ("evolve", "max_states", _LIMITS.max_expanded_states),
-    ("evolve", "max_len", _LIMITS.max_plan_length),
-    ("evolve", "budget_ms", _LIMITS.wall_budget_ms),
+    ("plan", "max_expanded_states", _LIMITS.max_expanded_states),
+    ("plan", "max_plan_length", _LIMITS.max_plan_length),
+    ("plan", "wall_budget_ms", _LIMITS.wall_budget_ms),
+    ("evolve", "max_expanded_states", _LIMITS.max_expanded_states),
+    ("evolve", "max_plan_length", _LIMITS.max_plan_length),
+    ("evolve", "wall_budget_ms", _LIMITS.wall_budget_ms),
     ("evolve", "beam_width", _CONFIG.beam_width),
     ("evolve", "seed", _CONFIG.seed),
     ("evolve", "alpha", _WEIGHTS.alpha),
     ("evolve", "lam", _WEIGHTS.lam),
     ("evolve", "samples", _CLIENT.samples),
     ("evolve", "max_depth", _CONFIG.max_depth),
-    ("evolve", "proposals", _CONFIG.proposals_per_expansion),
+    ("evolve", "proposals_per_expansion", _CONFIG.proposals_per_expansion),
     ("evolve", "mcts_iterations", _CONFIG.mcts_iterations),
-    ("evolve", "mcts_c", _CONFIG.mcts_exploration_c),
+    ("evolve", "mcts_exploration_c", _CONFIG.mcts_exploration_c),
     ("evolve", "ga_population", _CONFIG.ga_population),
     ("evolve", "ga_generations", _CONFIG.ga_generations),
     ("evolve", "ga_mutation_rate", _CONFIG.ga_mutation_rate),

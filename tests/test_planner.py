@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -25,6 +26,7 @@ from axiomforge.planner import (
     validate_plan,
 )
 
+from conftest import THOUSAND_WIDE
 from oracle_bfs import oracle_plan, oracle_plan_length
 from oracle_solve import oracle_solve
 from test_pinned_plans import tower_reversal
@@ -96,6 +98,21 @@ def test_a_thousand_parameters_bind_without_recursion():
     assert [a.args for a in ground(link(domain, one_block)).actions if a.name == "hog"] == [("a",) * 1000]
     with pytest.raises(GroundingExplosion):
         ground(link(domain, parse_problem(corpus.load("blocksworld").flagship.text)), max_actions=5000)
+
+
+def test_a_thousand_wide_action_explodes_in_bounded_memory():
+    # 3^1000 bindings over the flagship's blocks, each kept: a kept binding
+    # is charged its 1000 parameters, so the default action cap trips after
+    # about 200 of them, not 200,000.
+    task = link(parse_domain(THOUSAND_WIDE), parse_problem(corpus.load("blocksworld").flagship.text))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundingExplosion):
+            ground(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
 
 
 def test_add_delete_disjoint(flagship_task):

@@ -42,7 +42,7 @@ from axiomforge.distance import LevenshteinMockOracle, hybrid_rank, levenshtein,
 from axiomforge.search import beam as beam_module
 from axiomforge.search.beam import rank_pool
 from axiomforge.trajectory import TrajectoryHeader, TrajectoryWriter, read_runs
-from conftest import REPEATED_PRECONDITION
+from conftest import REPEATED_PRECONDITION, THOUSAND_WIDE
 from test_ground_oracle import rule_edits
 
 ORIGINAL = corpus.load("blocksworld").domain_text
@@ -310,6 +310,15 @@ def test_wide_rule_edit_ends_as_grounding_explosion(
     started = time.monotonic()
     cand = evaluator.evaluate(domain, text, Provenance(None, 1, "wide"))
     assert time.monotonic() - started < 1.0
+    assert cand.score == evaluator.weights.unsolvable_penalty
+    assert cand.plan_length is None and not cand.regression_ok
+
+
+def test_thousand_wide_rule_edit_scores_the_penalty(blocksworld, flagship, blocksworld_regression):
+    evaluator = CandidateEvaluator(blocksworld, flagship, blocksworld_regression)
+    read = evaluator.read(THOUSAND_WIDE)
+    assert read is not None  # within the size cap, so it is grounded
+    cand = evaluator.evaluate(*read, Provenance(None, 1, "thousand-wide"))
     assert cand.score == evaluator.weights.unsolvable_penalty
     assert cand.plan_length is None and not cand.regression_ok
 
