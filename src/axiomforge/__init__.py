@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from functools import cache
 
 __version__ = "0.1.0"
 
@@ -42,10 +43,17 @@ def out_of_bounds(value, low, high=math.inf) -> str | None:
     return None
 
 
+@cache
+def _bounded_fields(cls: type) -> tuple:
+    """(name, bounds) of each `bounded` field of a settings class, in field
+    order."""
+    return tuple((f.name, f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+
+
 def check_bounds(settings) -> None:
     """A settings dataclass's `__post_init__`: `ValueError` naming the first
     field outside its `bounded` range."""
-    for f in fields(settings):
-        problem = "bounds" in f.metadata and out_of_bounds(getattr(settings, f.name), *f.metadata["bounds"])
+    for name, bounds in _bounded_fields(type(settings)):
+        problem = out_of_bounds(getattr(settings, name), *bounds)
         if problem:
-            raise ValueError(f"{f.name} {problem}")
+            raise ValueError(f"{name} {problem}")

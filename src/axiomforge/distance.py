@@ -23,6 +23,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from . import out_of_bounds
+
 
 def _levenshtein_bits(a: str, b: str) -> int:
     # Myers (J. ACM 46(3), 1999) in Hyyro's edit-distance form (2003): bit i
@@ -114,8 +116,9 @@ class DistanceOracle(ABC):
     """
 
     def __init__(self, samples_per_query: int):
-        if samples_per_query < 1:
-            raise ValueError("samples_per_query must be >= 1")
+        problem = out_of_bounds(samples_per_query, 1)
+        if problem:
+            raise ValueError(f"samples_per_query {problem}")
         self.samples_per_query = samples_per_query
         self._cache: dict = {}
 

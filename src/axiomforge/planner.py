@@ -13,10 +13,12 @@ one a scan over all actions would return.
 Where the goal is a literal conjunction, each layer first looks for the
 plan's last step, trying only states that miss few enough goal literals
 and only actions that can make the lowest missing one true, so the final
-layer is never expanded. The plan is the one a full expansion returns, and
-the expansion cap and the clock still count and read once for every state
-a full expansion reaches, so expanded-state counts and a fake clock's
-reads mean what they did before the lookahead.
+layer is never expanded. A state's missed goal literals are one mask: the
+state XOR the goal's positive literals, ANDed with every bit the goal
+reads. The plan is the one a full expansion returns, and the expansion cap
+and the clock still count and read once for every state a full expansion
+reaches, so expanded-state counts and a fake clock's reads mean what they
+did before the lookahead.
 
 Grounding joins each action schema against the initial state on its
 static preconditions (Helmert, "Concise finite-domain representations for
@@ -869,25 +871,33 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     the pre-state. Every other successor is `state & ~del_mask | add_mask`.
 
     A goal that is a literal conjunction is not tested on each successor.
-    Instead, each layer first looks for the plan's last step: the first
-    state of the layer, in expansion order, with a successor that meets the
-    goal, and that state's lowest-index action reaching it. That is the
-    step a full expansion of the layer would meet first, so the plan is the
-    same. Only *near* states can have such a successor: those that miss at
-    most as many goal literals as one action can make true, conditional
-    effects included. A near state tries only the actions that can make its
-    lowest missing goal literal true. Once the lookahead finds the step, the
-    layer loop counts and clocks each state up to the last step's state, as
-    a full expansion would, but expands none, so `max_expanded_states` and
-    `wall_budget_ms` trip on the same state as without the lookahead. Any
-    other goal is tested on each new successor.
+    A state misses the goal literals `(state ^ goal_pos) & goal_bits`, with
+    `goal_bits = goal_pos | goal_neg`; one mask serves the near test, the
+    lookahead's lowest missing literal and its goal test. (A goal that asks
+    for a literal and its negation has no such mask and is tested with
+    `holds` on each successor.) Each layer first looks for the plan's last
+    step: the first state of the layer, in expansion order, with a
+    successor that meets the goal, and that state's lowest-index action
+    reaching it. That is the step a full expansion of the layer would meet
+    first, so the plan is the same. Only *near* states can have such a
+    successor: those that miss at most as many goal literals as one action
+    can make true, conditional effects included. A near state tries only
+    the actions that can make its lowest missing goal literal true. Once
+    the lookahead finds the step, the layer loop counts and clocks each
+    state up to the last step's state, as a full expansion would, but
+    expands none, so `max_expanded_states` and `wall_budget_ms` trip on the
+    same state as without the lookahead: the clock is read once for the
+    deadline and once per counted state. Any other goal is tested on each
+    new successor.
 
     A goal that grounding folded to false is unsolvable before any state is
     expanded. A frontier whose successors would pass `max_plan_length` ends
     the search before any of its states counts as expanded.
     """
     limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.wall_budget_ms / 1000.0
+    clock = time.monotonic
+    cap = limits.max_expanded_states
+    deadline = clock() + limits.wall_budget_ms / 1000.0
 
     if task.goal == _FALSE:
         return Unsolvable()
@@ -896,23 +906,27 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
 
     actions = task.actions
     goal_masks = _literal_masks(task.goal)
+    if goal_masks and goal_masks[0] & goal_masks[1]:
+        # A literal and its negation: no state meets the goal, and only
+        # `holds` says so, since one mask cannot ask a bit to be both.
+        goal_masks = None
     goal_pos, goal_neg = goal_masks or (0, 0)
+    goal_bits = goal_pos | goal_neg
     # need_on[i] and need_off[i] are the actions whose masks need bit i on
-    # and off; `hard` holds the actions that take the formula path.
-    # setters[b] are the actions that can make the goal literal on bit b
-    # true, and `most` is the most goal literals one action can make true.
+    # and off. setters[b] are the actions that can make the goal literal on
+    # bit b true, and `most` is the most goal literals one action can make
+    # true. effects[i] is (keep mask, add mask, whether action i takes the
+    # formula path).
     need_on: dict[int, int] = {}
     need_off: dict[int, int] = {}
     setters: dict[int, int] = {}
     most = 0
-    hard = 0
     effects = []
     for index, action in enumerate(actions):
         bit = 1 << index
         masks = action.pre_masks
-        if masks is None:
-            hard |= bit
-        else:
+        formula = masks is None
+        if not formula:
             pos, neg = masks
             while pos:
                 low = pos & -pos
@@ -927,7 +941,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         add, dele = action.add_mask, action.del_mask
         sets = add & goal_pos | dele & goal_neg
         if action.conditional:
-            hard |= bit
+            formula = True
             for _, c_add, c_del in action.conditional:
                 sets |= c_add & goal_pos | c_del & goal_neg
         if sets:
@@ -938,7 +952,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 low = sets & -sets
                 setters[low] = setters.get(low, 0) | bit
                 sets ^= low
-        effects.append((~dele, add))
+        effects.append((~dele, add, formula))
     everything = (1 << len(actions)) - 1
 
     # One table per chunk that a literal reads: (shift, mask of the read
@@ -968,7 +982,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         # The plan's last step, as (state, action index, successor).
         last = None
         for state in near:
-            missing = state & goal_pos ^ goal_pos | state & goal_neg
+            missing = (state ^ goal_pos) & goal_bits
             todo = setters.get(missing & -missing, 0)
             while todo:
                 low = todo & -todo
@@ -978,7 +992,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 if not action.applicable(state):
                     continue
                 succ = apply(state, action)
-                if succ & goal_pos == goal_pos and not succ & goal_neg:
+                if not (succ ^ goal_pos) & goal_bits:
                     last = (state, index, succ)
                     break
             if last:
@@ -987,9 +1001,9 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         near = []
         for state in frontier:
             expanded += 1
-            if expanded > limits.max_expanded_states:
+            if expanded > cap:
                 return ResourceExceeded("max-expanded-states")
-            if time.monotonic() > deadline:
+            if clock() > deadline:
                 return ResourceExceeded("wall-budget")
             if last:
                 if state == last[0]:
@@ -1010,9 +1024,9 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 low = todo & -todo
                 todo ^= low
                 index = low.bit_length() - 1
-                keep, add = effects[index]
+                keep, add, formula = effects[index]
                 succ = state & keep | add
-                if low & hard:
+                if formula:
                     action = actions[index]
                     if action.pre_masks is None and not holds(action.precondition, state):
                         continue
@@ -1025,7 +1039,7 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                 if goal_masks is None:
                     if holds(task.goal, succ):
                         return _plan(parent, actions, succ)
-                elif (succ & goal_pos ^ goal_pos | succ & goal_neg).bit_count() <= most:
+                elif ((succ ^ goal_pos) & goal_bits).bit_count() <= most:
                     near.append(succ)
                 next_frontier.append(succ)
         frontier = next_frontier

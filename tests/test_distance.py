@@ -200,6 +200,13 @@ def test_empty_candidates_rejected():
         semantic_rank("ref", [], LevenshteinMockOracle())
 
 
+@pytest.mark.parametrize("samples", [0, 0.5, float("nan")])
+def test_samples_per_query_bound(samples):
+    with pytest.raises(ValueError, match="^samples_per_query "):
+        LevenshteinMockOracle(samples)
+    assert LevenshteinMockOracle(1).samples_per_query == 1
+
+
 def test_repeat_run_uses_cache_only(mutation_set):
     reference, candidates = mutation_set
     oracle = LevenshteinMockOracle()

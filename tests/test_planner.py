@@ -596,6 +596,25 @@ EDGE_TASKS = {
             GroundAction("a3", (), And(), 0b1000, 0, pre_masks=(0, 0)),
         ),
     ),
+    # The goal is p0 and not p1, and a0 sets both, so a state missing two
+    # goal literals is near. The layer-1 state {p1 p2} is one, though p2,
+    # which the goal does not read, is set in it too: the plan is a1 a0.
+    "near-state-outside-goal-bit": GroundedTask(
+        atoms=_atoms(3),
+        init=0b010,
+        goal=And((0, Not(1))),
+        actions=(
+            GroundAction("a0", (), 2, 0b001, 0b010, pre_masks=(0b100, 0)),
+            GroundAction("a1", (), And(), 0b100, 0, pre_masks=(0, 0)),
+        ),
+    ),
+    # (and p0 (not p0)) is never met, though a0 makes p0 true.
+    "contradictory-goal": GroundedTask(
+        atoms=_atoms(1),
+        init=0,
+        goal=And((0, Not(0))),
+        actions=(GroundAction("a0", (), And(), 0b1, 0, pre_masks=(0, 0)),),
+    ),
 }
 
 
@@ -607,6 +626,7 @@ def test_solve_matches_oracle_on_edge_tasks(name):
 @pytest.mark.parametrize("name, names", [
     ("earlier-state-wins", ("a2", "a1")),
     ("conditional-delete-goal", ("a3", "a0")),
+    ("near-state-outside-goal-bit", ("a1", "a0")),
 ])
 def test_edge_task_plans(name, names):
     assert tuple(step.name for step in solve(EDGE_TASKS[name]).steps) == names
