@@ -28,7 +28,9 @@ PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
   * instantiations whose precondition is statically false are dropped;
   * instantiations where one effect group both adds and deletes the same
     atom (e.g. `stack(a, a)` in blocks world) are dropped as contradictory,
-    which keeps add/delete sets disjoint.
+    which keeps add/delete sets disjoint;
+  * a goal that is a literal conjunction asking for an atom and its
+    negation is folded to false.
 
 Grounding runs in three steps: compile each schema (`_Compiler`), bind it
 to the problem's objects and initial state, and lower the kept bindings to
@@ -43,6 +45,11 @@ binding or goal charges the bindings it visited to `max_actions` again. So
 the join against static atoms is incremental across a run's candidates,
 and `ground` returns a `GroundedTask` equal, field for field, to a fresh
 call's, and raises the same explosion where a fresh call does.
+
+`validate_lifted` checks a plan on the domain and problem ASTs alone, by
+the rules grounding applies, so where grounding does not explode it
+accepts exactly the step sequences that `validate_plan` accepts as actions
+of the ground task; it grounds nothing.
 """
 
 from __future__ import annotations
@@ -787,7 +794,11 @@ class _Grounder:
         goal = self._reuse(cache.goals, (*task, goal_preds & static), fold_goal)
         goal_g = goal.lowered.get(token)
         if goal_g is None:
-            goal_g = goal.lowered[token] = self._lower(goal.value)
+            goal_g = self._lower(goal.value)
+            masks = _literal_masks(goal_g)
+            if masks and masks[0] & masks[1]:
+                goal_g = _FALSE  # a literal conjunction that asks for an atom and its negation
+            goal.lowered[token] = goal_g
         return GroundedTask(
             atoms=atoms,
             init=(1 << len(self.init)) - 1,  # interned first, so the lowest bits
@@ -909,6 +920,8 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
     if goal_masks and goal_masks[0] & goal_masks[1]:
         # A literal and its negation: no state meets the goal, and only
         # `holds` says so, since one mask cannot ask a bit to be both.
+        # Grounding folds such a goal to false; a task built by hand may
+        # still hold one.
         goal_masks = None
     goal_pos, goal_neg = goal_masks or (0, 0)
     goal_bits = goal_pos | goal_neg
@@ -1062,3 +1075,160 @@ def validate_plan(task: GroundedTask, plan: Plan) -> tuple[bool, int | None]:
     if not holds(task.goal, state):
         return False, len(plan.steps)
     return True, None
+
+
+# -- lifted plan checking -----------------------------------------------------
+
+
+# The most forall bindings one `validate_lifted` call enumerates: `ground`'s
+# default cap on the bindings it visits.
+_LIFTED_BINDINGS = 200_000
+
+
+class _TooWide(Exception):
+    """A lifted check past `_LIFTED_BINDINGS`."""
+
+
+def validate_lifted(domain: DomainAst, problem: ProblemAst, steps) -> int | None:
+    """Replay `steps`, (action name, argument tuple) pairs, on the task's
+    ASTs without grounding it, as an independent plan checker does (Howey,
+    Long and Fox, "VAL: Automatic Plan Validation", ICTAI 2004). Returns
+    None when every step applies in turn and the goal then holds; otherwise
+    the index of the first step that does not apply, or len(steps) when the
+    goal fails.
+
+    A step applies exactly where the ground action `ground` keeps for it
+    does: the first schema of that name and arity, each argument an object
+    that fits its parameter's type, the precondition true on the state, and
+    no atom both added and deleted among the unconditional effects or
+    within one `when`. As in grounding, a `when` whose condition the static
+    atoms and `=` decide is unconditional when true and has no effect when
+    false; the others fire on the pre-state, after the unconditional
+    deletes and adds, in effect order. So, where grounding does not
+    explode, steps accepted here are actions of `ground(task)` that
+    `validate_plan` accepts, and a plan that `solve` returns is accepted
+    here.
+
+    The check enumerates each `forall` it meets, and stops once that has
+    visited more than `_LIFTED_BINDINGS` bindings in all, reporting the
+    step (or the goal) it was at; grounding would visit at least as many.
+    """
+    types = object_types(domain, problem)
+    ancestors = type_ancestors(domain.types)
+    static = None
+    pools: dict = {}  # variables -> the value tuples of their bindings
+    visited = 0
+    state = {(a.name, *a.args) for a in problem.init}
+
+    def fits(obj: str, tref) -> bool:
+        return obj in types and fits_type(ancestors, types[obj], tref)
+
+    def bindings(variables: tuple, env: dict) -> list:
+        nonlocal visited
+        combos = pools.get(variables)
+        if combos is None:
+            values = [[o for o in types if fits(o, v.type)] for v in variables]
+            if visited + math.prod(map(len, values)) > _LIFTED_BINDINGS:
+                raise _TooWide
+            combos = pools[variables] = tuple(itertools.product(*values))
+        visited += len(combos)
+        if visited > _LIFTED_BINDINGS:
+            raise _TooWide
+        names = [v.name for v in variables]
+        return [{**env, **dict(zip(names, combo))} for combo in combos]
+
+    def truth(f: Formula, env: dict, known: frozenset | None = None) -> bool | None:
+        """`f` on the state under `env`; with `known`, None where it turns
+        on an atom whose predicate is not in `known` (three-valued, as
+        grounding folds a condition against the static atoms)."""
+        kind = type(f)
+        if kind is Atom:
+            if known is not None and f.name not in known:
+                return None
+            return (f.name, *map(env.get, f.args, f.args)) in state
+        if kind is And and known is None:
+            for part in f.parts:
+                if not truth(part, env):
+                    return False
+            return True
+        if kind is Not:
+            value = truth(f.body, env, known)
+            return None if value is None else not value
+        if kind is Eq:
+            return env.get(f.left, f.left) == env.get(f.right, f.right)
+        if kind is Forall:
+            envs = bindings(f.variables, env)
+            parts = (f.body,) * len(envs)
+        else:
+            envs = itertools.repeat(env)
+            parts = f.parts
+        decider = kind is Or  # the value one part decides the whole with
+        result: bool | None = not decider
+        for part, part_env in zip(parts, envs):
+            value = truth(part, part_env, known)
+            if value is decider:
+                return decider
+            if value is None:
+                result = None
+        return result
+
+    def effects(f: Formula, env: dict, adds: set, dels: set, groups: list) -> None:
+        nonlocal static
+        kind = type(f)
+        if kind is And:
+            for p in f.parts:
+                effects(p, env, adds, dels, groups)
+        elif kind is Atom:
+            adds.add((f.name, *map(env.get, f.args, f.args)))
+        elif kind is Not:
+            dels.add((f.body.name, *map(env.get, f.body.args, f.body.args)))
+        elif kind is Forall:
+            for inner in bindings(f.variables, env):
+                effects(f.body, inner, adds, dels, groups)
+        else:
+            if static is None:
+                touched: set = set()
+                for action in domain.actions:
+                    _effect_predicates(action.effect, touched)
+                static = frozenset(p.name for p in domain.predicates) - touched
+            decided = truth(f.condition, env, static)
+            if decided is False:
+                return
+            sub_adds: set = set()
+            sub_dels: set = set()
+            effects(f.effect, env, sub_adds, sub_dels, groups)
+            if decided:
+                adds |= sub_adds
+                dels |= sub_dels
+            else:
+                groups.append((f.condition, env, sub_adds, sub_dels))
+
+    index = 0
+    try:
+        for index, (name, args) in enumerate(steps):
+            for schema in domain.actions:
+                if schema.name == name and len(schema.params) == len(args):
+                    break
+            else:
+                return index
+            if not all(map(fits, args, [p.type for p in schema.params])):
+                return index
+            env = dict(zip([p.name for p in schema.params], args))
+            if not truth(schema.precondition, env):
+                return index
+            adds: set = set()
+            dels: set = set()
+            groups: list = []
+            effects(schema.effect, env, adds, dels, groups)
+            if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, _, a, d in groups):
+                return index  # grounding drops a contradictory instantiation
+            fired = [(a, d) for cond, cond_env, a, d in groups if truth(cond, cond_env)]
+            state -= dels
+            state |= adds
+            for a, d in fired:
+                state -= d
+                state |= a
+        index = len(steps)
+        return None if truth(problem.goal, {}) else index
+    except _TooWide:
+        return index

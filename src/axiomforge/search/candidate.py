@@ -16,6 +16,7 @@ from ..planner import (
     SolveResult,
     ground,
     solve,
+    validate_lifted,
 )
 
 
@@ -113,6 +114,14 @@ class CandidateEvaluator:
     canonical proposal reads only the forms its edit changed. This assumes
     `original` is a domain the reader accepted, or one equal to it, whose
     canonical text parses back to it.
+
+    The root's evaluation keeps each suite problem's plan as its witness,
+    as (action name, arguments) steps. A later candidate that links to a
+    suite problem keeps it where `validate_lifted` accepts the witness
+    under the candidate's rules, with no ground or search; otherwise the
+    problem is searched. The witness proves the problem solvable, so it is
+    kept even where a search would trip a limit or grounding explode. The
+    flagship is always searched, since its plan length is the score.
     """
 
     def __init__(
@@ -139,6 +148,7 @@ class CandidateEvaluator:
         self._forms: dict = {}  # parse_domain's memo of forms, for this run only
         file_forms(original, self.original_text, self._forms)
         self._memo: dict = {}
+        self._witnesses: dict = {}  # index in the suite -> the root's plan steps
 
     def read(self, text: str) -> tuple | None:
         """The linked domain in oracle `text` and its canonical text, or None
@@ -161,6 +171,20 @@ class CandidateEvaluator:
     def _solve(self, domain: DomainAst, problem: ProblemAst) -> SolveResult:
         return solve(ground(self.cache.link(domain, problem), cache=self.cache), self.limits)
 
+    def _kept(self, domain: DomainAst, index: int, root: bool) -> bool:
+        """Whether `domain` still solves suite problem `index`: by its
+        witness, or else by a search, whose plan the root keeps."""
+        problem = self._suite[index]
+        witness = self._witnesses.get(index)
+        if witness is not None:
+            self.cache.link(domain, problem)
+            if validate_lifted(domain, problem, witness) is None:
+                return True
+        result = self._solve(domain, problem)
+        if root and isinstance(result, Plan):
+            self._witnesses[index] = tuple((step.name, step.args) for step in result.steps)
+        return isinstance(result, Plan)
+
     def evaluate(self, domain: DomainAst, text: str, provenance: Provenance) -> EditCandidate:
         """Score `domain`, whose canonical text is `text`: the flagship first, then
         the suite. A grounding explosion or a failed link stops the evaluation."""
@@ -174,14 +198,15 @@ class CandidateEvaluator:
             compactness=compactness(domain),
             lev_distance=levenshtein(self.original_text, text),
         )
+        root = text == self.original_text
         try:
             cand.plan_result = self._solve(domain, self.problem)
             solved = isinstance(cand.plan_result, Plan)
             # A suite that holds the flagship fails with it, whatever the
             # rest of the suite would give.
             cand.regression_ok = (solved or None not in self._suite) and all(
-                solved if prob is None else isinstance(self._solve(domain, prob), Plan)
-                for prob in self._suite
+                solved if prob is None else self._kept(domain, index, root)
+                for index, prob in enumerate(self._suite)
             )
         except (GroundingExplosion, PddlError):
             pass

@@ -311,5 +311,8 @@ class _Grounder:
             init_mask |= 1 << universe[atom]
 
         goal = lower(self._cond(self.problem.goal, {}))
+        masks = _literal_masks(goal)
+        if masks and masks[0] & masks[1]:
+            goal = _FALSE  # a literal conjunction that asks for an atom and its negation
         atoms = tuple(sorted(universe, key=universe.get))
         return GroundedTask(atoms=atoms, init=init_mask, goal=goal, actions=tuple(actions))

@@ -94,6 +94,9 @@ def _corpus_cases():
             out.append((f"{label}:{prob.name}", text, prob.text))
     for n in range(4, 9):
         out.append((f"tower-reversal-{n}", blocksworld.domain_text, tower_reversal(n)))
+    tower = tower_reversal(4)
+    contradictory = tower[: tower.index("(:goal")] + "(:goal (and (holding b1) (on b1 b2) (not (holding b1)))))"
+    out.append(("contradictory-goal", blocksworld.domain_text, contradictory))
     for n in range(3, 8):
         out.append((f"hanoi-{n}", corpus.load("hanoi").domain_text, hanoi(n)))
     return out

@@ -403,6 +403,14 @@ def test_an_action_reads_its_parameters_anywhere_and_an_empty_value_as_and(case,
     assert print_canonical(domain) == print_canonical(parse_domain(same_as))
 
 
+def test_an_action_of_a_name_alone_reads_as_an_empty_action():
+    domain = parse_domain("(define (domain bare) (:predicates (p)) (:action a))")
+    assert print_canonical(domain) == (
+        "(define (domain bare)\n  (:predicates\n    (p))\n"
+        "  (:action a\n    :parameters ()\n    :precondition (and)\n    :effect (and)))\n"
+    )
+
+
 def test_an_empty_goal_list_is_still_a_positioned_syntax_error():
     with pytest.raises(PddlError) as err:
         parse_problem("(define (problem x) (:domain d) (:goal ()))")

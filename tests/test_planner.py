@@ -334,6 +334,19 @@ def test_goal_folded_to_false_is_unsolvable_at_once():
     assert solve(task, SearchLimits(max_expanded_states=1)) == Unsolvable()
 
 
+def test_contradictory_goal_is_unsolvable_before_any_expansion(monkeypatch):
+    # A goal that asks for an atom and its negation grounds to false, so
+    # `solve` reads the clock once, for its deadline, and counts no state.
+    problem = tower_reversal(8)
+    problem = problem[: problem.index("(:goal")] + "(:goal (and (holding b1) (not (holding b1)))))"
+    task = _task(corpus.load("blocksworld").domain_text, problem)
+    assert task.goal == Or()
+    reads = []
+    monkeypatch.setattr(time, "monotonic", lambda: reads.append(1) or 0.0)
+    assert solve(task) == Unsolvable()
+    assert len(reads) == 1
+
+
 def test_wall_budget(monkeypatch, flagship_task):
     ticks = iter([0.0] + [100.0] * 50)
     monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
