@@ -6,12 +6,21 @@ formula per line inside actions. Declaration and conjunct order are
 preserved; only the requirement set and problem init (both sets) are sorted.
 ``parse(print_canonical(d))`` is structurally equal to ``d`` and printing is
 byte-idempotent.
+
+A domain's text is its header block joined with one block per action. A
+caller that prints many domains sharing objects (a search run's candidates,
+read through one form memo) passes a dict that keeps each block's text under
+the identity of the objects it was printed from: the domain name and the
+`id` of its requirements, types, constants and predicates for the header,
+the action's `id` for an action. An entry holds those objects, so none is
+freed and no other object can take its id while the dict lives.
 """
 
 from __future__ import annotations
 
 from .ast import (
     ROOT_TYPE,
+    ActionSchema,
     And,
     Atom,
     DomainAst,
@@ -65,7 +74,34 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def print_canonical(domain: DomainAst) -> str:
+def print_canonical(domain: DomainAst, blocks: dict | None = None) -> str:
+    """The canonical text of `domain`, joined from its header block and one
+    block per action.
+
+    `blocks`, when given, keeps each block's text for later calls, keyed
+    by identity as the module docstring says: hashing an AST walks it,
+    while the form memo of `parse_domain` hands back the very objects of
+    every form an edit left alone. Each entry holds the objects it was
+    printed from, so their ids cannot be reused while the dict lives.
+    Without `blocks`, a dict of this call's own is used.
+    """
+    if blocks is None:
+        blocks = {}
+    head = (domain.requirements, domain.types, domain.constants, domain.predicates)
+    key = (domain.name, *map(id, head))
+    entry = blocks.get(key)
+    if entry is None:
+        entry = blocks[key] = (_header_block(domain), head)
+    texts = [entry[0]]
+    for action in domain.actions:
+        entry = blocks.get(id(action))
+        if entry is None:
+            entry = blocks[id(action)] = (_action_block(action), action)
+        texts.append(entry[0])
+    return "\n".join(texts) + ")\n"
+
+
+def _header_block(domain: DomainAst) -> str:
     lines = [f"(define (domain {domain.name})"]
     if domain.requirements:
         lines.append("  (:requirements " + " ".join(sorted(domain.requirements)) + ")")
@@ -79,13 +115,16 @@ def print_canonical(domain: DomainAst) -> str:
             body = pred.name if not pred.params else f"{pred.name} {_typed_list(pred.params)}"
             suffix = ")" if i + 1 == len(domain.predicates) else ""
             lines.append(f"    ({body}){suffix}")
-    for action in domain.actions:
-        lines.append(f"  (:action {action.name}")
-        lines.append(f"    :parameters ({_typed_list(action.params)})")
-        lines.append(f"    :precondition {format_formula(action.precondition)}")
-        lines.append(f"    :effect {format_formula(action.effect)})")
-    lines[-1] += ")"
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
+
+
+def _action_block(action: ActionSchema) -> str:
+    return (
+        f"  (:action {action.name}\n"
+        f"    :parameters ({_typed_list(action.params)})\n"
+        f"    :precondition {format_formula(action.precondition)}\n"
+        f"    :effect {format_formula(action.effect)})"
+    )
 
 
 def print_canonical_problem(problem: ProblemAst) -> str:

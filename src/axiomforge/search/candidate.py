@@ -113,7 +113,11 @@ class CandidateEvaluator:
     filed from its AST under the keys its canonical text gives, so a
     canonical proposal reads only the forms its edit changed. This assumes
     `original` is a domain the reader accepted, or one equal to it, whose
-    canonical text parses back to it.
+    canonical text parses back to it. The run's block memo starts with the
+    original's printed header and actions, and as the form memo hands back
+    the same objects for every form an edit left alone, a candidate's
+    canonical text is those blocks joined with a print of the ones its edit
+    changed.
 
     The root's evaluation keeps each suite problem's plan as its witness,
     as (action name, arguments) steps. A later candidate that links to a
@@ -133,7 +137,8 @@ class CandidateEvaluator:
         weights: ObjectiveWeights | None = None,
     ):
         self.original = original
-        self.original_text = print_canonical(original)
+        self._blocks: dict = {}  # print_canonical's memo of blocks, for this run only
+        self.original_text = print_canonical(original, self._blocks)
         self.problem = problem
         # The suite usually holds the flagship too, whose result each
         # evaluation reuses; None stands for it, decided here once.
@@ -156,14 +161,15 @@ class CandidateEvaluator:
         as long as the original (then it is not read at all). Each distinct
         text is read once, form by form through the run's form memo, so a
         declaration or action that the original's canonical text or an
-        earlier text held unchanged is neither read nor parsed again."""
+        earlier text held unchanged is neither read, parsed nor printed
+        again."""
         if len(text) > self._max_len:
             return None
         if text not in self._read:
             try:
                 domain = parse_domain(text, self._forms)
                 self.cache.link(domain, self.problem)
-                self._read[text] = (domain, print_canonical(domain))
+                self._read[text] = (domain, print_canonical(domain, self._blocks))
             except PddlError:
                 self._read[text] = None
         return self._read[text]

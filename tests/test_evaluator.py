@@ -1,4 +1,5 @@
-"""The candidate evaluator's suite witnesses, search limits and text cap.
+"""The candidate evaluator's suite witnesses, search limits, text cap and
+block memo.
 
 The root's evaluation keeps each suite problem's plan; a later candidate
 keeps that problem when the plan replays lifted under its rules, and is
@@ -9,13 +10,15 @@ import pytest
 
 from axiomforge import corpus
 from axiomforge.pddl import link, parse_domain, parse_problem, print_canonical
+from axiomforge.pddl import printer as printer_module
 from axiomforge.planner import Plan, ResourceExceeded, SearchLimits, ground, solve, validate_lifted
-from axiomforge.proposer import builtin_script
+from axiomforge.proposer import ScriptEntry, ScriptedOracle, builtin_script
 from axiomforge.search import CandidateEvaluator, Provenance, SearchConfig, run_search
 from axiomforge.search import candidate as candidate_module
 from axiomforge.search.candidate import MAX_TEXT_FACTOR
 from axiomforge.trajectory import read_runs
 
+from test_pddl_fuzz import rule_edits
 from test_pinned_plans import tower_reversal
 
 ORIGINAL = corpus.load("blocksworld").domain_text
@@ -150,3 +153,31 @@ def test_a_text_at_the_size_cap_is_read_and_one_longer_is_not(monkeypatch, block
     assert len(at_cap) == cap
     assert read(at_cap) is not None and parsed == [at_cap]
     assert read(at_cap + "x") is None and parsed == [at_cap]
+
+
+def test_a_run_prints_each_action_it_reads_once(monkeypatch, blocksworld, flagship, blocksworld_regression):
+    """An edit of one action prints only that action: the others are the
+    objects of the original, whose blocks the run's block memo holds."""
+    edits = tuple(print_canonical(edit) for edit in rule_edits(blocksworld))
+    printed, formatted = [], []
+    real_print = candidate_module.print_canonical
+    real_format = printer_module.format_formula
+
+    def recording_print(domain, *blocks):
+        printed.append(domain)
+        return real_print(domain, *blocks)
+
+    def recording_format(f):
+        formatted.append(f)
+        return real_format(f)
+
+    monkeypatch.setattr(candidate_module, "print_canonical", recording_print)
+    monkeypatch.setattr(printer_module, "format_formula", recording_format)
+    oracle = ScriptedOracle([ScriptEntry(trigger=lambda ctx: True, responses=edits)])
+    cfg = SearchConfig(algorithm="beam", target_length=0, max_depth=2, proposals_per_expansion=len(edits))
+    run_search(cfg, blocksworld, flagship, blocksworld_regression, oracle)
+
+    actions = {id(a): a for domain in printed for a in domain.actions}
+    preconditions = [f for f in formatted if any(f is a.precondition for a in actions.values())]
+    assert len(printed) > len(edits) // 2
+    assert len(preconditions) == len(actions) < sum(len(domain.actions) for domain in printed)

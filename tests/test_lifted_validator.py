@@ -1,8 +1,9 @@
 """`validate_lifted` against `validate_plan` on `ground`'s actions.
 
 The lifted check reads only the ASTs, so it is compared with the ground
-replay on the corpus rule edits and on random small typed domains (foralls,
-`when`s, `either` types, `=`) and their rule edits: every plan `solve`
+replay on the corpus rule edits, on random small typed domains (foralls,
+`when`s, `either` types, `=`) and their rule edits, and on such domains with
+actions redrawn so that walks apply many `when`s: every plan `solve`
 returns validates lifted, a step sequence gets the verdict the ground
 replay gives, statically dropped and contradictory bindings included, and
 a plan with one step swapped fails at the index `validate_plan` names.
@@ -16,7 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiomforge import corpus
-from axiomforge.pddl import And, Forall, LinkedTask, Not, link, parse_domain, parse_problem
+from axiomforge.pddl import (
+    ActionSchema,
+    And,
+    Atom,
+    Eq,
+    Forall,
+    LinkedTask,
+    Not,
+    TypedName,
+    When,
+    link,
+    parse_domain,
+    parse_problem,
+)
 from axiomforge.planner import Plan, SearchLimits, apply, ground, solve, validate_lifted, validate_plan
 
 from test_ground_oracle import EDIT_TASKS, rule_edits, typed_tasks
@@ -264,11 +278,9 @@ def _walks(draw, task, grounded):
     return tuple(steps)
 
 
-@given(_edited_tasks(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_random_step_sequences_get_the_ground_verdict(task, data):
-    """The walk agrees with the ground replay, and so does each prefix of
-    its longest valid prefix followed by any binding of any schema over
+def assert_walk_agrees(task, data):
+    """A drawn walk agrees with the ground replay, and so does each prefix
+    of its longest valid prefix followed by any binding of any schema over
     every name."""
     grounded = ground(task)
     steps = data.draw(_walks(task, grounded))
@@ -280,6 +292,56 @@ def test_random_step_sequences_get_the_ground_verdict(task, data):
         for schema in task.domain.actions:
             for args in itertools.product(names, repeat=len(schema.params)):
                 assert_agrees(task, grounded, prefix[:k] + ((schema.name, args),))
+
+
+@given(_edited_tasks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_step_sequences_get_the_ground_verdict(task, data):
+    assert_walk_agrees(task, data)
+
+
+def _literals(draw, preds, terms, low, high, eq=False):
+    """`low` to `high` literals: atoms of `preds` over `terms`, their
+    negations, and with `eq` also `=`s."""
+    out = []
+    for _ in range(draw(st.integers(low, high))):
+        kind = draw(st.sampled_from(["atom", "not", "eq"] if eq else ["atom", "not"]))
+        if kind == "eq":
+            out.append(Eq(draw(st.sampled_from(terms)), draw(st.sampled_from(terms))))
+        else:
+            name, arity = draw(st.sampled_from(preds))
+            atom = Atom(name, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+            out.append(atom if kind == "atom" else Not(atom))
+    return tuple(out)
+
+
+@st.composite
+def _when_tasks(draw):
+    """A random typed task with its actions redrawn so that walks apply many
+    `when`s: a precondition is empty or one literal, which some binding
+    meets on most initial states, and an effect is a few literals and
+    `when`s. Each `when` reads a fluent, which the step's other effects may
+    change, and may read a static atom or an `=` too."""
+    task = draw(typed_tasks())
+    preds = [(p.name, len(p.params)) for p in task.domain.predicates]
+    fluents = draw(st.lists(st.sampled_from(preds), min_size=1, max_size=2, unique=True))
+    actions = []
+    for index in range(draw(st.integers(1, 2))):
+        params = tuple(TypedName(f"?{'ab'[i]}") for i in range(draw(st.integers(0, 2))))
+        terms = [p.name for p in params] + [c.name for c in task.domain.constants]
+        parts = _literals(draw, fluents, terms, 1, 2)
+        for _ in range(draw(st.integers(1, 2))):
+            condition = _literals(draw, fluents, terms, 1, 1) + _literals(draw, preds, terms, 0, 1, eq=True)
+            parts += (When(And(condition), And(_literals(draw, fluents, terms, 1, 2))),)
+        pre = And(_literals(draw, preds, terms, 0, 1))
+        actions.append(ActionSchema(f"act{index}", params, pre, And(parts)))
+    return LinkedTask(replace(task.domain, actions=tuple(actions)), task.problem)
+
+
+@given(_when_tasks(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_when_walks_get_the_ground_verdict(task, data):
+    assert_walk_agrees(task, data)
 
 
 @given(_edited_tasks(), st.data())

@@ -5,7 +5,9 @@ exception; and whatever parses must survive print -> parse unchanged. The
 rule-edit generator below makes the two kinds of edit that the benchmark's
 edit pool (perfbench/edits.py) replays: drop one precondition part, or drop
 an action's last parameter. Reading a domain form by form, with or without
-a memo of forms shared across texts, must give what reading it whole gives.
+a memo of forms shared across texts, must give what reading it whole gives,
+and printing it through a memo of blocks shared across texts must give what
+printing it alone gives.
 """
 
 import re
@@ -343,10 +345,14 @@ def _text_runs(draw):
 @given(_text_runs())
 def test_a_shared_form_memo_changes_no_outcome(texts):
     forms: dict = {}
+    blocks: dict = {}
     for text in texts:
         expected = _whole_outcome(text)
         assert _outcome(text) == expected
-        assert _outcome(text, forms) == expected
+        shared = _outcome(text, forms)
+        assert shared == expected
+        if not isinstance(shared, list):
+            assert print_canonical(shared, blocks) == print_canonical(shared)
 
 
 @FUZZ

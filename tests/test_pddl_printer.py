@@ -80,3 +80,14 @@ def test_typed_lists_keep_declared_types():
     text = print_canonical(parse_domain(corpus.load("logistics").domain_text))
     assert "(either vehicle package)" in text
     assert "truck - vehicle" in text
+
+
+def test_a_block_dict_outlives_the_domains_printed_into_it():
+    """Each block holds the objects it was printed from, so a domain built
+    after an earlier one was dropped cannot take its ids and its text."""
+    blocks: dict = {}
+    texts = list(DOMAIN_TEXTS.values())
+    for before, after in zip(texts, texts[1:] + texts[:1]):
+        print_canonical(parse_domain(before), blocks)
+        domain = parse_domain(after)
+        assert print_canonical(domain, blocks) == print_canonical(domain)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from axiomforge import corpus
+from axiomforge import corpus, planner
 from axiomforge.cli import main
 from axiomforge.corpus import variants
 from axiomforge.distance import LevenshteinMockOracle
@@ -79,6 +79,29 @@ def _evolve(capsys, tmp_path, algo, target, seed):
 @pytest.mark.parametrize("algo,target,seed", CASES)
 def test_evolve_cli_is_pinned(capsys, tmp_path, algo, target, seed):
     assert _evolve(capsys, tmp_path, algo, target, seed) == EVOLVE_CLI[(algo, target, seed)]
+
+
+class _SlowClock:
+    """A monotonic clock that advances 20 µs per read and not otherwise.
+    `solve` reads the clock once per counted state, so its default 10 s wall
+    budget trips at the 500,000th state, as on a slow host."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 20e-6
+        return self.now
+
+
+@pytest.mark.parametrize("algo,target,seed", CASES)
+def test_evolve_cli_is_pinned_on_a_slow_clock(monkeypatch, capsys, tmp_path, algo, target, seed):
+    """A host slow enough for the wall budget to trip at 500,000 states
+    changes no pinned output: no pinned score turns on the wall budget."""
+    clock = _SlowClock()
+    monkeypatch.setattr(planner.time, "monotonic", clock)
+    assert _evolve(capsys, tmp_path, algo, target, seed) == EVOLVE_CLI[(algo, target, seed)]
+    assert clock.now > 0
 
 
 # -- context-sensitive oracle through the algorithm functions ------------------
