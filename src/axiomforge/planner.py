@@ -46,10 +46,12 @@ the join against static atoms is incremental across a run's candidates,
 and `ground` returns a `GroundedTask` equal, field for field, to a fresh
 call's, and raises the same explosion where a fresh call does.
 
-`validate_lifted` checks a plan on the domain and problem ASTs alone, by
-the rules grounding applies, so where grounding does not explode it
-accepts exactly the step sequences that `validate_plan` accepts as actions
-of the ground task; it grounds nothing.
+`validate_lifted` checks a plan without grounding the task: it replays
+each step on grounding's compiled schemas, binding only that step's
+arguments, through the same static checks, precondition fold and effect
+collection, and tests the goal that grounding folds. So where grounding
+does not explode it accepts exactly the step sequences that
+`validate_plan` accepts as actions of the ground task.
 """
 
 from __future__ import annotations
@@ -528,6 +530,9 @@ class _Grounder:
     whose bindings all fail late still ends after bounded work. A full
     binding that passes every depth's checks also counts its parameters, as
     it is kept as a tuple that wide.
+
+    `validate_lifted` replays a plan through one, binding each step's
+    arguments alone.
     """
 
     def __init__(self, task: LinkedTask, cache: RunCache, max_atoms: int, max_actions: int):
@@ -653,6 +658,21 @@ class _Grounder:
                 return False
         return True
 
+    def _instance(self, pre_spec: tuple, effect: tuple, env: tuple) -> tuple | None:
+        """(folded precondition, adds, dels, groups) of a full binding; None
+        where its precondition is statically false or it is contradictory:
+        its unconditional effects, or one `when`'s, add and delete an atom."""
+        cond = self._fold(pre_spec, env)
+        if cond is False:
+            return None
+        adds: set = set()
+        dels: set = set()
+        groups: list = []
+        self._effects(effect, env, adds, dels, groups)
+        if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, a, d in groups):
+            return None
+        return cond, adds, dels, groups
+
     def _reuse(self, table: dict, key, compute) -> _Work:
         """`table[key]`, charging the bindings it visited again, or else the
         `_Work` of `compute()`, which visits them itself."""
@@ -674,19 +694,6 @@ class _Grounder:
             if (key in self.init) is not want:
                 return raw  # statically false for every binding
         base = len(names)
-
-        def keep(env: tuple) -> None:
-            cond = self._fold(pre_spec, env)
-            if cond is False:
-                return
-            adds: set = set()
-            dels: set = set()
-            groups: list = []
-            self._effects(effect, env, adds, dels, groups)
-            if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, a, d in groups):
-                return  # contradictory instantiation
-            raw.append((name, env[base:], cond, adds, dels, groups))
-
         pools = [self._pool(t) for t in types]
         if not pools:
             self._visit(1)
@@ -698,7 +705,9 @@ class _Grounder:
             d = len(env) - base
             if d == len(pools):
                 self._visit(d)  # bounds what `raw` holds in objects, not in bindings
-                keep(env)
+                kept = self._instance(pre_spec, effect, env)
+                if kept is not None:
+                    raw.append((name, env[base:], *kept))
                 continue
             self._visit(len(pools[d]))
             level = checks[d]
@@ -707,6 +716,18 @@ class _Grounder:
                 if not level or self._joined(level, bound):
                     stack.append(bound)
         return raw
+
+    def _goal(self) -> _Work:
+        """The folded goal, reused from `cache.goals` where the problem, the
+        domain's types and constants and the static goal predicates match."""
+        _, static, typing = self.cache.schemas(self.domain)
+        problem, goal_preds = self.cache.problem(self.problem)
+
+        def fold_goal():
+            names, spec = _Compiler(goal_preds & static).condition(self.problem.goal)
+            return self._fold(spec, names)
+
+        return self._reuse(self.cache.goals, (problem, typing, goal_preds & static), fold_goal)
 
     def _lower(self, node) -> GroundFormula:
         """Index a folded condition; atoms outside the universe are false."""
@@ -756,9 +777,8 @@ class _Grounder:
 
     def ground(self) -> GroundedTask:
         cache = self.cache
-        schemas, static, typing = cache.schemas(self.domain)
-        problem, goal_preds = cache.problem(self.problem)
-        task = (problem, typing)  # what binding reads besides the schema
+        schemas, _, typing = cache.schemas(self.domain)
+        task = (cache.problem(self.problem)[0], typing)  # what binding reads besides the schema
         bound = [self._reuse(binds, task, lambda: self._schema(spec)) for spec, binds in schemas]
 
         universe = self.universe
@@ -787,11 +807,7 @@ class _Grounder:
                 lowered = work.lowered[token] = self._actions(work.value)
             actions += lowered
 
-        def fold_goal():
-            names, spec = _Compiler(goal_preds & static).condition(self.problem.goal)
-            return self._fold(spec, names)
-
-        goal = self._reuse(cache.goals, (*task, goal_preds & static), fold_goal)
+        goal = self._goal()
         goal_g = goal.lowered.get(token)
         if goal_g is None:
             goal_g = self._lower(goal.value)
@@ -1080,155 +1096,74 @@ def validate_plan(task: GroundedTask, plan: Plan) -> tuple[bool, int | None]:
 # -- lifted plan checking -----------------------------------------------------
 
 
-# The most forall bindings one `validate_lifted` call enumerates: `ground`'s
-# default cap on the bindings it visits.
-_LIFTED_BINDINGS = 200_000
+def _holds_folded(node, state: set) -> bool:
+    """A folded condition on a state given as its set of atom keys."""
+    if node is True or node is False:
+        return node
+    tag = node[0]
+    if type(tag) is str:
+        return node in state
+    if tag == _NOT:
+        return not _holds_folded(node[1], state)
+    if tag == _AND:
+        return all(_holds_folded(p, state) for p in node[1])
+    return any(_holds_folded(p, state) for p in node[1])
 
 
-class _TooWide(Exception):
-    """A lifted check past `_LIFTED_BINDINGS`."""
+def validate_lifted(domain: DomainAst, problem: ProblemAst, steps, cache: RunCache | None = None) -> int | None:
+    """Replay `steps`, (action name, argument tuple) pairs, one at a time
+    on grounding's compiled schemas, without grounding the task, as a plan
+    checker does (Howey, Long and Fox, "VAL: Automatic Plan Validation",
+    ICTAI 2004). Returns None when every step applies in turn and the goal
+    then holds; otherwise the index of the first step that does not apply,
+    or len(steps) when the goal fails.
 
+    A step binds the first compiled schema of its name and arity (a schema
+    whose precondition is statically false is not compiled) to arguments
+    that fit its parameters' types. That binding goes through grounding's
+    static checks, precondition fold and effect collection, so it applies
+    exactly where `ground` keeps an action for it whose precondition holds,
+    and changes the state as `apply` does; the goal is the one `ground`
+    folds. So, where grounding does not explode, the steps accepted here
+    are actions of `ground(task)` that `validate_plan` accepts.
 
-def validate_lifted(domain: DomainAst, problem: ProblemAst, steps) -> int | None:
-    """Replay `steps`, (action name, argument tuple) pairs, on the task's
-    ASTs without grounding it, as an independent plan checker does (Howey,
-    Long and Fox, "VAL: Automatic Plan Validation", ICTAI 2004). Returns
-    None when every step applies in turn and the goal then holds; otherwise
-    the index of the first step that does not apply, or len(steps) when the
-    goal fails.
-
-    A step applies exactly where the ground action `ground` keeps for it
-    does: the first schema of that name and arity, each argument an object
-    that fits its parameter's type, the precondition true on the state, and
-    no atom both added and deleted among the unconditional effects or
-    within one `when`. As in grounding, a `when` whose condition the static
-    atoms and `=` decide is unconditional when true and has no effect when
-    false; the others fire on the pre-state, after the unconditional
-    deletes and adds, in effect order. So, where grounding does not
-    explode, steps accepted here are actions of `ground(task)` that
-    `validate_plan` accepts, and a plan that `solve` returns is accepted
-    here.
-
-    The check enumerates each `forall` it meets, and stops once that has
-    visited more than `_LIFTED_BINDINGS` bindings in all, reporting the
-    step (or the goal) it was at; grounding would visit at least as many.
+    Each forall the replay enumerates, and the goal's fold, count against
+    `ground`'s default `max_actions`; past it the replay reports the step
+    (or the goal) it was at, so a wide forall costs no more than that cap.
+    `cache` is the run's `RunCache`, as for `ground`: compiles and the
+    folded goal come from it, and without one the call makes a private one.
     """
-    types = object_types(domain, problem)
-    ancestors = type_ancestors(domain.types)
-    static = None
-    pools: dict = {}  # variables -> the value tuples of their bindings
-    visited = 0
-    state = {(a.name, *a.args) for a in problem.init}
-
-    def fits(obj: str, tref) -> bool:
-        return obj in types and fits_type(ancestors, types[obj], tref)
-
-    def bindings(variables: tuple, env: dict) -> list:
-        nonlocal visited
-        combos = pools.get(variables)
-        if combos is None:
-            values = [[o for o in types if fits(o, v.type)] for v in variables]
-            if visited + math.prod(map(len, values)) > _LIFTED_BINDINGS:
-                raise _TooWide
-            combos = pools[variables] = tuple(itertools.product(*values))
-        visited += len(combos)
-        if visited > _LIFTED_BINDINGS:
-            raise _TooWide
-        names = [v.name for v in variables]
-        return [{**env, **dict(zip(names, combo))} for combo in combos]
-
-    def truth(f: Formula, env: dict, known: frozenset | None = None) -> bool | None:
-        """`f` on the state under `env`; with `known`, None where it turns
-        on an atom whose predicate is not in `known` (three-valued, as
-        grounding folds a condition against the static atoms)."""
-        kind = type(f)
-        if kind is Atom:
-            if known is not None and f.name not in known:
-                return None
-            return (f.name, *map(env.get, f.args, f.args)) in state
-        if kind is And and known is None:
-            for part in f.parts:
-                if not truth(part, env):
-                    return False
-            return True
-        if kind is Not:
-            value = truth(f.body, env, known)
-            return None if value is None else not value
-        if kind is Eq:
-            return env.get(f.left, f.left) == env.get(f.right, f.right)
-        if kind is Forall:
-            envs = bindings(f.variables, env)
-            parts = (f.body,) * len(envs)
-        else:
-            envs = itertools.repeat(env)
-            parts = f.parts
-        decider = kind is Or  # the value one part decides the whole with
-        result: bool | None = not decider
-        for part, part_env in zip(parts, envs):
-            value = truth(part, part_env, known)
-            if value is decider:
-                return decider
-            if value is None:
-                result = None
-        return result
-
-    def effects(f: Formula, env: dict, adds: set, dels: set, groups: list) -> None:
-        nonlocal static
-        kind = type(f)
-        if kind is And:
-            for p in f.parts:
-                effects(p, env, adds, dels, groups)
-        elif kind is Atom:
-            adds.add((f.name, *map(env.get, f.args, f.args)))
-        elif kind is Not:
-            dels.add((f.body.name, *map(env.get, f.body.args, f.body.args)))
-        elif kind is Forall:
-            for inner in bindings(f.variables, env):
-                effects(f.body, inner, adds, dels, groups)
-        else:
-            if static is None:
-                touched: set = set()
-                for action in domain.actions:
-                    _effect_predicates(action.effect, touched)
-                static = frozenset(p.name for p in domain.predicates) - touched
-            decided = truth(f.condition, env, static)
-            if decided is False:
-                return
-            sub_adds: set = set()
-            sub_dels: set = set()
-            effects(f.effect, env, sub_adds, sub_dels, groups)
-            if decided:
-                adds |= sub_adds
-                dels |= sub_dels
-            else:
-                groups.append((f.condition, env, sub_adds, sub_dels))
-
+    grounder = _Grounder(LinkedTask(domain, problem), cache if cache is not None else RunCache(), 100_000, 200_000)
+    schemas = grounder.cache.schemas(domain)[0]
+    types, ancestors, init = grounder.object_types, grounder.ancestors, grounder.init
+    state = set(init)
     index = 0
     try:
         for index, (name, args) in enumerate(steps):
-            for schema in domain.actions:
-                if schema.name == name and len(schema.params) == len(args):
+            for spec, _ in schemas:
+                if spec[0] == name and len(spec[2]) == len(args):
                     break
             else:
                 return index
-            if not all(map(fits, args, [p.type for p in schema.params])):
+            _, names, params, facts, checks, pre_spec, effect = spec
+            if not all(a in types and fits_type(ancestors, types[a], t) for a, t in zip(args, params)):
                 return index
-            env = dict(zip([p.name for p in schema.params], args))
-            if not truth(schema.precondition, env):
+            env = names + args
+            if any((key in init) is not want for key, want in facts) or not all(
+                grounder._joined(level, env) for level in checks
+            ):
                 return index
-            adds: set = set()
-            dels: set = set()
-            groups: list = []
-            effects(schema.effect, env, adds, dels, groups)
-            if not adds.isdisjoint(dels) or any(not a.isdisjoint(d) for _, _, a, d in groups):
-                return index  # grounding drops a contradictory instantiation
-            fired = [(a, d) for cond, cond_env, a, d in groups if truth(cond, cond_env)]
+            got = grounder._instance(pre_spec, effect, env)
+            if got is None or not _holds_folded(got[0], state):
+                return index
+            _, adds, dels, groups = got
+            fired = [(a, d) for cond, a, d in groups if _holds_folded(cond, state)]
             state -= dels
             state |= adds
             for a, d in fired:
                 state -= d
                 state |= a
         index = len(steps)
-        return None if truth(problem.goal, {}) else index
-    except _TooWide:
+        return None if _holds_folded(grounder._goal().value, state) else index
+    except GroundingExplosion:
         return index

@@ -122,7 +122,8 @@ class CandidateEvaluator:
     The root's evaluation keeps each suite problem's plan as its witness,
     as (action name, arguments) steps. A later candidate that links to a
     suite problem keeps it where `validate_lifted` accepts the witness
-    under the candidate's rules, with no ground or search; otherwise the
+    under the candidate's rules, replayed on the compiled schemas in
+    `cache` with no ground of the task and no search; otherwise the
     problem is searched. The witness proves the problem solvable, so it is
     kept even where a search would trip a limit or grounding explode. The
     flagship is always searched, since its plan length is the score.
@@ -184,7 +185,7 @@ class CandidateEvaluator:
         witness = self._witnesses.get(index)
         if witness is not None:
             self.cache.link(domain, problem)
-            if validate_lifted(domain, problem, witness) is None:
+            if validate_lifted(domain, problem, witness, self.cache) is None:
                 return True
         result = self._solve(domain, problem)
         if root and isinstance(result, Plan):

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+import axiomforge.proposer.http
 import axiomforge.search.candidate
+from axiomforge.cli import main
 from axiomforge.corpus import variants
 from axiomforge.distance import Choice, OracleUnavailable
 from axiomforge.pddl import print_canonical
@@ -156,13 +158,32 @@ def test_auth_error_on_401(stub_server, api_key, blocksworld, flagship):
     assert len(stub_server.requests) == 1  # no retry on auth failures
 
 
-def test_unexpected_status_is_not_retried(stub_server, api_key, no_sleep):
-    stub_server.push(404, {})
+@pytest.mark.parametrize("status", [404, 400])
+def test_unexpected_status_is_not_retried(stub_server, api_key, no_sleep, status):
+    stub_server.push(status, {})
     client = HttpChatClient(_cfg(stub_server, max_retries=3))
-    with pytest.raises(OracleUnavailable, match="^unexpected status 404$"):
+    with pytest.raises(OracleUnavailable, match=f"^unexpected status {status}$"):
         client.complete("sys", "user")
     assert len(stub_server.requests) == 1 and client.transport_calls == 1
     assert no_sleep == []
+
+
+@pytest.mark.parametrize("status", [404, 400])
+def test_evolve_exits_3_on_a_non_retryable_status(capsys, monkeypatch, tmp_path, api_key, no_sleep, status):
+    calls = []
+
+    def answering(url, headers, payload, timeout):
+        calls.append(url)
+        return status, {}
+
+    monkeypatch.setattr(axiomforge.proposer.http, "_default_transport", answering)
+    code = main(["evolve", "corpus:blocksworld", "corpus:blocksworld:restack", "--oracle", "http",
+                 "--target-len", "4", "--trajectory", str(tmp_path / "run.jsonl"), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.splitlines()[0] == f"oracle failure: unexpected status {status}"
+    assert json.loads(out.splitlines()[-1]) == {"status": "oracle-failure", "error": f"unexpected status {status}"}
+    assert len(calls) == 1 and no_sleep == []
 
 
 def test_missing_api_key_fails_before_any_request(monkeypatch, stub_server, blocksworld, flagship):

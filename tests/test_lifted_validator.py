@@ -7,6 +7,8 @@ actions redrawn so that walks apply many `when`s: every plan `solve`
 returns validates lifted, a step sequence gets the verdict the ground
 replay gives, statically dropped and contradictory bindings included, and
 a plan with one step swapped fails at the index `validate_plan` names.
+Each task's cases also run through one shared `RunCache`, twice each, and
+grounding through that cache afterwards gives what a fresh `ground` gives.
 """
 
 import itertools
@@ -31,9 +33,9 @@ from axiomforge.pddl import (
     parse_domain,
     parse_problem,
 )
-from axiomforge.planner import Plan, SearchLimits, apply, ground, solve, validate_lifted, validate_plan
+from axiomforge.planner import Plan, RunCache, SearchLimits, apply, ground, solve, validate_lifted, validate_plan
 
-from test_ground_oracle import EDIT_TASKS, rule_edits, typed_tasks
+from test_ground_oracle import EDIT_TASKS, _outcome, rule_edits, typed_tasks
 from test_pinned_plans import hanoi, tower_reversal
 
 # Random tasks can have large state spaces; a plan found within this many
@@ -69,19 +71,30 @@ def _steps(plan):
     return tuple((a.name, a.args) for a in plan.steps)
 
 
-def assert_agrees(task, grounded, steps):
-    """`validate_lifted` gives the ground verdict on `steps`, and where every
-    step applies, it reaches the ground replay's state: a goal that lists
-    each atom of the universe, or its negation, as that state holds it,
-    validates."""
-    assert validate_lifted(task.domain, task.problem, steps) == ground_verdict(grounded, steps)
+def assert_agrees(task, grounded, steps, cache):
+    """`validate_lifted` gives the ground verdict on `steps`, without a
+    cache and through `cache` twice, first where the case may be new to it
+    and then warm; and where every step applies, it reaches the ground
+    replay's state: a goal that lists each atom of the universe, or its
+    negation, as that state holds it, validates."""
+    verdict = ground_verdict(grounded, steps)
+    assert validate_lifted(task.domain, task.problem, steps) == verdict
+    assert validate_lifted(task.domain, task.problem, steps, cache) == verdict
+    assert validate_lifted(task.domain, task.problem, steps, cache) == verdict
     actions = _ground_actions(grounded, steps)
     if len(actions) == len(steps) and validate_plan(replace(grounded, goal=And()), Plan(tuple(actions)))[0]:
         state = grounded.init
         for action in actions:
             state = apply(state, action)
         goal = And(tuple(atom if state >> i & 1 else Not(atom) for i, atom in enumerate(grounded.atoms)))
-        assert validate_lifted(task.domain, replace(task.problem, goal=goal), steps) is None
+        assert validate_lifted(task.domain, replace(task.problem, goal=goal), steps, cache) is None
+
+
+def assert_cache_grounds_as_fresh(task, cache):
+    """Grounding through `cache`, which replays filled, gives what a fresh
+    `ground` gives, explosions included."""
+    for caps in ({}, {"max_atoms": 3}, {"max_actions": 5}):
+        assert _outcome(ground, task, cache=cache, **caps) == _outcome(ground, task, **caps)
 
 
 def assert_plans_validate(task, swaps):
@@ -93,9 +106,12 @@ def assert_plans_validate(task, swaps):
     if not isinstance(result, Plan):
         return
     steps = _steps(result)
+    cache = RunCache()
     assert validate_lifted(task.domain, task.problem, steps) is None
+    assert validate_lifted(task.domain, task.problem, steps, cache) is None
     for index, step in swaps(grounded, steps):
-        assert_agrees(task, grounded, steps[:index] + (step,) + steps[index + 1 :])
+        assert_agrees(task, grounded, steps[:index] + (step,) + steps[index + 1 :], cache)
+    assert_cache_grounds_as_fresh(task, cache)
 
 
 # -- fixed cases ---------------------------------------------------------------
@@ -284,14 +300,16 @@ def assert_walk_agrees(task, data):
     every name."""
     grounded = ground(task)
     steps = data.draw(_walks(task, grounded))
-    assert_agrees(task, grounded, steps)
+    cache = RunCache()
+    assert_agrees(task, grounded, steps, cache)
     index = validate_lifted(task.domain, task.problem, steps)
     prefix = steps[: len(steps) if index is None else index]
     names = _names(task)
     for k in range(len(prefix) + 1):
         for schema in task.domain.actions:
             for args in itertools.product(names, repeat=len(schema.params)):
-                assert_agrees(task, grounded, prefix[:k] + ((schema.name, args),))
+                assert_agrees(task, grounded, prefix[:k] + ((schema.name, args),), cache)
+    assert_cache_grounds_as_fresh(task, cache)
 
 
 @given(_edited_tasks(), st.data())

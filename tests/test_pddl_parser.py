@@ -537,3 +537,77 @@ def test_a_bad_init_entry_is_one_positioned_diagnostic(case):
 def test_repeated_init_sections_still_merge():
     problem = parse_problem("(define (problem p) (:domain d) (:objects a) (:init (p a)) (:init (q a)) (:goal (and)))")
     assert problem.init == frozenset({Atom("p", ("a",)), Atom("q", ("a",))})
+
+
+# Reader diagnostics that no other input reaches, each pinned as (code,
+# message, (line, col)). Each text puts its fault on line 2.
+_DOMAIN = "(define (domain d) (:requirements :typing :conditional-effects :equality)\n  {} (:predicates (p ?x) (q)) {})"
+_ACTION_WITH = "(:action a :parameters (?x) :precondition {} :effect {})"
+_PROBLEM = "(define (problem p) (:domain d) (:objects a)\n  {} (:init) (:goal (and)))"
+_READER_FAULTS = {
+    "either-with-no-member": (
+        _DOMAIN.format("(:constants k - (either))", ""),
+        [("syntax-error", "(either ...) needs at least one type", (2, 19))],
+    ),
+    "type-expression": (
+        _DOMAIN.format("(:constants k - (set t))", ""),
+        [("unsupported-construct", "'set' is not a supported type expression", (2, 19))],
+    ),
+    "dash-at-the-end": (
+        _DOMAIN.format("(:types t -)", ""),
+        [("syntax-error", "type expected after '-' in :types", (2, 13))],
+    ),
+    "variable-for-a-name": (
+        _DOMAIN.format("(:constants ?k)", ""),
+        [("syntax-error", "name expected in :constants, got variable '?k'", (2, 15))],
+    ),
+    "not-over-a-non-atom-in-an-effect": (
+        _DOMAIN.format("", _ACTION_WITH.format("(p ?x)", "(not (and (q)))")),
+        [("unsupported-construct", "effects may negate atoms only", (2, 86))],
+    ),
+    "malformed-forall": (
+        _DOMAIN.format("", _ACTION_WITH.format("(forall ?y (p ?y))", "(q)")),
+        [("syntax-error", "'forall' takes (vars) and one body formula", (2, 71))],
+    ),
+    "nested-when": (
+        _DOMAIN.format("", _ACTION_WITH.format("(p ?x)", "(when (q) (when (q) (q)))")),
+        [("unsupported-construct", "'when' cannot nest inside another 'when'", (2, 96))],
+    ),
+    "when-of-one-part": (
+        _DOMAIN.format("", _ACTION_WITH.format("(p ?x)", "(when (q))")),
+        [("syntax-error", "'when' takes a condition and an effect", (2, 86))],
+    ),
+    "equality-in-an-effect": (
+        _DOMAIN.format("", _ACTION_WITH.format("(p ?x)", "(= ?x ?x)")),
+        [("unsupported-construct", "'=' is not allowed in effects", (2, 86))],
+    ),
+    "equality-of-one-argument": (
+        _DOMAIN.format("", _ACTION_WITH.format("(= ?x)", "(q)")),
+        [("syntax-error", "'=' takes exactly two arguments", (2, 71))],
+    ),
+    "list-as-an-equality-argument": (
+        _DOMAIN.format("", _ACTION_WITH.format("(= ?x (q))", "(q)")),
+        [("syntax-error", "expected '=' argument", (2, 77))],
+    ),
+    "action-with-no-name": (
+        _DOMAIN.format("", "(:action)"),
+        [("syntax-error", "expected (:action NAME ...)", (2, 29))],
+    ),
+    "malformed-domain-section": (
+        _PROBLEM.replace("(:domain d) ", "").format("(:domain)"),
+        [("syntax-error", "expected (:domain NAME)", (2, 3)),
+         ("syntax-error", "problem is missing its (:domain ...) section", (1, 1))],
+    ),
+    "unsupported-problem-requirement": (
+        _PROBLEM.format("(:requirements :strips :fluents)"),
+        [("unsupported-construct", "requirement ':fluents' is not supported", (2, 26))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_READER_FAULTS))
+def test_a_reader_fault_no_other_input_reaches_is_pinned(case):
+    text, diagnostics = _READER_FAULTS[case]
+    with pytest.raises(PddlError) as err:
+        (parse_problem if text.startswith("(define (problem") else parse_domain)(text)
+    assert [(d.code, d.message, (d.line, d.col)) for d in err.value.diagnostics] == diagnostics

@@ -534,6 +534,26 @@ def test_ga_scripted_success(zero_evaluator):
     assert result.best.plan_length == 2
 
 
+def test_ga_returns_a_child_that_meets_the_target_in_a_later_generation(zero_evaluator):
+    """No seed proposal meets the target, so the run breeds; the first
+    child of generation 1 meets it, and the run ends there, before that
+    generation's survivors are chosen."""
+
+    class Breeder(ScriptedOracle):
+        def crossover(self, ctx, parent_a, parent_b):
+            self.calls += 1
+            return variants.MULTI_LIFT
+
+    generations = []
+    oracle = Breeder([ScriptEntry(lambda ctx: True, (WORSE,))])
+    cfg = _cfg("genetic", ga_population=4, ga_generations=3, ga_mutation_rate=0.0)
+    result = genetic_search(SearchRun(cfg, oracle, zero_evaluator), observer=lambda gen, pop: generations.append(gen))
+    assert result.success and result.best.plan_length == 2
+    assert result.best.provenance.description == "offspring 0 of generation 1"
+    assert generations == []
+    assert result.explored == 3  # the root, WORSE and the child
+
+
 def test_ga_population_minimum(zero_evaluator):
     with pytest.raises(ValueError):
         genetic_search(SearchRun(_cfg("genetic", ga_population=1), builtin_script(), zero_evaluator))
