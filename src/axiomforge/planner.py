@@ -34,17 +34,20 @@ PDDL planning tasks", AIJ 173, 2009), and resolves what it can statically:
 
 Grounding runs in three steps: compile each schema (`_Compiler`), bind it
 to the problem's objects and initial state, and lower the kept bindings to
-`GroundAction`s over the interned atom universe. Every step goes through a
-`RunCache`, which a search run shares across its candidates, since a rule
-edit changes one action and copies the rest. The cache keeps link verdicts
-by the problem and what `link` reads of the domain; compiles by the action
-and the static predicates it mentions; kept bindings and the folded goal by
-the compile, the problem and the domain's types and constants; and
-lowerings by the atom universe, which must be equal, in order. A reused
-binding or goal charges the bindings it visited to `max_actions` again. So
-the join against static atoms is incremental across a run's candidates,
-and `ground` returns a `GroundedTask` equal, field for field, to a fresh
-call's, and raises the same explosion where a fresh call does.
+`GroundAction`s over the interned atom universe. Lowering takes one walk of
+a folded precondition, which gives both its ground formula and the literal
+masks that `solve` reads. Every step goes through a `RunCache`, which a
+search run shares across its candidates, since a rule edit changes one
+action and copies the rest. The cache keeps link verdicts by the problem
+and what `link` reads of the domain; compiles by the action and the static
+predicates it mentions; kept bindings and the folded goal by the compile,
+the problem and the domain's types and constants; lowerings by the atom
+universe, which must be equal, in order; and a task's typing and initial
+state by the problem and the domain's types and constants. A reused binding
+or goal charges the bindings it visited to `max_actions` again. So the join
+against static atoms is incremental across a run's candidates, and `ground`
+returns a `GroundedTask` equal, field for field, to a fresh call's, and
+raises the same explosion where a fresh call does.
 
 `validate_lifted` checks a plan without grounding the task: it replays
 each step on grounding's compiled schemas, binding only that step's
@@ -61,6 +64,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import bounded, check_bounds
 from .pddl import PddlError, link
@@ -125,25 +129,6 @@ def holds(f: GroundFormula, state: int) -> bool:
     return any(holds(p, state) for p in f.parts)
 
 
-def _not(f: GroundFormula) -> GroundFormula:
-    """`Not(f)`, with a constant `f` folded."""
-    return _FALSE if f is _TRUE else _TRUE if f is _FALSE else Not(f)
-
-
-def _join(cls: type, parts) -> GroundFormula:
-    """`cls(parts)` for `And` or `Or`, folded: the other connective's empty
-    form decides it and its own drops out. A lazy `parts` is read no further
-    than the deciding part."""
-    unit, zero = (_TRUE, _FALSE) if cls is And else (_FALSE, _TRUE)
-    kept = []
-    for p in parts:
-        if p is zero:
-            return zero
-        if p is not unit:
-            kept.append(p)
-    return cls(tuple(kept)) if kept else unit
-
-
 def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
     """(positive, negative) masks when `f` is a pure literal conjunction."""
     pos = neg = 0
@@ -161,8 +146,13 @@ def _literal_masks(f: GroundFormula) -> tuple[int, int] | None:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
+    """One instantiated action schema. `pre_masks` is `_literal_masks` of
+    the precondition, and `applicable` tests those masks where there are
+    some. A tuple, so equal and hashed by its fields, in this order.
+    Grounding builds one per kept binding, and a tuple takes about a third
+    of the time a frozen dataclass does to build."""
+
     name: str
     args: tuple
     precondition: GroundFormula
@@ -424,6 +414,9 @@ class RunCache:
         `GroundingExplosion` exactly where a fresh one does.
       * What those bindings and that goal lowered to, by the interned atom
         universe, which is reused only when it is equal, in order.
+      * A task's type ancestors and object types, by the problem and the
+        domain's types and constants, and its initial-state keys, by the
+        problem. Callers only read them.
     """
 
     def __init__(self):
@@ -432,12 +425,13 @@ class RunCache:
         # interned as small ints in `_tokens`. An entry under an object's id
         # holds the object, so no other object takes that id meanwhile.
         self._tokens: dict = {}
-        self._problems: dict = {}  # id -> (problem, token, goal predicates)
+        self._problems: dict = {}  # id -> (problem, token, goal predicates, init keys)
         self._domains: dict = {}  # id -> [domain, link key token, schemas]
         self._links: dict = {}  # (problem, domain) tokens -> () or the failure's diagnostics
         self._actions: dict = {}  # action -> [mentioned, touched, {static key: (spec, binds)}]
         self.goals: dict = {}  # (problem, typing token, static goal predicates) -> _Work
         self._universes: dict = {}  # atom keys in index order -> (token, atoms)
+        self._typings: dict = {}  # (typing, problem) tokens -> (type ancestors, object types)
 
     def _token(self, key) -> int:
         return self._tokens.setdefault(key, len(self._tokens))
@@ -449,13 +443,22 @@ class RunCache:
         return seen
 
     def problem(self, problem: ProblemAst) -> tuple:
-        """(token, goal predicates) of `problem`; equal problems share the
-        token."""
+        """(token, goal predicates, initial-state keys) of `problem`; equal
+        problems share the token."""
         got = self._problems.get(id(problem))
         if got is None:
             goal_preds = frozenset(f.name for f in walk(problem.goal) if isinstance(f, Atom))
-            got = self._problems[id(problem)] = (problem, self._token(problem), goal_preds)
+            init = frozenset((a.name, *a.args) for a in problem.init)
+            got = self._problems[id(problem)] = (problem, self._token(problem), goal_preds, init)
         return got[1:]
+
+    def typing(self, domain: DomainAst, problem: ProblemAst) -> tuple:
+        """(`type_ancestors`, `object_types`) of the task."""
+        key = (self.schemas(domain)[2], self.problem(problem)[0])
+        got = self._typings.get(key)
+        if got is None:
+            got = self._typings[key] = (type_ancestors(domain.types), object_types(domain, problem))
+        return got
 
     def link(self, domain: DomainAst, problem: ProblemAst) -> LinkedTask:
         """`pddl.link(domain, problem)`, answered from an earlier verdict
@@ -543,11 +546,10 @@ class _Grounder:
         self.max_actions = max_actions
         self.visited = 0
 
-        self.ancestors = type_ancestors(self.domain.types)
-        self.object_types = object_types(self.domain, self.problem)
+        self.ancestors, self.object_types = cache.typing(self.domain, self.problem)
         self.pools: dict = {}  # type -> objects of that type
         self.forall_pools: dict = {}  # variable types -> (pools, number of bindings)
-        self.init = {(a.name, *a.args) for a in self.problem.init}
+        self.init = cache.problem(self.problem)[2]
         self.universe: dict[tuple, int] = {}  # atom key -> index
         self.bits: dict | None = None  # atom key -> its bit, once the universe is known
 
@@ -605,6 +607,9 @@ class _Grounder:
         parts = []
         if kind == _AND:
             for p in spec[1]:
+                if p[0] == _ATOM:
+                    parts.append(p[1](env))
+                    continue
                 q = self._fold(p, env)
                 if q is False:
                     return False
@@ -721,7 +726,7 @@ class _Grounder:
         """The folded goal, reused from `cache.goals` where the problem, the
         domain's types and constants and the static goal predicates match."""
         _, static, typing = self.cache.schemas(self.domain)
-        problem, goal_preds = self.cache.problem(self.problem)
+        problem, goal_preds, _ = self.cache.problem(self.problem)
 
         def fold_goal():
             names, spec = _Compiler(goal_preds & static).condition(self.problem.goal)
@@ -729,18 +734,66 @@ class _Grounder:
 
         return self._reuse(self.cache.goals, (problem, typing, goal_preds & static), fold_goal)
 
-    def _lower(self, node) -> GroundFormula:
-        """Index a folded condition; atoms outside the universe are false."""
+    def _lower(self, node) -> tuple:
+        """(ground formula, masks) of a folded condition, in one walk: the
+        formula indexes it, with atoms outside the universe false, and
+        `masks` is what `_literal_masks` gives that formula. A conjunction
+        indexes its atoms and negated atoms in place and recurses only into
+        its other parts."""
         if node is True:
-            return _TRUE
+            return _TRUE, (0, 0)
         if node is False:
-            return _FALSE
+            return _FALSE, None
         tag = node[0]
+        universe = self.universe
         if type(tag) is str:
-            return self.universe.get(node, _FALSE)
+            i = universe.get(node)
+            return (_FALSE, None) if i is None else (i, (1 << i, 0))
         if tag == _NOT:
-            return _not(self._lower(node[1]))
-        return _join(And if tag == _AND else Or, map(self._lower, node[1]))
+            body = self._lower(node[1])[0]
+            if body is _FALSE:
+                return _TRUE, (0, 0)
+            if body is _TRUE:
+                return _FALSE, None
+            return Not(body), ((0, 1 << body) if type(body) is int else None)
+        kept = []
+        if tag == _OR:
+            for p in node[1]:
+                f = self._lower(p)[0]
+                if f is _TRUE:
+                    return _TRUE, (0, 0)
+                if f is not _FALSE:
+                    kept.append(f)
+            return (Or(tuple(kept)) if kept else _FALSE), None
+        pos = neg = 0
+        literal = True
+        for p in node[1]:  # folded, so never True or False
+            head = p[0]
+            if type(head) is str:
+                i = universe.get(p)
+                if i is None:
+                    return _FALSE, None
+                kept.append(i)
+                pos |= 1 << i
+            elif head == _NOT and type(p[1][0]) is str:
+                i = universe.get(p[1])
+                if i is not None:  # else the negation of an atom that never holds
+                    kept.append(Not(i))
+                    neg |= 1 << i
+            else:
+                f, masks = self._lower(p)
+                if f is _FALSE:
+                    return _FALSE, None
+                if f is not _TRUE:
+                    kept.append(f)
+                    if masks is None:
+                        literal = False
+                    else:
+                        pos |= masks[0]
+                        neg |= masks[1]
+        if not kept:
+            return _TRUE, (0, 0)
+        return And(tuple(kept)), ((pos, neg) if literal else None)
 
     def _actions(self, raw: list) -> tuple:
         """The GroundActions of a schema's kept bindings, against the universe."""
@@ -754,25 +807,15 @@ class _Grounder:
 
         actions = []
         for name, args, pre, adds, dels, groups in raw:
-            pre_g = self._lower(pre)
+            pre_g, pre_masks = self._lower(pre)
             if pre_g is _FALSE:
                 continue
             cond_groups = []
             for cond, g_adds, g_dels in groups:
-                cond_g = self._lower(cond)
+                cond_g = self._lower(cond)[0]
                 if cond_g is not _FALSE:
                     cond_groups.append((cond_g, mask(g_adds), mask(g_dels)))
-            actions.append(
-                GroundAction(
-                    name=name,
-                    args=args,
-                    precondition=pre_g,
-                    add_mask=mask(adds),
-                    del_mask=mask(dels),
-                    conditional=tuple(cond_groups),
-                    pre_masks=_literal_masks(pre_g),
-                )
-            )
+            actions.append(GroundAction(name, args, pre_g, mask(adds), mask(dels), tuple(cond_groups), pre_masks))
         return tuple(actions)
 
     def ground(self) -> GroundedTask:
@@ -810,8 +853,7 @@ class _Grounder:
         goal = self._goal()
         goal_g = goal.lowered.get(token)
         if goal_g is None:
-            goal_g = self._lower(goal.value)
-            masks = _literal_masks(goal_g)
+            goal_g, masks = self._lower(goal.value)
             if masks and masks[0] & masks[1]:
                 goal_g = _FALSE  # a literal conjunction that asks for an atom and its negation
             goal.lowered[token] = goal_g
@@ -886,11 +928,12 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
 
     Action i is bit i of an action bitset. Each call splits the state's bits
     into chunks of `_CHUNK_BITS` and gives each chunk that a `pre_masks`
-    literal reads a table, filled lazily, from the value of its read bits to
-    the actions that value admits: all but those that need one of its clear
-    bits on or one of its set bits off. A state ANDs its chunks' entries and
-    visits the result lowest bit first, which is action-index order, so the
-    plan is the one a scan over all actions would return.
+    literal reads a table, filled lazily, from the state's read bits of the
+    chunk (`state & live`, left where they are) to the actions they admit:
+    all but those that need one of its clear bits on or one of its set bits
+    off. A state ANDs its chunks' entries and visits the result lowest bit
+    first, which is action-index order, so the plan is the one a scan over
+    all actions would return.
 
     Actions whose `pre_masks` is None (such as an `or`), which no table
     refuses, and actions with conditional effects take the formula path: the
@@ -984,17 +1027,16 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
         effects.append((~dele, add, formula))
     everything = (1 << len(actions)) - 1
 
-    # One table per chunk that a literal reads: (shift, mask of the read
-    # bits, (offset, need on, need off) per read bit, memo from the read
-    # bits' value to the actions it admits).
+    # One table per chunk that a literal reads: (mask of the read bits,
+    # (bit position, need on, need off) per read bit, memo from the state's
+    # read bits, at their own positions, to the actions they admit).
     chunks: dict[int, list] = {}
     for i in need_on.keys() | need_off.keys():
-        offset = i % _CHUNK_BITS
-        table = chunks.get(i - offset)
+        table = chunks.get(i // _CHUNK_BITS)
         if table is None:
-            table = chunks[i - offset] = [i - offset, 0, [], {}]
-        table[1] |= 1 << offset
-        table[2].append((offset, need_on.get(i, 0), need_off.get(i, 0)))
+            table = chunks[i // _CHUNK_BITS] = [0, [], {}]
+        table[0] |= 1 << i
+        table[1].append((i, need_on.get(i, 0), need_off.get(i, 0)))
     tables = list(chunks.values())
 
     parent: dict[int, tuple[int, int] | None] = {task.init: None}
@@ -1040,13 +1082,13 @@ def solve(task: GroundedTask, limits: SearchLimits | None = None) -> SolveResult
                     return _plan(parent, actions, last[2])
                 continue
             todo = everything
-            for shift, live, bits, memo in tables:
-                value = state >> shift & live
+            for live, bits, memo in tables:
+                value = state & live
                 admitted = memo.get(value)
                 if admitted is None:
                     refused = 0
-                    for offset, on, off in bits:
-                        refused |= off if value >> offset & 1 else on
+                    for i, on, off in bits:
+                        refused |= off if value >> i & 1 else on
                     admitted = memo[value] = everything & ~refused
                 todo &= admitted
             while todo:

@@ -82,8 +82,43 @@ TOGGLE = (
 )
 
 
+# Each condition below lowers through another branch of the grounder's one
+# walk. `r` is only ever deleted, so no `r` atom is in the universe and
+# `(not (r ?x))` lowers to true. `mark`'s `and` holds that literal alone, an
+# `or` it makes true and a nested `and` of literals; `fill` negates an `or`
+# and an `and`; `clear`'s whole precondition is that literal, its first
+# `when` an `and` whose parts all drop out and its second an `and` with a
+# `not (not ...)` part that lowers to false. `restock`'s precondition is an
+# `or` that folds to true before lowering where `(p ?x)` holds and lowers to
+# true elsewhere. The second goal is statically false.
+LOWERING = (
+    "(define (domain lowering) (:requirements :strips :negative-preconditions :conditional-effects)"
+    " (:predicates (p ?x) (q ?x) (r ?x) (done ?x))"
+    " (:action mark :parameters (?x)"
+    " :precondition (and (p ?x) (or (q ?x) (not (r ?x))) (not (r ?x)) (and (q ?x) (not (done ?x))))"
+    " :effect (and (done ?x) (not (r ?x))))"
+    " (:action fill :parameters (?x)"
+    " :precondition (and (done ?x) (not (or (q ?x) (r ?x))) (not (and (p ?x) (done ?x))))"
+    " :effect (q ?x))"
+    " (:action clear :parameters (?x) :precondition (not (r ?x))"
+    " :effect (and (not (done ?x))"
+    " (when (and (not (r ?x)) (or (q ?x) (not (r ?x)))) (q ?x))"
+    " (when (and (q ?x) (not (not (r ?x)))) (q ?x))))"
+    " (:action restock :parameters (?x) :precondition (or (p ?x) (not (r ?x))) :effect (q ?x)))"
+)
+LOWERING_PROBLEMS = (
+    "(define (problem marks) (:domain lowering) (:objects a b c)"
+    " (:init (p a) (p b) (q a))"
+    " (:goal (and (done a) (not (r b)) (or (q b) (not (r c))))))",
+    "(define (problem unreachable) (:domain lowering) (:objects a b c)"
+    " (:init (p a) (q a))"
+    " (:goal (and (p c) (done a))))",
+)
+
+
 def _corpus_cases():
     out = [("toggle:two", *TOGGLE)]
+    out += [(f"lowering:{name}", LOWERING, text) for name, text in zip(("marks", "unreachable"), LOWERING_PROBLEMS)]
     for name in corpus.CORPUS_NAMES:
         entry = corpus.load(name)
         for prob in entry.problems:

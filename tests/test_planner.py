@@ -173,6 +173,34 @@ def test_apply_requires_precondition(flagship_task):
         apply(0, pickup_a)
 
 
+def test_ground_action_is_an_immutable_record_of_its_fields():
+    positional = GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b100, 0b001)
+    keyword = GroundAction(name="stack", args=("a", "b"), precondition=And((0, Not(1))), add_mask=0b100, del_mask=0b001)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert (positional.conditional, positional.pre_masks) == ((), None)
+    full = GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b100, 0b001, ((2, 0b1000, 0),), (0b01, 0b10))
+    assert full == GroundAction(
+        "stack", ("a", "b"), And((0, Not(1))), 0b100, 0b001, conditional=((2, 0b1000, 0),), pre_masks=(0b01, 0b10)
+    )
+    assert full.conditional == ((2, 0b1000, 0),) and full.pre_masks == (0b01, 0b10)
+    # Equal and hashed by every field: a differing one tells two apart.
+    others = [
+        GroundAction("unstack", ("a", "b"), And((0, Not(1))), 0b100, 0b001),
+        GroundAction("stack", ("b", "a"), And((0, Not(1))), 0b100, 0b001),
+        GroundAction("stack", ("a", "b"), And((0,)), 0b100, 0b001),
+        GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b110, 0b001),
+        GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b100, 0b011),
+        GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b100, 0b001, ((2, 0, 0),)),
+        GroundAction("stack", ("a", "b"), And((0, Not(1))), 0b100, 0b001, pre_masks=(0b01, 0b10)),
+    ]
+    assert len({positional, *others}) == 1 + len(others)
+    for field in GroundAction._fields:
+        with pytest.raises(AttributeError):
+            setattr(positional, field, None)
+    assert str(positional) == "(stack a b)"
+    assert str(GroundAction("noop", (), And(), 0, 0)) == "(noop)"
+
+
 def test_briefcase_conditional_move():
     entry = corpus.load("briefcase")
     task = _task(entry.domain_text, entry.problem("deliver").text)
